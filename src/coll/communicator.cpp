@@ -4,9 +4,9 @@
 
 #include "src/coll/mcast_coll.hpp"
 #include "src/debug/validate.hpp"
-#include "src/coll/p2p_coll.hpp"
+#include "src/coll/pattern.hpp"
 #include "src/coll/reduce_scatter.hpp"
-#include "src/coll/vandegeijn.hpp"
+#include "src/coll/schedule.hpp"
 
 namespace mccl::coll {
 
@@ -88,6 +88,24 @@ void OpBase::fail_op(std::string error) {
     }
   }
   maybe_note_done();
+}
+
+bool OpBase::verify_reduce_scatter(
+    const std::function<std::uint64_t(std::size_t)>& recvbuf,
+    std::uint64_t block_bytes) const {
+  if (!comm_.data_mode()) return true;
+  const std::size_t P = comm_.size();
+  for (std::size_t r = 0; r < P; ++r) {
+    if (rank_crashed(r)) continue;
+    const float* got = reinterpret_cast<const float*>(
+        comm_.ep(r).nic().memory().at(recvbuf(r)));
+    for (std::uint64_t i = 0; i < block_bytes / sizeof(float); ++i) {
+      float want = 0;
+      for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);
+      if (got[i] != want) return false;
+    }
+  }
+  return true;
 }
 
 void OpBase::maybe_note_done() {
@@ -264,11 +282,11 @@ OpBase& Communicator::start_broadcast(std::size_t root, std::uint64_t bytes,
     p.block_bytes = bytes;
     ops_.push_back(std::make_unique<McastCollective>(*this, "mcast_broadcast",
                                                      std::move(p)));
-  } else if (algo == BcastAlgo::kScatterAllgather) {
-    ops_.push_back(
-        std::make_unique<ScatterAllgatherBcast>(*this, root, bytes));
   } else {
-    ops_.push_back(std::make_unique<P2PBroadcast>(*this, root, bytes, algo));
+    ops_.push_back(std::make_unique<ScheduleOp>(
+        *this, algo == BcastAlgo::kScatterAllgather
+                   ? scatter_ring_broadcast(size(), root, bytes)
+                   : tree_broadcast(size(), root, bytes, algo)));
   }
   ops_.back()->start();
   return *ops_.back();
@@ -293,13 +311,13 @@ OpBase& Communicator::start_allgather(std::uint64_t bytes,
       break;
     }
     case AllgatherAlgo::kRing:
-      ops_.push_back(std::make_unique<RingAllgather>(*this, bytes));
-      break;
     case AllgatherAlgo::kLinear:
-      ops_.push_back(std::make_unique<LinearAllgather>(*this, bytes));
-      break;
     case AllgatherAlgo::kRecDoubling:
-      ops_.push_back(std::make_unique<RecDoublingAllgather>(*this, bytes));
+      ops_.push_back(std::make_unique<ScheduleOp>(
+          *this, algo == AllgatherAlgo::kRing ? ring_allgather(size(), bytes)
+                 : algo == AllgatherAlgo::kLinear
+                     ? linear_allgather(size(), bytes)
+                     : recdoubling_allgather(size(), bytes)));
       break;
   }
   ops_.back()->start();
@@ -310,7 +328,8 @@ OpBase& Communicator::start_reduce_scatter(std::uint64_t block_bytes,
                                            ReduceScatterAlgo algo) {
   align_symmetric_heap();
   if (algo == ReduceScatterAlgo::kRing)
-    ops_.push_back(std::make_unique<RingReduceScatter>(*this, block_bytes));
+    ops_.push_back(std::make_unique<ScheduleOp>(
+        *this, ring_reduce_scatter(size(), block_bytes)));
   else
     ops_.push_back(std::make_unique<IncReduceScatter>(*this, block_bytes));
   ops_.back()->start();
@@ -319,7 +338,8 @@ OpBase& Communicator::start_reduce_scatter(std::uint64_t block_bytes,
 
 OpBase& Communicator::start_barrier() {
   align_symmetric_heap();
-  ops_.push_back(std::make_unique<BarrierOp>(*this));
+  ops_.push_back(
+      std::make_unique<ScheduleOp>(*this, dissemination_barrier(size())));
   ops_.back()->start();
   return *ops_.back();
 }

@@ -236,11 +236,9 @@ class Endpoint {
   void unregister_ctrl(std::uint16_t op);
 
   // --- P2P data plane (baselines + fetch layer) -----------------------------
-  rdma::RcQp& data_qp(std::size_t peer);
   /// Completions of data-plane messages are dispatched like control
   /// messages: the immediate encodes a CtrlMsg naming the op.
-  rdma::Cq& data_recv_cq() { return *data_rcq_; }
-  rdma::Cq& data_send_cq() { return *data_scq_; }
+  rdma::RcQp& data_qp(std::size_t peer);
   /// Registers the handler for this op's RDMA Read completions (fetch layer)
   /// and data sends (wr_id-keyed).
   void register_read_handler(std::uint16_t op,
@@ -313,6 +311,8 @@ class Endpoint {
 class OpBase {
  public:
   OpBase(Communicator& comm, std::string name);
+  OpBase(const OpBase&) = delete;  // protocol callbacks hold `this`
+  OpBase& operator=(const OpBase&) = delete;
   virtual ~OpBase();
 
   std::uint16_t id() const { return id_; }
@@ -361,9 +361,8 @@ class OpBase {
   /// their failure detector confirms (on_peer_confirmed_dead).
   void note_rank_crashed(std::size_t r);
   /// Detector channel: `observer` has confirmed `peer` dead. Crash-tolerant
-  /// ops override this to repair their rings; the default ignores it (P2P
-  /// baselines are not crash-tolerant — their watchdog-free variants rely
-  /// on a healthy fabric).
+  /// ops override this to repair their rings; the P2P baselines fail once a
+  /// survivor is left waiting on the dead peer. The default ignores it.
   virtual void on_peer_confirmed_dead(std::size_t observer,
                                       std::size_t peer) {
     (void)observer;
@@ -388,6 +387,12 @@ class OpBase {
   /// at the current time so done() holds, and freezes further protocol
   /// callbacks behind failed().
   void fail_op(std::string error);
+
+  /// Reduce-Scatter check for verify(): every surviving rank r's buffer
+  /// `recvbuf(r)` holds the sum of all ranks' block r (true when timing-only).
+  bool verify_reduce_scatter(
+      const std::function<std::uint64_t(std::size_t)>& recvbuf,
+      std::uint64_t block_bytes) const;
 
   Communicator& comm_;
   std::string name_;
@@ -518,7 +523,6 @@ class Communicator {
 
  private:
   friend class OpBase;
-  OpResult run_blocking(OpBase& op);
   void note_op_loss(bool lossy);
   void on_host_crash(fabric::NodeId host, bool crashed);
 

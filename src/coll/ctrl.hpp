@@ -16,7 +16,7 @@
 namespace mccl::coll {
 
 enum class CtrlType : std::uint8_t {
-  kBarrier = 1,     // dissemination-barrier round token (arg = round)
+  kBarrier = 1,     // barrier token (arg = round; P2P: the receive step)
   kChainToken = 2,  // multicast sequencer activation (arg unused)
   kFinal = 3,       // final-handshake packet (arg unused)
   // Reliability slow path (arg = block index). A request may arrive from
@@ -28,7 +28,7 @@ enum class CtrlType : std::uint8_t {
   kFetchReq = 4,    // request permission to fetch a block's chunks
   kFetchAck = 5,    // sender holds the whole block; fetch via RDMA Read
 
-  kStep = 6,        // generic step token for P2P baselines (arg = step)
+  kStep = 6,        // P2P baseline data (the receive's wr_id names the step)
 
   // Crash tolerance. Heartbeats ride the same RC control mesh as everything
   // else (piggybacked liveness: progress on the connection renews leases).

@@ -29,4 +29,19 @@ inline bool check_pattern(const rdma::HostMemory& mem, std::uint64_t addr,
   return true;
 }
 
+/// Reduce-Scatter element `elem` of block `block` contributed by `origin`:
+/// small integers, so float accumulation is exact.
+inline float rs_value(std::size_t origin, std::size_t block,
+                      std::uint64_t elem) {
+  return static_cast<float>((origin * 7 + block * 3 + elem) % 32);
+}
+
+inline void fill_rs_block(rdma::HostMemory& mem, std::uint64_t addr,
+                          std::uint64_t bytes, std::size_t origin,
+                          std::size_t block) {
+  float* p = reinterpret_cast<float*>(mem.at(addr));
+  for (std::uint64_t i = 0; i < bytes / sizeof(float); ++i)
+    p[i] = rs_value(origin, block, i);
+}
+
 }  // namespace mccl::coll

@@ -1,189 +1,10 @@
 #include "src/coll/reduce_scatter.hpp"
 
 #include <algorithm>
-#include <cstring>
+
+#include "src/coll/pattern.hpp"
 
 namespace mccl::coll {
-
-namespace {
-std::size_t ceil_log2(std::size_t n) {
-  std::size_t k = 0, v = 1;
-  while (v < n) {
-    v *= 2;
-    ++k;
-  }
-  return k;
-}
-
-void fill_rs_block(rdma::HostMemory& mem, std::uint64_t addr,
-                   std::uint64_t bytes, std::size_t origin,
-                   std::size_t block) {
-  float* p = reinterpret_cast<float*>(mem.at(addr));
-  for (std::uint64_t i = 0; i < bytes / sizeof(float); ++i)
-    p[i] = rs_value(origin, block, i);
-}
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// RingReduceScatter
-// ---------------------------------------------------------------------------
-
-namespace {
-// Pipeline granularity: reduction and forwarding overlap with the transfer
-// at segment scope (production stacks pipeline the ring the same way).
-constexpr std::uint64_t kRsSegment = 128 * KiB;
-}  // namespace
-
-RingReduceScatter::RingReduceScatter(Communicator& comm,
-                                     std::uint64_t block_bytes)
-    : OpBase(comm, "ring_reduce_scatter"), bytes_(block_bytes) {
-  const std::size_t P = comm.size();
-  MCCL_CHECK(P >= 2 && bytes_ > 0 && bytes_ % sizeof(float) == 0);
-  st_.resize(P);
-  const bool fill = comm_.data_mode();
-  for (std::size_t r = 0; r < P; ++r) {
-    RankState& s = st_[r];
-    Endpoint& ep = comm_.ep(r);
-    s.sendbuf = ep.nic().memory().alloc(bytes_ * P);
-    s.recvbuf = ep.nic().memory().alloc(bytes_);
-    s.scratch = ep.nic().memory().alloc(bytes_ * (P - 1));
-    if (fill)
-      for (std::size_t b = 0; b < P; ++b)
-        fill_rs_block(ep.nic().memory(), s.sendbuf + b * bytes_, bytes_, r, b);
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
-  }
-  // Op-owned ring edges; (P-1) * segments in-order receives from the left
-  // into distinct scratch slots (step-major, segment-minor order matches
-  // the forwarding order, so landing addresses are known up front).
-  for (std::size_t r = 0; r < P; ++r) {
-    const std::size_t right = (r + 1) % P;
-    auto [qa, qb] = comm_.create_qp_pair(r, right);
-    st_[r].qp_right = qa;
-    st_[right].qp_left = qb;
-  }
-  const std::size_t G = num_segments();
-  for (std::size_t r = 0; r < P; ++r) {
-    for (std::size_t step = 0; step + 1 < P; ++step) {
-      for (std::size_t g = 0; g < G; ++g) {
-        st_[r].qp_left->post_recv(
-            {.wr_id = step * G + g,
-             .laddr = st_[r].scratch + step * bytes_ + seg_off(g),
-             .len = static_cast<std::uint32_t>(seg_len(g))});
-      }
-    }
-  }
-}
-
-RingReduceScatter::~RingReduceScatter() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
-}
-
-std::size_t RingReduceScatter::num_segments() const {
-  return static_cast<std::size_t>((bytes_ + kRsSegment - 1) / kRsSegment);
-}
-
-std::uint64_t RingReduceScatter::seg_off(std::size_t g) const {
-  return static_cast<std::uint64_t>(g) * kRsSegment;
-}
-
-std::uint64_t RingReduceScatter::seg_len(std::size_t g) const {
-  const std::uint64_t off = seg_off(g);
-  return std::min<std::uint64_t>(kRsSegment, bytes_ - off);
-}
-
-void RingReduceScatter::start() {
-  mark_started();
-  const std::size_t P = comm_.size();
-  for (std::size_t r = 0; r < P; ++r) {
-    // Step 0: inject our own copy of block (r-1), segment by segment.
-    const std::size_t block = (r + P - 1) % P;
-    for (std::size_t g = 0; g < num_segments(); ++g)
-      send_from(r, st_[r].sendbuf + block * bytes_ + seg_off(g), seg_len(g));
-  }
-}
-
-void RingReduceScatter::send_from(std::size_t r, std::uint64_t addr,
-                                  std::uint64_t len) {
-  Endpoint& ep = comm_.ep(r);
-  ep.app_worker().post(ep.costs().control, [this, r, addr, len] {
-    rdma::SendFlags flags;
-    flags.imm = encode_ctrl({CtrlType::kStep, id(), 0});
-    flags.has_imm = true;
-    flags.signaled = false;
-    st_[r].qp_right->post_send(addr, len, flags);
-  });
-}
-
-void RingReduceScatter::accumulate(std::size_t r, std::uint64_t acc_addr,
-                                   std::uint64_t own_addr,
-                                   std::uint64_t len) {
-  if (!comm_.data_mode()) return;
-  auto& mem = comm_.ep(r).nic().memory();
-  float* acc = reinterpret_cast<float*>(mem.at(acc_addr));
-  const float* own = reinterpret_cast<const float*>(mem.at(own_addr));
-  for (std::uint64_t i = 0; i < len / sizeof(float); ++i) acc[i] += own[i];
-}
-
-void RingReduceScatter::on_ctrl(std::size_t r, const CtrlMsg& msg,
-                                std::size_t src, const rdma::Cqe& cqe) {
-  (void)src;
-  (void)cqe;
-  MCCL_CHECK(msg.type == CtrlType::kStep);
-  RankState& s = st_[r];
-  const std::size_t P = comm_.size();
-  const std::size_t G = num_segments();
-  const std::size_t idx = s.segs_done++;
-  const std::size_t step = idx / G;
-  const std::size_t g = idx % G;
-  const std::size_t block = (r + 2 * P - 2 - step) % P;
-  const std::uint64_t acc = s.scratch + step * bytes_ + seg_off(g);
-  const std::uint64_t own = s.sendbuf + block * bytes_ + seg_off(g);
-  const std::uint64_t len = seg_len(g);
-  Endpoint& ep = comm_.ep(r);
-  // Host-side reduction, pipelined at segment granularity.
-  const double units = static_cast<double>(len) / 64.0;
-  const exec::Cost reduce_cost{ep.costs().reduce_per_64b.instr * units,
-                               ep.costs().reduce_per_64b.stall * units};
-  ep.app_worker().post(reduce_cost, [this, r, acc, own, len, g, step, block,
-                                     P] {
-    accumulate(r, acc, own, len);
-    RankState& s2 = st_[r];
-    if (step + 1 < P - 1) {
-      send_from(r, acc, len);
-      return;
-    }
-    // Final step: this segment of block r is fully reduced.
-    MCCL_CHECK(block == r);
-    if (comm_.data_mode()) {
-      auto& mem = comm_.ep(r).nic().memory();
-      mem.write(s2.recvbuf + seg_off(g), mem.at(acc), len);
-    }
-    if (++s2.finals_done == num_segments()) {
-      s2.op_done = true;
-      phases_[r].transfer = comm_.cluster().engine().now() - start_time_;
-      rank_done(r);
-    }
-  });
-}
-
-bool RingReduceScatter::verify() const {
-  if (!comm_.data_mode()) return true;
-  const std::size_t P = comm_.size();
-  for (std::size_t r = 0; r < P; ++r) {
-    const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().at(st_[r].recvbuf));
-    for (std::uint64_t i = 0; i < bytes_ / sizeof(float); ++i) {
-      float want = 0;
-      for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);
-      if (got[i] != want) return false;
-    }
-  }
-  return true;
-}
 
 // ---------------------------------------------------------------------------
 // IncReduceScatter
@@ -319,79 +140,8 @@ void IncReduceScatter::on_result(std::size_t r, const rdma::Cqe& cqe) {
 }
 
 bool IncReduceScatter::verify() const {
-  if (!comm_.data_mode()) return true;
-  const std::size_t P = comm_.size();
-  for (std::size_t r = 0; r < P; ++r) {
-    const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().at(st_[r].recvbuf));
-    for (std::uint64_t i = 0; i < bytes_ / sizeof(float); ++i) {
-      float want = 0;
-      for (std::size_t o = 0; o < P; ++o) want += rs_value(o, r, i);
-      if (got[i] != want) return false;
-    }
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// BarrierOp
-// ---------------------------------------------------------------------------
-
-BarrierOp::BarrierOp(Communicator& comm)
-    : OpBase(comm, "barrier"), rounds_(ceil_log2(comm.size())) {
-  st_.resize(comm.size());
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    st_[r].seen.assign(rounds_ == 0 ? 1 : rounds_, 0);
-    comm_.ep(r).register_ctrl(
-        id(), [this, r](const CtrlMsg& m, std::size_t, const rdma::Cqe&) {
-          MCCL_CHECK(m.type == CtrlType::kBarrier);
-          ++st_[r].seen[m.arg];
-          advance(r);
-        });
-  }
-}
-
-BarrierOp::~BarrierOp() {
-  for (std::size_t r = 0; r < comm_.size(); ++r)
-    comm_.ep(r).unregister_ctrl(id());
-}
-
-void BarrierOp::start() {
-  mark_started();
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    if (rounds_ == 0) {
-      st_[r].done = true;
-      rank_done(r);
-      continue;
-    }
-    send_round(r);
-  }
-}
-
-void BarrierOp::send_round(std::size_t r) {
-  RankState& s = st_[r];
-  const std::size_t P = comm_.size();
-  comm_.ep(r).ctrl_send((r + (std::size_t{1} << s.round)) % P,
-                        {CtrlType::kBarrier, id(),
-                         static_cast<std::uint16_t>(s.round)});
-  advance(r);
-}
-
-void BarrierOp::advance(std::size_t r) {
-  RankState& s = st_[r];
-  while (s.round < rounds_ && s.seen[s.round] > 0) {
-    --s.seen[s.round];
-    ++s.round;
-    if (s.round < rounds_) {
-      send_round(r);
-      return;
-    }
-  }
-  if (s.round >= rounds_ && !s.done) {
-    s.done = true;
-    phases_[r].barrier = comm_.cluster().engine().now() - start_time_;
-    rank_done(r);
-  }
+  return verify_reduce_scatter(
+      [this](std::size_t r) { return st_[r].recvbuf; }, bytes_);
 }
 
 }  // namespace mccl::coll

@@ -1,15 +1,9 @@
-// Reduce-Scatter: the collective the multicast Allgather shares the NIC
-// with in FSDP (paper Section II-A, Fig 3, Appendix B).
-//
-// Semantics: every rank contributes P blocks of `block_bytes` float32 data;
-// rank r ends with the element-wise sum of everyone's block r.
-//
-//  - RingReduceScatter: the classic P-1-step ring — N*(P-1) bytes on *both*
-//    NIC directions (Fig 3's Ring column); reduction on the host.
-//  - IncReduceScatter: SHARP-like in-network reduction over src/inc —
-//    N*(P-1) on the send path, only N on the receive path (Fig 3's INC
-//    column), which is what makes it complementary to the multicast
-//    Allgather under concurrent execution.
+// In-network Reduce-Scatter, the collective the multicast Allgather shares
+// the NIC with in FSDP (paper Section II-A, Fig 3, Appendix B): every rank
+// contributes P float32 blocks; rank r ends with the sum of all blocks r.
+// SHARP-like reduction over src/inc moves N*(P-1) on the send path but only
+// N on the receive path (Fig 3's INC column; the ring in schedule.hpp moves
+// N*(P-1) on both), so it complements the multicast Allgather.
 #pragma once
 
 #include <unordered_map>
@@ -18,45 +12,6 @@
 #include "src/coll/communicator.hpp"
 
 namespace mccl::coll {
-
-/// Element value helpers: small integers so float accumulation is exact.
-inline float rs_value(std::size_t origin, std::size_t block,
-                      std::uint64_t elem) {
-  return static_cast<float>((origin * 7 + block * 3 + elem) % 32);
-}
-
-class RingReduceScatter : public OpBase {
- public:
-  RingReduceScatter(Communicator& comm, std::uint64_t block_bytes);
-  ~RingReduceScatter() override;
-
-  void start() override;
-  bool verify() const override;
-
- private:
-  struct RankState {
-    std::uint64_t sendbuf = 0;   // P blocks
-    std::uint64_t recvbuf = 0;   // 1 block (the result)
-    std::uint64_t scratch = 0;   // P-1 landing slots
-    std::size_t segs_done = 0;   // pipelined segments processed
-    std::size_t finals_done = 0;
-    bool op_done = false;
-    rdma::RcQp* qp_left = nullptr;   // op-owned: receives from the left
-    rdma::RcQp* qp_right = nullptr;  // op-owned: sends to the right
-  };
-
-  std::size_t num_segments() const;
-  std::uint64_t seg_off(std::size_t g) const;
-  std::uint64_t seg_len(std::size_t g) const;
-  void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
-  void send_from(std::size_t r, std::uint64_t addr, std::uint64_t len);
-  void accumulate(std::size_t r, std::uint64_t acc_addr,
-                  std::uint64_t own_addr, std::uint64_t len);
-
-  std::uint64_t bytes_;
-  std::vector<RankState> st_;
-};
 
 class IncReduceScatter : public OpBase {
  public:
@@ -84,28 +39,6 @@ class IncReduceScatter : public OpBase {
   std::uint32_t chunk_bytes_;
   std::size_t chunks_per_block_;
   inc::SessionId session_;
-  std::vector<RankState> st_;
-};
-
-/// Standalone dissemination barrier (also usable as a latency probe).
-class BarrierOp : public OpBase {
- public:
-  explicit BarrierOp(Communicator& comm);
-  ~BarrierOp() override;
-
-  void start() override;
-  bool verify() const override { return true; }
-
- private:
-  struct RankState {
-    std::size_t round = 0;
-    std::vector<std::size_t> seen;
-    bool done = false;
-  };
-  void send_round(std::size_t r);
-  void advance(std::size_t r);
-
-  std::size_t rounds_;
   std::vector<RankState> st_;
 };
 

@@ -332,6 +332,52 @@ TEST(Faults, EarlyRootCrashIsDegradedNotHung) {
   EXPECT_TRUE(res.data_verified);
 }
 
+// The point-to-point baselines are not crash-tolerant, but a crash must
+// still end them with a verdict. Rank 5 dies before its ring neighbour
+// receives anything from it; once the detector confirms the death, the op
+// fails with a structured error instead of draining the simulation.
+TEST(Faults, RingAllgatherFailsWhenMemberCrashes) {
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(15 * kMicrosecond, 5)};
+  FtWorld w({}, kcfg);
+  const OpResult res = w.comm->allgather(256 * 1024, AllgatherAlgo::kRing);
+  EXPECT_TRUE(res.failed);
+  EXPECT_EQ(res.status, OpStatus::kFailed);
+  EXPECT_FALSE(res.data_verified);
+  EXPECT_NE(res.error.find("rank 5"), std::string::npos) << res.error;
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{5}));
+}
+
+TEST(Faults, ScatterAllgatherBroadcastFailsWhenMemberCrashes) {
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(15 * kMicrosecond, 5)};
+  FtWorld w({}, kcfg);
+  const OpResult res =
+      w.comm->broadcast(0, 1024 * 1024, BcastAlgo::kScatterAllgather);
+  EXPECT_TRUE(res.failed);
+  EXPECT_EQ(res.status, OpStatus::kFailed);
+  EXPECT_FALSE(res.data_verified);
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{5}));
+}
+
+TEST(Faults, TreeBroadcastExemptsCrashedLeafFromVerification) {
+  // Rank 5 is a leaf of the binomial tree rooted at 0: nobody waits on it,
+  // so the survivors finish clean and the dead rank's buffer is exempt
+  // from verification, as OpResult::crashed_ranks documents.
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(15 * kMicrosecond, 5)};
+  FtWorld w({}, kcfg);
+  const OpResult res =
+      w.comm->broadcast(0, 1024 * 1024, BcastAlgo::kBinomial);
+  EXPECT_FALSE(res.failed);
+  EXPECT_EQ(res.status, OpStatus::kOk);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{5}));
+}
+
 TEST(Faults, CrashDuringRecoveryFailsFetchesOver) {
   // A trunk outage forces the slow path; then a rank inside the lossy half
   // crashes while fetch traffic is in flight (including mid-ACK-wait: any
