@@ -156,9 +156,10 @@ Communicator::Communicator(Cluster& cluster,
     health_ = std::make_unique<HealthMonitor>(*this, config_.adapt);
   if (config_.detector.enabled) {
     detector_ = std::make_unique<FailureDetector>(*this, config_.detector);
-    // Heartbeats travel on the reserved op id 0 (Cluster::next_op_id starts
-    // at 1, so no collective ever claims it). The health monitor piggybacks
-    // on the same control-plane event: gap samples cost nothing extra.
+    // Heartbeats and death notices travel on the reserved op id 0
+    // (Cluster::next_op_id starts at 1, so no collective ever claims it).
+    // The health monitor piggybacks on the same control-plane event: gap
+    // samples cost nothing extra.
     for (auto& ep : eps_) {
       const std::size_t r = ep->rank();
       ep->register_ctrl(0, [this, r](const CtrlMsg& m, std::size_t src,
@@ -166,6 +167,8 @@ Communicator::Communicator(Cluster& cluster,
         if (m.type == CtrlType::kHeartbeat) {
           detector_->on_heartbeat(r, src);
           if (health_) health_->on_heartbeat(r, src);
+        } else if (m.type == CtrlType::kDead) {
+          detector_->on_dead_notice(r, src, m.arg);
         }
       });
     }

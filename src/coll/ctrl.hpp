@@ -31,7 +31,7 @@ enum class CtrlType : std::uint8_t {
   kStep = 6,        // P2P baseline data (the receive's wr_id names the step)
 
   // Crash tolerance. Heartbeats ride the same RC control mesh as everything
-  // else (piggybacked liveness: progress on the connection renews leases).
+  // else, between ring neighbours only (failure_detector.hpp).
   // They are addressed to the reserved op id 0, which no collective ever
   // uses — the communicator's failure detector registers that handler.
   kHeartbeat = 7,    // lease renewal (arg unused)
@@ -48,6 +48,9 @@ enum class CtrlType : std::uint8_t {
   // at the first full holder via the ordinary kReRoot broadcast (the root
   // stays alive — no census quorum and never a kBlockDead verdict).
   kSlowRoot = 11,    // arg = | block:15 | holds_full:1 |
+  // Death notice on op id 0: the sender confirmed `arg` dead from its own
+  // leases and tells every rank it still holds alive (failure_detector.hpp).
+  kDead = 12,        // arg = dead rank
 };
 
 struct CtrlMsg {

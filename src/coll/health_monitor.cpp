@@ -114,7 +114,7 @@ void HealthMonitor::on_heartbeat(std::size_t observer, std::size_t src) {
   if (observer == src) return;
   PeerHealth& h = peers_[observer * n_ + src];
   const Time now = comm_.cluster().engine().now();
-  if (h.last_heartbeat >= 0) {
+  if (h.last_heartbeat >= 0 && h.heartbeat_window == generation_) {
     const Time gap = now - h.last_heartbeat;
     const double nominal = static_cast<double>(
         comm_.config().detector.heartbeat_interval);
@@ -123,6 +123,7 @@ void HealthMonitor::on_heartbeat(std::size_t observer, std::size_t src) {
               cfg_.heartbeat_alpha);
   }
   h.last_heartbeat = now;
+  h.heartbeat_window = generation_;
 }
 
 void HealthMonitor::note_fetch_ack(std::size_t observer, std::size_t peer,

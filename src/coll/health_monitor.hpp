@@ -10,7 +10,8 @@
 //
 //  - Per-peer (per observer): an EWMA of normalized service samples fed by
 //    the protocol layers — heartbeat inter-arrival gaps (reusing the
-//    failure detector's control plane), fetch request->ack latencies,
+//    failure detector's control plane, so only from the ring neighbours
+//    that heartbeat the observer), fetch request->ack latencies,
 //    fetch retry timeouts, and blocks still incomplete at cutoff while
 //    their root is alive. A peer whose score stays above `slow_enter` for
 //    `dwell` consecutive samples is marked *slow*; it is cleared again
@@ -148,7 +149,9 @@ class HealthMonitor {
 
   // --- observation hooks (wired by communicator / collectives) -------------
   /// Heartbeat receipt at `observer` from `src` (same control-plane event
-  /// the failure detector consumes).
+  /// the failure detector consumes). Only gaps between two heartbeats of
+  /// one activation window are sampled: idle time between ops is not slow
+  /// service.
   void on_heartbeat(std::size_t observer, std::size_t src);
   /// A fetch request to `peer` was ACKed after `latency` of sim time.
   void note_fetch_ack(std::size_t observer, std::size_t peer, Time latency);
@@ -194,6 +197,7 @@ class HealthMonitor {
   struct PeerHealth {
     double ewma = 1.0;  // normalized service score (1.0 = nominal)
     Time last_heartbeat = -1;
+    std::uint64_t heartbeat_window = 0;  // generation_ of last_heartbeat
     std::uint32_t enter_dwell = 0;
     std::uint32_t exit_dwell = 0;
     bool slow = false;

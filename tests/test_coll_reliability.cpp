@@ -3,6 +3,8 @@
 // bytes in all of them (Section III-C).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "tests/coll_test_util.hpp"
 
 namespace mccl::coll {
@@ -322,6 +324,115 @@ TEST(Reliability, DetectorConfirmationsAreExactAndPosthumousIgnored) {
   }
   // 3 survivors x 1 dead peer.
   EXPECT_EQ(det->confirmed_dead(), 3u);
+}
+
+// --- ring-lease detector ---------------------------------------------------
+// Rank r heartbeats its two nearest right-alive ranks and watches its two
+// nearest left-alive ranks, so a victim v is watched by v+1 and v+2 and every
+// other survivor learns of its death from a kDead notice.
+
+TEST(Reliability, RingDetectorSingleCrashOnlyWatchersSuspect) {
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(30 * kMicrosecond, 5)};
+  World w(16, quick_recovery(), kcfg);
+  const OpResult res = w.comm->allgather(256 * 1024, AllgatherAlgo::kMcast);
+  EXPECT_FALSE(res.failed);
+  EXPECT_TRUE(res.data_verified);
+  const FailureDetector* det = w.comm->detector();
+  ASSERT_NE(det, nullptr);
+  for (std::size_t obs = 0; obs < 16; ++obs) {
+    if (obs == 5) continue;
+    for (std::size_t peer = 0; peer < 16; ++peer) {
+      if (peer == obs) continue;
+      EXPECT_EQ(det->dead(obs, peer), peer == 5)
+          << "observer " << obs << " peer " << peer;
+      const bool watcher = peer == 5 && (obs == 6 || obs == 7);
+      EXPECT_EQ(det->suspicion(obs, peer) > 0, watcher)
+          << "observer " << obs << " peer " << peer;
+    }
+  }
+  EXPECT_EQ(det->confirmed_dead(), 15u);
+  // The first watcher to reach the threshold confirms from its own leases;
+  // the other may learn from its notice first.
+  EXPECT_EQ(std::max(det->suspicion(6, 5), det->suspicion(7, 5)),
+            det->config().suspect_threshold);
+  EXPECT_EQ(det->suspicions(), det->suspicion(6, 5) + det->suspicion(7, 5));
+  // The watchers' rings closed over the gap.
+  EXPECT_EQ(det->watched(6), (std::vector<std::size_t>{4, 3}));
+  EXPECT_EQ(det->targets(4), (std::vector<std::size_t>{6, 7}));
+}
+
+TEST(Reliability, RingDetectorAdjacentCrashesAreBothConfirmed) {
+  // Ranks 5 and 6 die together, so 6 can never report 5. Rank 7 watches
+  // both; rank 8 watches 6 and then 5, which enters its set with a fresh
+  // lease. Every survivor confirms both, and nobody else.
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(30 * kMicrosecond, 5),
+      fabric::FaultEvent::node_crash(30 * kMicrosecond, 6)};
+  World w(16, quick_recovery(), kcfg);
+  const OpResult res = w.comm->allgather(256 * 1024, AllgatherAlgo::kMcast);
+  EXPECT_FALSE(res.failed);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{5, 6}));
+  const FailureDetector* det = w.comm->detector();
+  ASSERT_NE(det, nullptr);
+  for (std::size_t obs = 0; obs < 16; ++obs) {
+    if (obs == 5 || obs == 6) continue;
+    for (std::size_t peer = 0; peer < 16; ++peer) {
+      if (peer == obs) continue;
+      EXPECT_EQ(det->dead(obs, peer), peer == 5 || peer == 6)
+          << "observer " << obs << " peer " << peer;
+    }
+  }
+  EXPECT_EQ(det->confirmed_dead(), 14u * 2u);
+}
+
+TEST(Reliability, RingDetectorSendsTwoHeartbeatsPerTick) {
+  // Fault-free 64 ranks: every sweep sends exactly one heartbeat to each of
+  // its two ring targets — O(P) per period, not O(P^2) — and no lease
+  // ever expires.
+  World w(64);
+  const OpResult res = w.comm->allgather(64 * 1024, AllgatherAlgo::kMcast);
+  EXPECT_TRUE(res.data_verified);
+  const FailureDetector* det = w.comm->detector();
+  ASSERT_NE(det, nullptr);
+  EXPECT_GT(det->ticks(), 64u);
+  EXPECT_EQ(det->heartbeats_sent(), 2 * det->ticks());
+  EXPECT_EQ(det->suspicions(), 0u);
+  EXPECT_EQ(det->confirmed_dead(), 0u);
+  for (std::size_t r = 0; r < 64; ++r) {
+    EXPECT_EQ(det->targets(r),
+              (std::vector<std::size_t>{(r + 1) % 64, (r + 2) % 64}));
+    EXPECT_EQ(det->watched(r),
+              (std::vector<std::size_t>{(r + 63) % 64, (r + 62) % 64}));
+  }
+}
+
+TEST(Reliability, RingDetectorSmallWorldsWatchEveryPeer) {
+  // With two or three ranks the ring neighbourhood is every peer, so each
+  // sweep heartbeats all P-1 of them. The counts are those an all-pairs
+  // heartbeat mesh sends for the same ops.
+  const struct {
+    std::size_t ranks;
+    std::uint64_t heartbeats;
+  } cases[] = {{2, 15}, {3, 58}};
+  for (const auto& c : cases) {
+    World w(c.ranks);
+    EXPECT_TRUE(w.comm->allgather(4 * 1024 * 1024, AllgatherAlgo::kMcast)
+                    .data_verified);
+    EXPECT_TRUE(w.comm->broadcast(0, 8 * 1024 * 1024, BcastAlgo::kMcast)
+                    .data_verified);
+    const FailureDetector* det = w.comm->detector();
+    ASSERT_NE(det, nullptr);
+    EXPECT_EQ(det->heartbeats_sent(), c.heartbeats) << c.ranks << " ranks";
+    EXPECT_EQ(det->heartbeats_sent(), (c.ranks - 1) * det->ticks());
+    for (std::size_t r = 0; r < c.ranks; ++r) {
+      EXPECT_EQ(det->targets(r).size(), c.ranks - 1);
+      EXPECT_EQ(det->watched(r).size(), c.ranks - 1);
+    }
+  }
 }
 
 }  // namespace

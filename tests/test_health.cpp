@@ -241,6 +241,29 @@ TEST(Health, DegradedTrunkIsDeweightedThenRestoredWithEvidence) {
   EXPECT_EQ(fab.dir_weight(up11), 1);
 }
 
+TEST(Health, IdleTimeBetweenOpsIsNotAHeartbeatGap) {
+  // Heartbeats flow only while ops are in flight. The first heartbeat of a
+  // new op must not turn the idle time since the previous op into one huge
+  // gap sample: a fault-free run with long pauses marks nobody slow and
+  // re-roots nothing.
+  World w(8, adapt_on());
+  HealthMonitor* hm = w.comm->health();
+  ASSERT_NE(hm, nullptr);
+  for (int op = 0; op < 4; ++op) {
+    const OpResult res = w.comm->allgather(256 * KiB, AllgatherAlgo::kMcast);
+    EXPECT_TRUE(res.data_verified) << "op " << op;
+    EXPECT_EQ(res.adapt_reroots, 0u) << "op " << op;
+    w.cluster->engine().schedule(5 * kMillisecond, [] {});
+    w.cluster->engine().run();
+  }
+  std::size_t slow_pairs = 0;
+  for (std::size_t o = 0; o < 8; ++o)
+    for (std::size_t p = 0; p < 8; ++p)
+      if (o != p && hm->slow(o, p)) ++slow_pairs;
+  EXPECT_EQ(slow_pairs, 0u);
+  EXPECT_EQ(hm->slow_marks(), 0u);
+}
+
 // --- slow-root re-ownership -----------------------------------------------
 
 TEST(Health, PreMarkedSlowRootIsRerootedAtAFullHolder) {

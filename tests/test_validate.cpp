@@ -255,6 +255,22 @@ TEST(Validate, DetectorPrematureConfirmDetected) {
   EXPECT_TRUE(trap.tripped("detector.lease_state"));
 }
 
+TEST(Validate, DetectorUnbackedNoticeDetected) {
+  SKIP_UNLESS_VALIDATE();
+  World w(5);
+  coll::FailureDetector* det = w.comm->detector();
+  ASSERT_NE(det, nullptr);
+  debug::ViolationTrap trap;
+  // Rank 2 never confirmed rank 1 dead, so its notice is forged.
+  det->test_notice(/*observer=*/0, /*src=*/2, /*peer=*/1);
+  EXPECT_TRUE(trap.tripped("detector.unbacked_notice"));
+  EXPECT_TRUE(det->dead(0, 1));
+  // A notice-learned death carries no suspicion of its own and is not a
+  // lease-state violation.
+  EXPECT_TRUE(det->validate_view(0));
+  EXPECT_FALSE(trap.tripped("detector.lease_state"));
+}
+
 TEST(Validate, AdaptOscillationDetected) {
   SKIP_UNLESS_VALIDATE();
   // The health monitor's hysteresis band is supposed to make slow-state
