@@ -197,6 +197,15 @@ void FailureDetector::on_dead_notice(std::size_t observer, std::size_t src,
   // A rank that hears of its own death is alive by definition: the sender
   // suspected wrongly, and crash-stop has no way to take that back.
   if (peer == observer) return;
+  // Crash-stop: a sender this observer holds dead is posthumous, like its
+  // heartbeats. If it was wrongly confirmed it still lives, cut off from
+  // heartbeats, and confirms its watch set one rank after another; taking
+  // its word would spread that wrong view to every survivor.
+  if (views_[observer].dead[src] != Latch::kAlive) {
+    ++posthumous_;
+    ctr_posthumous_->add(1);
+    return;
+  }
   confirm(observer, peer, Latch::kNotice);
 }
 

@@ -20,10 +20,12 @@
 // right-alive rank becomes a heartbeat target. So the victim's two watchers
 // confirm it from their own leases and every other survivor learns it one
 // control hop later, each exactly once. The model is crash-stop:
-// confirmation latches permanently and posthumous heartbeats are counted
-// but ignored. Confirmed deaths are delivered to listeners (the
-// communicator fans them out to in-flight ops, which repair their rings
-// around the dead rank).
+// confirmation latches permanently, and heartbeats and notices from a
+// sender the observer holds dead are posthumous: counted but ignored. So a
+// live rank that was wrongly confirmed dead, and then confirms its own
+// watch set dead for want of heartbeats, cannot spread that view.
+// Confirmed deaths are delivered to listeners (the communicator fans them
+// out to in-flight ops, which repair their rings around the dead rank).
 //
 // Determinism: per-rank tick phases come from Rng(seed ^ rank) and all
 // timers from the simulation clock, so identical seeds and fault timelines
@@ -84,6 +86,7 @@ class FailureDetector {
   /// into the op-0 control handler).
   void on_heartbeat(std::size_t observer, std::size_t src);
   /// kDead notice at `observer` from `src` naming `peer` (same handler).
+  /// Dropped if it names `observer` or if `observer` holds `src` dead.
   void on_dead_notice(std::size_t observer, std::size_t src,
                       std::size_t peer);
 
@@ -115,6 +118,8 @@ class FailureDetector {
   std::uint64_t heartbeats_sent() const { return heartbeats_sent_; }
   std::uint64_t suspicions() const { return suspicions_total_; }
   std::uint64_t confirmed_dead() const { return confirmed_total_; }
+  /// Heartbeats and kDead notices dropped because their sender was
+  /// already held dead by the receiver.
   std::uint64_t posthumous_heartbeats() const { return posthumous_; }
 
   /// Validate-build audit of one observer's lease state machine: every
@@ -132,12 +137,6 @@ class FailureDetector {
   /// and leaving state that validate_view flags as "detector.lease_state".
   void test_confirm(std::size_t observer, std::size_t peer) {
     confirm(observer, peer, Latch::kSelf);
-  }
-  /// Validate-build fault-injection hook: delivers a kDead notice from
-  /// `src` about `peer` to `observer` as if it had crossed the wire.
-  /// Trips "detector.unbacked_notice" unless `src` holds `peer` dead.
-  void test_notice(std::size_t observer, std::size_t src, std::size_t peer) {
-    on_dead_notice(observer, src, peer);
   }
 
  private:

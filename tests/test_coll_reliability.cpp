@@ -389,6 +389,40 @@ TEST(Reliability, RingDetectorAdjacentCrashesAreBothConfirmed) {
   EXPECT_EQ(det->confirmed_dead(), 14u * 2u);
 }
 
+TEST(Reliability, RingDetectorFalseSuspicionStaysWithTheVictim) {
+  // Rank 5's access link goes down for 1.5 ms, long enough for its
+  // watchers to confirm it dead although it never crashed. Cut off from
+  // heartbeats, rank 5 then confirms its own watch set dead one rank after
+  // another and sends kDead notices once the link is back. Every other
+  // survivor already holds 5 dead and must drop them, as it drops 5's
+  // posthumous heartbeats, or one wrong suspicion spreads to every view.
+  constexpr std::size_t kRanks = 16;
+  constexpr std::size_t kVictim = 5;
+  const auto sw = static_cast<fabric::NodeId>(kRanks);  // star switch
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::link_down(30 * kMicrosecond, kVictim, sw),
+      fabric::FaultEvent::link_up(1530 * kMicrosecond, kVictim, sw)};
+  World w(kRanks, quick_recovery(), kcfg);
+  // Back-to-back ops keep the detector ticking across the outage and well
+  // past it, so notices delayed by the outage land.
+  while (w.cluster->engine().now() < 3000 * kMicrosecond)
+    w.comm->allgather(256 * 1024, AllgatherAlgo::kMcast);
+  const FailureDetector* det = w.comm->detector();
+  ASSERT_NE(det, nullptr);
+  // The victim's view did go wrong: it lost every heartbeat for 1.5 ms.
+  EXPECT_TRUE(det->dead(kVictim, kVictim - 1));
+  EXPECT_GT(det->posthumous_heartbeats(), 0u);
+  for (std::size_t obs = 0; obs < kRanks; ++obs) {
+    if (obs == kVictim) continue;
+    for (std::size_t peer = 0; peer < kRanks; ++peer) {
+      if (peer == obs) continue;
+      EXPECT_EQ(det->dead(obs, peer), peer == kVictim)
+          << "observer " << obs << " peer " << peer;
+    }
+  }
+}
+
 TEST(Reliability, RingDetectorSendsTwoHeartbeatsPerTick) {
   // Fault-free 64 ranks: every sweep sends exactly one heartbeat to each of
   // its two ring targets — O(P) per period, not O(P^2) — and no lease

@@ -262,7 +262,7 @@ TEST(Validate, DetectorUnbackedNoticeDetected) {
   ASSERT_NE(det, nullptr);
   debug::ViolationTrap trap;
   // Rank 2 never confirmed rank 1 dead, so its notice is forged.
-  det->test_notice(/*observer=*/0, /*src=*/2, /*peer=*/1);
+  det->on_dead_notice(/*observer=*/0, /*src=*/2, /*peer=*/1);
   EXPECT_TRUE(trap.tripped("detector.unbacked_notice"));
   EXPECT_TRUE(det->dead(0, 1));
   // A notice-learned death carries no suspicion of its own and is not a
