@@ -1,6 +1,7 @@
 #include "src/coll/reduce_scatter.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/coll/pattern.hpp"
 
@@ -96,9 +97,9 @@ void IncReduceScatter::contribute_batch(std::size_t r, std::size_t peer_off,
           std::min<std::uint64_t>(chunk_bytes_, bytes_ - off));
       fabric::Payload payload;
       if (comm_.data_mode()) {
-        const std::uint8_t* src =
-            ep2.nic().memory().at(s.sendbuf + owner_rank * bytes_ + off);
-        payload = fabric::Payload::copy_of(src, len);
+        const auto src = std::as_const(ep2.nic().memory())
+                             .span(s.sendbuf + owner_rank * bytes_ + off, len);
+        payload = fabric::Payload::copy_of(src.data(), len);
       }
       comm_.cluster().inc().contribute(
           session_, ep2.host(), owner, static_cast<std::uint32_t>(c), len,
@@ -124,10 +125,12 @@ void IncReduceScatter::on_result(std::size_t r, const rdma::Cqe& cqe) {
     MCCL_CHECK(it != s.payloads.end());
     auto& mem = comm_.ep(r).nic().memory();
     const std::uint64_t off = static_cast<std::uint64_t>(chunk) * chunk_bytes_;
-    float* dst = reinterpret_cast<float*>(mem.at(s.recvbuf + off));
+    float* dst = reinterpret_cast<float*>(
+        mem.span(s.recvbuf + off, cqe.byte_len).data());
     const float* net = reinterpret_cast<const float*>(it->second.data());
     const float* own = reinterpret_cast<const float*>(
-        mem.at(s.sendbuf + r * bytes_ + off));
+        std::as_const(mem).span(s.sendbuf + r * bytes_ + off, cqe.byte_len)
+            .data());
     const std::size_t n = cqe.byte_len / sizeof(float);
     for (std::size_t i = 0; i < n; ++i) dst[i] = net[i] + own[i];
     s.payloads.erase(it);

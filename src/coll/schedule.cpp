@@ -7,6 +7,7 @@
 #include <map>
 #include <queue>
 #include <type_traits>
+#include <utility>
 
 #include "src/coll/pattern.hpp"
 
@@ -497,9 +498,10 @@ void ScheduleOp::issue(std::size_t r, std::uint32_t i) {
         const Step& y = plan_.ranks[r][i];
         if (comm_.data_mode()) {
           rdma::HostMemory& mem = comm_.ep(r).nic().memory();
-          float* acc = reinterpret_cast<float*>(mem.at(addr(r, y.dst)));
-          const float* own =
-              reinterpret_cast<const float*>(mem.at(addr(r, y.src)));
+          float* acc =
+              reinterpret_cast<float*>(mem.span(addr(r, y.dst), y.len).data());
+          const float* own = reinterpret_cast<const float*>(
+              std::as_const(mem).span(addr(r, y.src), y.len).data());
           for (std::uint64_t k = 0; k < y.len / sizeof(float); ++k)
             acc[k] += own[k];
         }

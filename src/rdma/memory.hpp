@@ -11,7 +11,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -39,16 +42,15 @@ class HostMemory {
   std::uint64_t capacity() const { return capacity_; }
   bool backed() const { return backed_; }
 
-  /// Bump allocation; simulation arenas are never freed piecemeal. Backing
-  /// storage grows lazily so idle hosts cost nothing.
+  /// Bump allocation; simulation arenas are never freed piecemeal. In a
+  /// backed arena every allocation gets its own zeroed block, so alignment
+  /// padding and align_brk() gaps cost nothing and idle hosts cost nothing.
   std::uint64_t alloc(std::uint64_t len, std::uint64_t align = 64) {
     std::uint64_t base = (brk_ + align - 1) / align * align;
     MCCL_CHECK_MSG(base + len <= capacity_, "host memory exhausted");
     brk_ = base + len;
-    if (backed_ && brk_ > bytes_.size()) {
-      std::uint64_t grown = std::max<std::uint64_t>(bytes_.size() * 2, 4096);
-      bytes_.resize(std::min(std::max(grown, brk_), capacity_));
-    }
+    if (backed_ && len > 0)
+      blocks_.push_back({base, len, std::make_unique<std::uint8_t[]>(len)});
     return base;
   }
 
@@ -66,47 +68,41 @@ class HostMemory {
     brk_ = std::max(brk_, watermark);
   }
 
-  /// Mutable access. Hands out a raw pointer the caller may scribble
-  /// through, so every cached send snapshot is conservatively invalidated.
-  std::uint8_t* at(std::uint64_t addr) {
-    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
-    MCCL_CHECK(addr <= bytes_.size());
-    for (Snapshot& s : snaps_) s.data = nullptr;
-    return bytes_.data() + addr;
+  /// Mutable view of [addr, addr+len), which must lie inside one
+  /// allocation. Blocks never move, so a view lives as long as the arena.
+  /// Cached send snapshots overlapping the range are dropped, since the
+  /// caller may scribble through the view.
+  std::span<std::uint8_t> span(std::uint64_t addr, std::uint64_t len) {
+    std::uint8_t* p = locate(addr, len);
+    invalidate(addr, len);
+    return {p, len};
   }
-  const std::uint8_t* at(std::uint64_t addr) const {
-    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
-    MCCL_CHECK(addr <= bytes_.size());
-    return bytes_.data() + addr;
+  std::span<const std::uint8_t> span(std::uint64_t addr,
+                                     std::uint64_t len) const {
+    return {locate(addr, len), len};
   }
 
   void write(std::uint64_t addr, const std::uint8_t* src, std::uint64_t len) {
-    MCCL_CHECK(addr + len <= bytes_.size());
-    // Drop cached snapshots overlapping the written range; in-flight
-    // packets holding slices keep the pre-write bytes (by design — they
-    // were "serialized" when the send was pumped).
-    for (Snapshot& s : snaps_) {
-      if (s.data != nullptr && addr < s.base + s.data->size() &&
-          addr + len > s.base)
-        s.data = nullptr;
-    }
-    std::copy(src, src + len, bytes_.data() + addr);
+    std::uint8_t* dst = locate(addr, len);
+    // In-flight packets holding slices keep the pre-write bytes (by design
+    // — they were "serialized" when the send was pumped).
+    invalidate(addr, len);
+    if (len > 0) std::memmove(dst, src, len);
   }
 
   void read(std::uint64_t addr, std::uint8_t* dst, std::uint64_t len) const {
-    MCCL_CHECK(addr + len <= bytes_.size());
-    std::copy(bytes_.data() + addr, bytes_.data() + addr + len, dst);
+    const std::uint8_t* src = locate(addr, len);
+    if (len > 0) std::memcpy(dst, src, len);
   }
 
   /// Zero-copy send path: an immutable shared slice of this arena's bytes
   /// as of now. Slices are cut from a small LRU cache of window-sized
   /// snapshot copies, so a burst of segment sends from one buffer costs one
-  /// memcpy total instead of one per packet. The bump allocator never
-  /// reuses addresses, and at()/write() invalidate overlapping windows, so
-  /// a cache hit always serves current bytes.
+  /// memcpy total instead of one per packet. A window never extends past
+  /// its allocation. The bump allocator never reuses addresses, and
+  /// span()/write() invalidate overlapping windows, so a cache hit always
+  /// serves current bytes.
   fabric::Payload snapshot_slice(std::uint64_t addr, std::uint64_t len) {
-    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
-    MCCL_CHECK(addr + len <= brk_);
     ++snap_clock_;
     for (Snapshot& s : snaps_) {
       if (s.data != nullptr && addr >= s.base &&
@@ -115,9 +111,11 @@ class HostMemory {
         return fabric::Payload(s.data, addr - s.base, len);
       }
     }
-    const std::uint64_t base = addr & ~(kSnapshotWindow - 1);
+    const Block& b = block_of(addr, len);
+    const std::uint64_t base =
+        std::max(addr & ~(kSnapshotWindow - 1), b.base);
     const std::uint64_t end =
-        std::min(std::max(addr + len, base + kSnapshotWindow), brk_);
+        std::min(std::max(addr + len, base + kSnapshotWindow), b.base + b.len);
     Snapshot* victim = &snaps_[0];
     for (Snapshot& s : snaps_) {
       if (s.data == nullptr) {
@@ -126,15 +124,20 @@ class HostMemory {
       }
       if (s.last_use < victim->last_use) victim = &s;
     }
-    victim->data = std::make_shared<std::vector<std::uint8_t>>(
-        bytes_.begin() + static_cast<std::ptrdiff_t>(base),
-        bytes_.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::uint8_t* from = b.bytes.get() + (base - b.base);
+    victim->data =
+        std::make_shared<std::vector<std::uint8_t>>(from, from + (end - base));
     victim->base = base;
     victim->last_use = snap_clock_;
     return fabric::Payload(victim->data, addr - base, len);
   }
 
  private:
+  struct Block {
+    std::uint64_t base;
+    std::uint64_t len;
+    std::unique_ptr<std::uint8_t[]> bytes;
+  };
   struct Snapshot {
     std::shared_ptr<std::vector<std::uint8_t>> data;
     std::uint64_t base = 0;
@@ -142,9 +145,40 @@ class HostMemory {
   };
   static constexpr std::uint64_t kSnapshotWindow = std::uint64_t{1} << 18;
 
+  /// The allocation holding [addr, addr+len): binary search over the
+  /// allocation bases, which the bump allocator keeps sorted.
+  const Block& block_of(std::uint64_t addr, std::uint64_t len) const {
+    MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
+    auto it = std::upper_bound(
+        blocks_.begin(), blocks_.end(), addr,
+        [](std::uint64_t a, const Block& b) { return a < b.base; });
+    MCCL_CHECK_MSG(it != blocks_.begin() &&
+                       addr + len <= std::prev(it)->base + std::prev(it)->len,
+                   "access outside any single allocation");
+    return *std::prev(it);
+  }
+
+  /// Host pointer of `addr`; a zero-length access needs no allocation.
+  std::uint8_t* locate(std::uint64_t addr, std::uint64_t len) const {
+    if (len == 0) {
+      MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
+      return nullptr;
+    }
+    const Block& b = block_of(addr, len);
+    return b.bytes.get() + (addr - b.base);
+  }
+
+  void invalidate(std::uint64_t addr, std::uint64_t len) {
+    for (Snapshot& s : snaps_) {
+      if (s.data != nullptr && addr < s.base + s.data->size() &&
+          addr + len > s.base)
+        s.data = nullptr;
+    }
+  }
+
   std::uint64_t capacity_;
   bool backed_;
-  std::vector<std::uint8_t> bytes_;
+  std::vector<Block> blocks_;
   std::uint64_t brk_ = 0;
   std::array<Snapshot, 4> snaps_;
   std::uint64_t snap_clock_ = 0;

@@ -190,8 +190,9 @@ void Nic::post_local_copy(std::uint64_t src, std::uint64_t dst,
                       [this, src, dst, len, done = std::move(done)] {
                         if (crashed_) return;  // completion dies with the host
                         if (config_.carry_payload)
-                          memory_.write(dst, std::as_const(memory_).at(src),
-                                        len);
+                          memory_.write(
+                              dst, std::as_const(memory_).span(src, len).data(),
+                              len);
                         if (done) done();
                       });
 }

@@ -2,6 +2,10 @@
 // (timing-only) mode used by large synthetic benchmarks.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/rdma/memory.hpp"
 
 namespace mccl::rdma {
@@ -45,13 +49,82 @@ TEST(HostMemory, UnbackedAllocatesAddressSpaceOnly) {
   const auto a = m.alloc(std::uint64_t{8} << 30);  // 8 GiB, no RAM used
   const auto b = m.alloc(std::uint64_t{8} << 30);
   EXPECT_GT(b, a);
-  EXPECT_DEATH(m.at(a), "unbacked");
+  EXPECT_DEATH(m.span(a, 1), "unbacked");
 }
 
 TEST(HostMemory, UnbackedStillEnforcesCapacity) {
   HostMemory m(1024, /*backed=*/false);
   m.alloc(1000);
   EXPECT_DEATH(m.alloc(100), "exhausted");
+}
+
+TEST(HostMemory, AddressesAndBrkArePinned) {
+  // Addresses feed symmetric-heap offsets and rdma.heap_mib: the backing
+  // scheme must never move them.
+  HostMemory m(1 << 20);
+  EXPECT_EQ(m.alloc(100), 0u);
+  EXPECT_EQ(m.alloc(3, 8), 104u);
+  EXPECT_EQ(m.alloc(16, 4096), 4096u);
+  m.align_brk(10000);
+  EXPECT_EQ(m.brk(), 10000u);
+  EXPECT_EQ(m.alloc(1), 10048u);
+  m.align_brk(5000);  // behind the bump pointer: no-op
+  EXPECT_EQ(m.brk(), 10049u);
+  EXPECT_EQ(m.alloc(0), 10112u);
+  EXPECT_EQ(m.alloc(64), 10112u);
+  EXPECT_EQ(m.brk(), 10176u);
+}
+
+TEST(HostMemory, FreshAllocationsReadZero) {
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(300);
+  std::vector<std::uint8_t> ones(300, 0xff);
+  m.write(a, ones.data(), ones.size());
+  const auto b = m.alloc(5000, 4096);
+  std::vector<std::uint8_t> out(5000, 0xaa);
+  m.read(b, out.data(), out.size());
+  EXPECT_EQ(out, std::vector<std::uint8_t>(5000, 0));
+  for (std::uint8_t byte : std::as_const(m).span(b, 5000)) EXPECT_EQ(byte, 0);
+}
+
+TEST(HostMemory, AccessOutsideOneAllocationDies) {
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(100);  // [0, 100), padding up to 128
+  const auto b = m.alloc(64);   // [128, 192), adjacent to c
+  const auto c = m.alloc(64);   // [192, 256)
+  m.align_brk(1024);            // gap [256, 1024)
+  const auto d = m.alloc(64);
+  std::uint8_t buf[32] = {};
+  m.read(a + 90, buf, 10);  // exact fit at the end
+  EXPECT_DEATH(m.read(a + 90, buf, 11), "outside any single allocation");
+  EXPECT_DEATH(m.write(a + 100, buf, 1), "outside any single allocation");
+  EXPECT_DEATH(m.span(b + 60, 8), "outside any single allocation");
+  EXPECT_DEATH(m.read(c + 64, buf, 1), "outside any single allocation");
+  EXPECT_DEATH(m.span(512, 4), "outside any single allocation");
+  EXPECT_DEATH(m.write(d - 4, buf, 8), "outside any single allocation");
+  EXPECT_DEATH(m.snapshot_slice(c + 32, 64), "outside any single allocation");
+}
+
+TEST(HostMemory, SnapshotServesLatestBytesWithinItsAllocation) {
+  HostMemory m(1 << 20);
+  const auto a = m.alloc(100);
+  const auto b = m.alloc(100);
+  const std::uint8_t x[4] = {1, 2, 3, 4};
+  const std::uint8_t y[4] = {9, 8, 7, 6};
+  m.write(a, x, 4);
+  const fabric::Payload first = m.snapshot_slice(a, 4);
+  EXPECT_EQ(first.data()[0], 1);
+  m.write(a + 2, y, 2);
+  const fabric::Payload second = m.snapshot_slice(a, 4);
+  EXPECT_EQ(second.data()[2], 9);
+  EXPECT_EQ(second.data()[3], 8);
+  EXPECT_EQ(first.data()[2], 3);  // in-flight slices keep the old bytes
+  // The window of `a` ends with `a`: writing `b` leaves it cached, and a
+  // slice of `b` comes from a window of its own.
+  m.write(b, y, 4);
+  const fabric::Payload again = m.snapshot_slice(a, 4);
+  EXPECT_EQ(again.data(), second.data());
+  EXPECT_EQ(m.snapshot_slice(b, 4).data()[0], 9);
 }
 
 TEST(MrTable, SequentialKeys) {

@@ -42,6 +42,13 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
   return v;
 }
 
+/// The bytes of [addr, addr+len) in `m`.
+std::vector<std::uint8_t> bytes_at(const HostMemory& m, std::uint64_t addr,
+                                   std::uint64_t len) {
+  const auto s = m.span(addr, len);
+  return {s.begin(), s.end()};
+}
+
 TEST(RcQp, TwoSidedSendDelivers) {
   RcWorld w;
   const std::size_t len = 6 * 4096 + 5;
@@ -58,9 +65,7 @@ TEST(RcQp, TwoSidedSendDelivers) {
   EXPECT_EQ(cqe.opcode, CqeOpcode::kRecv);
   EXPECT_EQ(cqe.byte_len, len);
   EXPECT_EQ(cqe.imm, 4u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
   // Send completion only after the ACK.
   ASSERT_EQ(w.send_cqs[0]->depth(), 1u);
   EXPECT_EQ(w.send_cqs[0]->pop().wr_id, 1u);
@@ -81,9 +86,7 @@ TEST(RcQp, WriteWithImmediate) {
   const Cqe cqe = w.recv_cqs[1]->pop();
   EXPECT_EQ(cqe.opcode, CqeOpcode::kRecvWriteImm);
   EXPECT_EQ(cqe.imm, 42u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
 }
 
 TEST(RcQp, PureWriteIsSilentAtResponder) {
@@ -113,9 +116,7 @@ TEST(RcQp, RdmaReadFetchesRemoteBytes) {
   EXPECT_EQ(cqe.opcode, CqeOpcode::kRead);
   EXPECT_EQ(cqe.wr_id, 8u);
   EXPECT_EQ(cqe.byte_len, len);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[0]->memory().at(local),
-                                      w.nics[0]->memory().at(local) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[0]->memory(), local, len), data);
 }
 
 TEST(RcQp, RecoversFromDataPacketDrop) {
@@ -136,9 +137,7 @@ TEST(RcQp, RecoversFromDataPacketDrop) {
   w.engine.run();
 
   ASSERT_EQ(w.recv_cqs[1]->depth(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
   EXPECT_GT(w.qps[0]->retransmissions(), 0u);
   EXPECT_EQ(w.send_cqs[0]->depth(), 1u);
 }
@@ -179,9 +178,7 @@ TEST(RcQp, RecoversFromBurstLoss) {
   w.qps[0]->post_send(src, len, {});
   w.engine.run();
   ASSERT_EQ(w.recv_cqs[1]->depth(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
 }
 
 TEST(RcQp, RecoversUnderRandomLoss) {
@@ -198,9 +195,7 @@ TEST(RcQp, RecoversUnderRandomLoss) {
   w.qps[0]->post_send(src, len, {});
   w.engine.run();
   ASSERT_EQ(w.recv_cqs[1]->depth(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
 }
 
 TEST(RcQp, ReadSurvivesResponseDrop) {
@@ -219,9 +214,7 @@ TEST(RcQp, ReadSurvivesResponseDrop) {
   w.qps[0]->post_read(local, len, remote, mr.rkey, {});
   w.engine.run();
   ASSERT_EQ(w.send_cqs[0]->depth(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[0]->memory().at(local),
-                                      w.nics[0]->memory().at(local) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[0]->memory(), local, len), data);
 }
 
 TEST(RcQp, RnrNakRetriesUntilReceivePosted) {
@@ -274,9 +267,7 @@ TEST(RcQp, WindowLimitsInflightButAllComplete) {
   w.qps[0]->post_send(src, len, {});
   w.engine.run();
   ASSERT_EQ(w.recv_cqs[1]->depth(), 1u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
 }
 
 TEST(RcQp, BidirectionalTrafficSimultaneously) {
@@ -294,12 +285,8 @@ TEST(RcQp, BidirectionalTrafficSimultaneously) {
   w.qps[0]->post_send(s0, len, {});
   w.qps[1]->post_send(s1, len, {});
   w.engine.run();
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(d1),
-                                      w.nics[1]->memory().at(d1) + len),
-            a);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[0]->memory().at(d0),
-                                      w.nics[0]->memory().at(d0) + len),
-            b);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), d1, len), a);
+  EXPECT_EQ(bytes_at(w.nics[0]->memory(), d0, len), b);
 }
 
 TEST(RcQp, MixedOpsShareOneReliableStream) {
@@ -322,9 +309,7 @@ TEST(RcQp, MixedOpsShareOneReliableStream) {
 
   // Two op completions (send, write) + one read completion.
   EXPECT_EQ(w.send_cqs[0]->depth(), 3u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[0]->memory().at(rdst),
-                                      w.nics[0]->memory().at(rdst) + 4096),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[0]->memory(), rdst, 4096), data);
 }
 
 TEST(RcQp, ZeroLengthSendCompletes) {

@@ -42,6 +42,13 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
   return v;
 }
 
+/// The bytes of [addr, addr+len) in `m`.
+std::vector<std::uint8_t> bytes_at(const HostMemory& m, std::uint64_t addr,
+                                   std::uint64_t len) {
+  const auto s = m.span(addr, len);
+  return {s.begin(), s.end()};
+}
+
 TEST(UcQp, MultiPacketWriteWithImm) {
   UcWorld w;
   w.qps[0]->connect(1, w.qps[1]->qpn());
@@ -63,9 +70,7 @@ TEST(UcQp, MultiPacketWriteWithImm) {
   EXPECT_EQ(cqe.wr_id, 11u);
   EXPECT_EQ(cqe.byte_len, len);
   EXPECT_EQ(cqe.imm, 77u);
-  EXPECT_EQ(std::vector<std::uint8_t>(w.nics[1]->memory().at(dst),
-                                      w.nics[1]->memory().at(dst) + len),
-            data);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
   // Sender got exactly one completion for the whole message.
   ASSERT_EQ(w.send_cqs[0]->depth(), 1u);
   EXPECT_EQ(w.send_cqs[0]->pop().opcode, CqeOpcode::kSend);
@@ -159,10 +164,7 @@ TEST(UcQp, McastWriteReplicatesToAllMembers) {
     ASSERT_EQ(w.recv_cqs[h]->depth(), 1u) << "host " << h;
     const Cqe cqe = w.recv_cqs[h]->pop();
     EXPECT_EQ(cqe.imm, 9u);
-    EXPECT_EQ(std::vector<std::uint8_t>(
-                  w.nics[h]->memory().at(dsts[h]),
-                  w.nics[h]->memory().at(dsts[h]) + len),
-              data);
+    EXPECT_EQ(bytes_at(w.nics[h]->memory(), dsts[h], len), data);
   }
 }
 
@@ -193,9 +195,8 @@ TEST(UcQp, InterleavedSendersOnMcastGroupReassembleIndependently) {
 
   EXPECT_EQ(w.recv_cqs[2]->depth(), 2u);
   auto& m = w.nics[2]->memory();
-  EXPECT_EQ(std::vector<std::uint8_t>(m.at(dst), m.at(dst) + len), d0);
-  EXPECT_EQ(std::vector<std::uint8_t>(m.at(dst + len), m.at(dst + 2 * len)),
-            d1);
+  EXPECT_EQ(bytes_at(m, dst, len), d0);
+  EXPECT_EQ(bytes_at(m, dst + len, len), d1);
 }
 
 TEST(UcQp, OutOfBoundsWriteAborts) {

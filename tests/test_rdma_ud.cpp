@@ -44,6 +44,13 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
   return v;
 }
 
+/// The bytes of [addr, addr+len) in `m`.
+std::vector<std::uint8_t> bytes_at(const HostMemory& m, std::uint64_t addr,
+                                   std::uint64_t len) {
+  const auto s = m.span(addr, len);
+  return {s.begin(), s.end()};
+}
+
 TEST(UdQp, DatagramMovesBytes) {
   UdPair p;
   auto& m0 = p.nics[0]->memory();
@@ -66,7 +73,7 @@ TEST(UdQp, DatagramMovesBytes) {
   EXPECT_EQ(cqe.imm, 42u);
   EXPECT_TRUE(cqe.has_imm);
   EXPECT_EQ(cqe.src, 0);
-  EXPECT_EQ(std::vector<std::uint8_t>(m1.at(dst), m1.at(dst) + 1024), data);
+  EXPECT_EQ(bytes_at(m1, dst, 1024), data);
 }
 
 TEST(UdQp, SendCompletionAtWireDeparture) {
