@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <map>
 #include <string_view>
@@ -139,7 +138,6 @@ namespace {
 
 std::string g_json_path;
 std::string g_trace_path;
-int g_threads = 0;
 
 struct RunRecord {
   std::string name;
@@ -240,8 +238,8 @@ std::string report_json(const char* argv0,
                         const std::vector<RunRecord>& runs) {
   std::string out = "{\"binary\":\"";
   append_escaped(out, argv0);
-  // Thread-scaling consumers need the runner's core count to judge whether
-  // a parallel speedup was physically measurable on this host.
+  // The runner's core count: wall-clock rows from hosts of different sizes
+  // are not directly comparable, so every report records it.
   out += "\",\"host_cpus\":" +
          std::to_string(std::thread::hardware_concurrency());
   out += ",\"benchmarks\":[";
@@ -305,15 +303,6 @@ std::string report_json(const char* argv0,
 
 const std::string& trace_path() { return g_trace_path; }
 const std::string& json_path() { return g_json_path; }
-int threads_flag() { return g_threads; }
-
-void prescan_flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a.rfind("--mccl_threads=", 0) == 0)
-      g_threads = std::atoi(a.substr(15).data());
-  }
-}
 
 int run_main(int argc, char** argv) {
   std::vector<char*> args;
@@ -325,8 +314,6 @@ int run_main(int argc, char** argv) {
       g_json_path = std::string(a.substr(12));
     } else if (a.rfind("--mccl_trace=", 0) == 0) {
       g_trace_path = std::string(a.substr(13));
-    } else if (a.rfind("--mccl_threads=", 0) == 0) {
-      g_threads = std::atoi(a.substr(15).data());
     } else {
       args.push_back(argv[i]);
     }

@@ -76,13 +76,6 @@ void banner(const char* figure, const char* expectation);
 const std::string& trace_path();
 /// Path given via --mccl_json=<path>; empty if unset.
 const std::string& json_path();
-/// Value of --mccl_threads=N (0 = unset). Thread-scaling benches use this
-/// to pin one worker count instead of sweeping their registered set.
-int threads_flag();
-/// Pre-scans argv for the harness's own flags without consuming them, so
-/// registration code in main() (which runs before run_main parses argv) can
-/// read threads_flag(). run_main() still strips the flags afterwards.
-void prescan_flags(int argc, char** argv);
 
 /// Shared bench main. Strips the harness's own flags before handing argv to
 /// google benchmark, then runs the registered benchmarks with the usual

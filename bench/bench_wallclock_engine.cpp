@@ -26,8 +26,6 @@
 #include <thread>
 
 #include "bench/bench_common.hpp"
-#include "src/fabric/storm.hpp"
-#include "src/fabric/topology.hpp"
 #include "src/sim/engine.hpp"
 
 namespace {
@@ -152,99 +150,6 @@ void BM_BcastPayloadStorm(benchmark::State& state) {
   bench::set_sim_events(state, events);
 }
 
-// --- Sharded parallel engine: thread-scaling sweep --------------------------
-//
-// Rows are named .../k:K/threads:T; the CI perf-smoke gate asserts that
-// sim_events and hash_{lo,hi} are identical across every T of one K (the
-// determinism contract) and, on runners with >= 4 cores, that threads:4
-// beats threads:1 by the scaling floor. A 64-bit digest doesn't fit a
-// double counter exactly, so it is split into two 32-bit halves.
-void set_hash(benchmark::State& state, std::uint64_t h) {
-  state.counters["hash_lo"] =
-      benchmark::Counter(static_cast<double>(h & 0xffffffffu));
-  state.counters["hash_hi"] = benchmark::Counter(static_cast<double>(h >> 32));
-}
-
-void BM_ParallelEngineStorm(benchmark::State& state) {
-  fabric::EngineStormConfig cfg;
-  cfg.shards = 8;
-  cfg.threads = static_cast<int>(state.range(0));
-  cfg.timers_per_shard = 256;
-  cfg.events_per_shard = 250'000;
-  std::uint64_t events = 0, hash = 0, cross = 0;
-  for (auto _ : state) {
-    const fabric::EngineStormResult r = fabric::run_engine_storm(cfg);
-    events += r.sim_events;
-    cross += r.cross_posts;
-    hash = r.work_hash;
-  }
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["cross_posts"] =
-      benchmark::Counter(static_cast<double>(cross));
-  set_hash(state, hash);
-  bench::set_sim_events(state, events);
-}
-
-/// K-ary three-level fat tree for the storm sweeps. k=32 runs "lite"
-/// (one host per edge switch, 512 ranks) to keep host-indexed routing
-/// tables sane; k=8/k=16 are fully populated (128 / 1024 ranks).
-fabric::Topology storm_tree(long k) {
-  fabric::FatTree3Params p;
-  if (k == 32) p.hosts_per_edge = 1;
-  return fabric::make_fat_tree(static_cast<std::size_t>(k), p);
-}
-
-void BM_ParallelAllgatherStorm(benchmark::State& state) {
-  const long k = state.range(0);
-  const fabric::Topology topo = storm_tree(k);
-  fabric::StormConfig cfg;
-  cfg.shards = 8;
-  cfg.threads = static_cast<int>(state.range(1));
-  cfg.bytes_per_rank = k >= 16 ? 16 * KiB : 64 * KiB;
-  cfg.ack_stride = 16;
-  std::uint64_t events = 0, packets = 0, hash = 0;
-  for (auto _ : state) {
-    const fabric::StormResult r = fabric::run_allgather_storm(topo, cfg);
-    MCCL_CHECK(r.complete);
-    events += r.sim_events;
-    packets += r.packets;
-    hash = r.data_hash;
-  }
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["packets_per_sec"] = benchmark::Counter(
-      static_cast<double>(packets), benchmark::Counter::kIsRate);
-  set_hash(state, hash);
-  bench::set_sim_events(state, events);
-}
-
-/// Classic single-heap baseline: the same storm on shards=1 (which
-/// degenerates to the plain sequential Engine::run()).
-void BM_SeqAllgatherStorm(benchmark::State& state) {
-  const long k = state.range(0);
-  const fabric::Topology topo = storm_tree(k);
-  fabric::StormConfig cfg;
-  cfg.shards = 1;
-  cfg.threads = 1;
-  cfg.bytes_per_rank = k >= 16 ? 16 * KiB : 64 * KiB;
-  cfg.ack_stride = 16;
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const fabric::StormResult r = fabric::run_allgather_storm(topo, cfg);
-    MCCL_CHECK(r.complete);
-    events += r.sim_events;
-  }
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  bench::set_sim_events(state, events);
-}
-
-std::vector<long> thread_sweep() {
-  if (bench::threads_flag() > 0) return {bench::threads_flag()};
-  return {1, 2, 4, 8};
-}
-
 void register_all() {
   benchmark::RegisterBenchmark("WallClock/engine_storm", BM_EngineStorm)
       ->Iterations(3);
@@ -259,29 +164,6 @@ void register_all() {
                                BM_BcastPayloadStorm)
       ->Arg(static_cast<long>(4 * mccl::MiB))
       ->Iterations(2);
-  // Thread-scaling sweep (ISSUE 9): 8 shards, T workers. host_cpus lands in
-  // the JSON context so consumers can judge whether speedup is measurable.
-  for (const long t : thread_sweep()) {
-    benchmark::RegisterBenchmark("WallClock/parallel_engine_storm",
-                                 BM_ParallelEngineStorm)
-        ->ArgNames({"threads"})
-        ->Arg(t)
-        ->Iterations(2);
-  }
-  for (const long k : {8L, 16L, 32L}) {
-    benchmark::RegisterBenchmark("WallClock/seq_allgather_storm",
-                                 BM_SeqAllgatherStorm)
-        ->ArgNames({"k"})
-        ->Arg(k)
-        ->Iterations(1);
-    for (const long t : thread_sweep()) {
-      benchmark::RegisterBenchmark("WallClock/parallel_allgather_storm",
-                                   BM_ParallelAllgatherStorm)
-          ->ArgNames({"k", "threads"})
-          ->Args({k, t})
-          ->Iterations(1);
-    }
-  }
 }
 
 }  // namespace
@@ -291,7 +173,6 @@ int main(int argc, char** argv) {
       "Wall-clock simulator throughput (host time, not simulated time)",
       "Tracks dispatched events/sec and packets/sec; compare against "
       "BENCH_wallclock.json to catch hot-path regressions.");
-  bench::prescan_flags(argc, argv);  // --mccl_threads before registration
   register_all();
   std::printf("host_cpus: %u\n", std::thread::hardware_concurrency());
   return bench::run_main(argc, argv);

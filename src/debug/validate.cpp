@@ -8,11 +8,10 @@
 namespace mccl::debug {
 namespace {
 
-// Reporting must be thread-safe since the ParallelEngine runs shard cores
-// on worker threads and any of them may trip a validator. Trap install /
-// uninstall still happens on the driving thread only (traps are scoped
-// objects in tests), but the mutex makes concurrent reports — and reports
-// racing a trap's caught_ push — well defined.
+// Reporting is thread-safe: any thread may trip a validator. Trap install /
+// uninstall happens on the driving thread only (traps are scoped objects in
+// tests), but the mutex makes concurrent reports — and reports racing a
+// trap's caught_ push — well defined.
 std::mutex g_mu;
 ViolationTrap* g_trap = nullptr;
 std::uint64_t g_count = 0;

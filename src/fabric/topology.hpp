@@ -170,7 +170,7 @@ struct FatTree3Params {
 
 /// Three-level k-ary fat tree (k even): k=8 -> 128 hosts, k=16 -> 1024,
 /// k=32 -> 8192. Hosts are numbered pod-major (pod, edge, host) so pods are
-/// contiguous host-id blocks — the shard partitioner leans on that.
+/// contiguous host-id blocks.
 Topology make_fat_tree(std::size_t k, FatTree3Params p = {});
 
 /// Multi-rail three-level fat tree: `rails` independent k-ary switch planes

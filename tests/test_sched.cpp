@@ -761,9 +761,7 @@ TEST(ClusterSched, FatTree3K16ClusterSmoke) {
   // The full coll/rdma/exec stack over the 1024-host three-level Clos —
   // well past the paper testbed's 188-node ceiling. A few pod-spanning
   // jobs, each a multicast allgather; this exercises Cluster construction,
-  // admission and mcast-tree building at k=16 scale (the sharded-engine
-  // storms cover the wire datapath at this scale; see
-  // test_parallel_engine.cpp).
+  // admission and mcast-tree building at k=16 scale.
   coll::Cluster cluster(
       fabric::make_fat_tree(16, fabric::FatTree3Params{}), {});
   ASSERT_EQ(cluster.fabric().topology().num_hosts(), 1024u);

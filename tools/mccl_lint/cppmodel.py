@@ -20,8 +20,7 @@ just enough structure for protocol-usage rules to reason about
                      between a position and its enclosing function, the
                      input to the PARCOACH-style divergence check;
   * annotations   -- `// mccl: <tag> [reason]` source annotations
-                     (shard-owned, shard-context, quiescent, comm-retire),
-                     resolved per line and per function header.
+                     (comm-retire), resolved per line.
 
 Everything operates on comment/string-stripped text with stable line/column
 positions (see strip_comments_and_strings), except annotation parsing which
@@ -316,39 +315,6 @@ class Model:
             for tag, _reason in self.annotations.get(ln, []):
                 tags.append(tag)
         return tags
-
-    def function_tags(self, scope):
-        """Annotation tags attached to a function scope's header."""
-        fn = scope.enclosing_function() if scope is not None else None
-        tags = []
-        while fn is not None:
-            tags.extend(self.tags_at(fn.header_line))
-            fn = fn.parent.enclosing_function() if fn.parent else None
-        return tags
-
-    def declared_with_tag(self, tag):
-        """Names of members whose declaration line carries `tag`.
-
-        A declaration is the last `name_;`-style identifier on the tagged
-        line (or the line below an annotation-only line).
-        """
-        names = set()
-        decl_re = re.compile(r"([A-Za-z_]\w*)\s*;")
-        for line, anns in self.annotations.items():
-            if not any(t == tag for t, _ in anns):
-                continue
-            for ln in (line, line + 1):
-                if ln - 1 < len(self.raw_lines):
-                    code_line = (self.code.splitlines()[ln - 1]
-                                 if ln - 1 < len(self.code.splitlines())
-                                 else "")
-                    m = None
-                    for m in decl_re.finditer(code_line):
-                        pass
-                    if m:
-                        names.add(m.group(1))
-                        break
-        return names
 
     # --- call sites ----------------------------------------------------------
 

@@ -35,14 +35,6 @@ Two layers:
                      schedule_at stay within the 64-byte inline-callback
                      budget (<= 8 captured entities at ~8 bytes each);
                      larger captures silently fall back to heap allocation.
-  no-unguarded-shared-state
-                     src/sim only. The sharded parallel engine's thread
-                     safety is by ownership: the only cross-shard mutable
-                     state is the SPSC mailbox plane (rings_/scratch_),
-                     and it may only be touched inside regions marked
-                     `// mccl-lint: begin-shard-exchange` ... `// mccl-lint:
-                     end-shard-exchange` (the epoch-barrier exchange path).
-                     Mutable function/namespace statics are banned outright.
 
 `verify` group — protocol-usage correctness (PARCOACH-style, PR 10). The
 paper's bandwidth-optimal guarantee holds only when every rank issues
@@ -86,19 +78,8 @@ examples/, tests/ and bench/:
                      capture by value (or `this`) instead. (Tests and
                      examples pump the engine in the same frame, so the
                      rule is scoped to the library.)
-  shard-ownership    src/ only. Members declared with `// mccl: shard-owned`
-                     may only be touched from functions annotated
-                     `// mccl: shard-context <why>` (runs exclusively on the
-                     owning shard) or `// mccl: quiescent <why>` (runs while
-                     the engine is single-threaded), or inside a
-                     begin-shard-exchange region. This upgrades the PR-9
-                     regex rule: any member can opt into ownership checking,
-                     and every access context is explicitly classified.
 
 Annotations (`// mccl: <tag> [reason]`, same line or the line above):
-  shard-owned    on a member declaration: enroll it in shard-ownership
-  shard-context  on a function: runs exclusively on the owning shard
-  quiescent      on a function: runs while the engine is single-threaded
   comm-retire    on a communicator retirement site: documented hand-off
 
 Suppression: append `// mccl-lint: allow(<rule>[,<rule>...]) <reason>` on
@@ -141,8 +122,6 @@ SCAN_DIRS = ("src", "examples", "tests", "bench")
 ALLOW_RE = re.compile(r"//\s*mccl-lint:\s*allow\(([\w\-, ]+)\)\s*\S")
 BEGIN_HOT_RE = re.compile(r"//\s*mccl-lint:\s*begin-hot\s+[\w\-]+")
 END_HOT_RE = re.compile(r"//\s*mccl-lint:\s*end-hot")
-BEGIN_EXCHANGE_RE = re.compile(r"//\s*mccl-lint:\s*begin-shard-exchange")
-END_EXCHANGE_RE = re.compile(r"//\s*mccl-lint:\s*end-shard-exchange")
 
 WALLCLOCK_PATTERNS = [
     (re.compile(r"std::chrono::(system|steady|high_resolution)_clock"),
@@ -169,14 +148,6 @@ HOT_ALLOC_RE = re.compile(
     r"\bnew\b|\bmake_unique\b|\bmake_shared\b"
     r"|\b(?:malloc|calloc|realloc)\s*\(|std::function\s*<")
 SCHEDULE_RE = re.compile(r"\bschedule(_at)?\s*\(")
-
-# The cross-shard mailbox plane: the ParallelEngine's SPSC ring array and
-# per-destination sort buffers. Any indexed/member access outside a
-# begin-shard-exchange region is a potential cross-thread touch.
-SHARED_STATE_TOUCH_RE = re.compile(r"\b(rings_|scratch_)\s*(\[|\.|->)")
-# Mutable statics: `static` without const/constexpr and without a parameter
-# list on the line (static member *functions* are fine).
-MUTABLE_STATIC_RE = re.compile(r"\bstatic\b(?!_assert)")
 
 CAPTURE_BUDGET = 8  # entities * 8 bytes = the 64-byte inline budget
 
@@ -208,59 +179,19 @@ OP_START_RE = re.compile(
 FINISH_RE = re.compile(r"(?:\.|->)\s*finish\s*\(\s*\*?\s*([A-Za-z_]\w*)\s*\)")
 
 
-class Registry:
-    """Tree-wide facts shared across translation units.
-
-    Today: the set of `// mccl: shard-owned` member names (declared in
-    headers, touched in .cpp files — a per-TU view cannot see across).
-    """
-
-    def __init__(self):
-        self.shard_owned = {}  # name -> "path:line" of the declaration
-
-    @classmethod
-    def from_sources(cls, sources):
-        """sources: iterable of (relpath, text)."""
-        reg = cls()
-        for relpath, text in sources:
-            if "mccl: shard-owned" not in text:
-                continue
-            model = cppmodel.Model(text)
-            code_lines = model.code.splitlines()
-            decl_re = re.compile(r"([A-Za-z_]\w*)\s*;")
-            for line, anns in sorted(model.annotations.items()):
-                if not any(t == "shard-owned" for t, _ in anns):
-                    continue
-                for ln in (line, line + 1):
-                    if ln - 1 >= len(code_lines):
-                        continue
-                    last = None
-                    for m in decl_re.finditer(code_lines[ln - 1]):
-                        last = m
-                    if last:
-                        reg.shard_owned.setdefault(
-                            last.group(1),
-                            "%s:%d" % (relpath.replace(os.sep, "/"), ln))
-                        break
-        return reg
-
-
 class FileContext:
-    def __init__(self, path, text, registry=None):
+    def __init__(self, path, text):
         self.path = path
         self.raw_lines = text.splitlines()
         self.code = strip_comments_and_strings(text)
         self.code_lines = self.code.splitlines()
-        self.registry = registry if registry is not None else Registry()
         self._model = None
         self.raw_text = text
         # allowed[lineno] = set of rule ids suppressed on that line
         # (1-indexed; an allow() covers its own line and the next).
         self.allowed = {}
         self.hot = [False] * (len(self.raw_lines) + 2)
-        self.exchange = [False] * (len(self.raw_lines) + 2)
         in_hot = False
-        in_exchange = False
         for idx, line in enumerate(self.raw_lines, start=1):
             m = ALLOW_RE.search(line)
             if m:
@@ -271,12 +202,7 @@ class FileContext:
                 in_hot = True
             elif END_HOT_RE.search(line):
                 in_hot = False
-            if BEGIN_EXCHANGE_RE.search(line):
-                in_exchange = True
-            elif END_EXCHANGE_RE.search(line):
-                in_exchange = False
             self.hot[idx] = in_hot
-            self.exchange[idx] = in_exchange
 
     @property
     def model(self):
@@ -378,21 +304,6 @@ def check_capture_budget(ctx, violations):
             emit(violations, ctx, lineno, "capture-budget",
                  "%d captured entities exceed the %d-entity (64-byte) "
                  "inline-callback budget" % (len(captures), CAPTURE_BUDGET))
-
-
-def check_unguarded_shared_state(ctx, violations):
-    for idx, line in enumerate(ctx.code_lines, start=1):
-        m = SHARED_STATE_TOUCH_RE.search(line)
-        if m and not ctx.exchange[idx]:
-            emit(violations, ctx, idx, "no-unguarded-shared-state",
-                 "'%s' touched outside a begin-shard-exchange region "
-                 "(the epoch-barrier exchange path is the only legal "
-                 "cross-shard access)" % m.group(1))
-        if (MUTABLE_STATIC_RE.search(line) and "constexpr" not in line and
-                not re.search(r"\bconst\b", line) and "(" not in line):
-            emit(violations, ctx, idx, "no-unguarded-shared-state",
-                 "mutable static: any worker thread may run this code; "
-                 "shared mutable state must be per-shard or barrier-guarded")
 
 
 # --- verify group ------------------------------------------------------------
@@ -615,37 +526,6 @@ def check_lambda_escape(ctx, violations):
                  ", ".join("'%s'" % c for c in byref))
 
 
-def check_shard_ownership(ctx, violations):
-    # Only names whose declaration this TU can actually see: the declaring
-    # file itself, or a file that #includes it. Unrelated classes may reuse
-    # a member name (telemetry::Recorder has its own rings_).
-    rel = ctx.path.replace(os.sep, "/")
-    owned = {}
-    for name, decl in ctx.registry.shard_owned.items():
-        decl_path = decl.rsplit(":", 1)[0]
-        if (decl_path == rel or
-                '#include "%s"' % decl_path in ctx.raw_text):
-            owned[name] = decl
-    if not owned:
-        return
-    model = ctx.model
-    touch_re = re.compile(r"\b(%s)\s*(?:\[|\.|->|=[^=])" %
-                          "|".join(re.escape(n) for n in sorted(owned)))
-    for m in touch_re.finditer(model.code):
-        line = model.lineno(m.start())
-        if ctx.exchange[line] if line < len(ctx.exchange) else False:
-            continue
-        scope = model.scope_at(m.start())
-        tags = model.function_tags(scope)
-        if "shard-context" in tags or "quiescent" in tags:
-            continue
-        emit(violations, ctx, line, "shard-ownership",
-             "'%s' is shard-owned (declared at %s): touch it only from a "
-             "'// mccl: shard-context' or '// mccl: quiescent' function, "
-             "or inside a begin-shard-exchange region" %
-             (m.group(1), owned[m.group(1)]))
-
-
 # --- rule table --------------------------------------------------------------
 
 RULES = [
@@ -656,13 +536,10 @@ RULES = [
     ("no-shared-packet", "lint", ALL_SRC, check_shared_packet),
     ("no-hot-alloc", "lint", ALL_SRC, check_hot_alloc),
     ("capture-budget", "lint", CORE_DIRS, check_capture_budget),
-    ("no-unguarded-shared-state", "lint", ("src/sim",),
-     check_unguarded_shared_state),
     ("coll-matching", "verify", VERIFY_DIRS, check_coll_matching),
     ("comm-lifecycle", "verify", VERIFY_DIRS, check_comm_lifecycle),
     ("unchecked-result", "verify", VERIFY_DIRS, check_unchecked_result),
     ("lambda-escape", "verify", ALL_SRC, check_lambda_escape),
-    ("shard-ownership", "verify", ALL_SRC, check_shard_ownership),
 ]
 
 RULE_DOCS = {
@@ -675,8 +552,6 @@ RULE_DOCS = {
     "no-hot-alloc": "No heap allocation inside begin-hot regions",
     "capture-budget": "Engine-schedule lambda captures stay within the "
                       "64-byte inline budget",
-    "no-unguarded-shared-state": "Cross-shard mailbox state only inside "
-                                 "shard-exchange regions; no mutable statics",
     "coll-matching": "Every started collective has a reachable wait; no "
                      "rank-divergent collective sequences",
     "comm-lifecycle": "Communicator create/start/wait/retire state machine "
@@ -685,8 +560,6 @@ RULE_DOCS = {
                         "consulted (no silent kPartial/kFailed)",
     "lambda-escape": "No by-reference captures escaping into engine "
                      "callbacks that outlive the frame",
-    "shard-ownership": "shard-owned members only touched from shard-context "
-                       "/ quiescent functions or exchange regions",
 }
 
 
@@ -696,11 +569,9 @@ def active_rules(group):
     return [r for r in RULES if r[1] == group]
 
 
-def analyze(relpath, text, rules, registry=None):
+def analyze(relpath, text, rules):
     """Runs every scope-matching rule over one snippet/translation unit."""
-    if registry is None:
-        registry = Registry.from_sources([(relpath, text)])
-    ctx = FileContext(relpath, text, registry)
+    ctx = FileContext(relpath, text)
     rel = relpath.replace(os.sep, "/")
     violations = []
     for _rule, _group, scopes, checker in rules:
@@ -733,12 +604,10 @@ def iter_tree_sources(root):
 
 
 def scan_tree(root, group="all"):
-    sources = list(iter_tree_sources(root))
-    registry = Registry.from_sources(sources)
     rules = active_rules(group)
     violations = []
-    for relpath, text in sources:
-        violations.extend(analyze(relpath, text, rules, registry))
+    for relpath, text in iter_tree_sources(root):
+        violations.extend(analyze(relpath, text, rules))
     return violations
 
 
@@ -846,10 +715,6 @@ SELF_TESTS = [
      "  engine.schedule(5, [this, a, b, c, d, e, g, h, i, j] {\n"
      "    use(a); });\n"
      "}\n"),
-    ("no-unguarded-shared-state", "src/sim/bad4.cpp",
-     "static std::uint64_t g_dispatch_count = 0;\n"),
-    ("no-unguarded-shared-state", "src/sim/bad5.cpp",
-     "void peek() { if (!rings_[0]->empty()) steal(); }\n"),
     # --- verify group seeds -------------------------------------------------
     ("coll-matching", "examples/bad_wait.cpp",
      "void f(coll::Communicator& comm) {\n"
@@ -905,11 +770,6 @@ SELF_TESTS = [
      "  int local = 7;\n"
      "  engine.schedule(5, [&local] { use(local); });\n"
      "}\n"),
-    ("shard-ownership", "src/fabric/bad_shard.cpp",
-     "struct S {\n"
-     "  std::vector<int> dir_state_;  // mccl: shard-owned\n"
-     "  void touch() { dir_state_[0] += 1; }\n"
-     "};\n"),
 ]
 
 CLEAN_TESTS = [
@@ -925,21 +785,6 @@ CLEAN_TESTS = [
      "int f(int k) { return table_.at(k); }  // point lookup: fine\n"),
     ("src/sim/ok2.cpp",
      "void warm() { auto* p = new int(7); (void)p; }  // not in a hot region\n"),
-    # Mailbox touches inside the exchange region, const/constexpr statics,
-    # static member functions, and suppressed setup code all stay quiet.
-    ("src/sim/ok3.cpp",
-     "static constexpr int kShards = 8;\n"
-     "static const char* name() { return \"ok\"; }\n"
-     "void exchange() {\n"
-     "  // mccl-lint: begin-shard-exchange\n"
-     "  rings_[0]->drain_into(scratch_[0]);\n"
-     "  // mccl-lint: end-shard-exchange\n"
-     "}\n"
-     "void setup() {\n"
-     "  // mccl-lint: allow(no-unguarded-shared-state) ctor runs "
-     "single-threaded\n"
-     "  rings_.resize(64);\n"
-     "}\n"),
     # The canonical correct protocol usage: start, wait, status-check the
     # OpBase; blocking call with a status-checked OpResult.
     ("examples/ok_verify.cpp",
@@ -964,15 +809,6 @@ CLEAN_TESTS = [
      "      rec.comm->start_allgather(64, coll::AllgatherAlgo::kMcast);\n"
      "  op.set_on_done([&rec](coll::OpBase& o) { done(rec, o); });\n"
      "}\n"),
-    # Shard-ownership: annotated contexts and the exchange region are legal.
-    ("src/sim/ok_shard.cpp",
-     "struct S {\n"
-     "  std::vector<int> dir_state_;  // mccl: shard-owned\n"
-     "  // mccl: quiescent ctor runs before the workers exist\n"
-     "  S() { dir_state_.resize(8); }\n"
-     "  // mccl: shard-context owner-shard datapath\n"
-     "  void touch(int shard) { dir_state_[shard] += 1; }\n"
-     "};\n"),
 ]
 
 

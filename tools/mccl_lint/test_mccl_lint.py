@@ -245,13 +245,11 @@ class ModelTest(unittest.TestCase):
 
     def test_annotation_parsing(self):
         import cppmodel
-        src = ("// mccl: quiescent ctor runs single-threaded\n"
-               "S::S() { init(); }\n")
+        src = ("// mccl: comm-retire handed to the retirement list\n"
+               "retired.push_back(std::move(comm));\n")
         model = cppmodel.Model(src)
-        self.assertIn("quiescent", model.tags_at(1))
-        fn = [s for s in model.scopes if s.kind == cppmodel.FUNCTION]
-        self.assertEqual(1, len(fn))
-        self.assertIn("quiescent", model.function_tags(fn[0]))
+        self.assertIn("comm-retire", model.tags_at(2))
+        self.assertEqual([], model.tags_at(3))
 
 
 if __name__ == "__main__":
