@@ -50,9 +50,9 @@ struct Timer {
   }
 };
 
-/// Same storm with a 56-byte capture: the fattest lambda the datapath
-/// schedules (e.g. a NIC local-copy completion with an owned callback)
-/// still has to avoid the heap.
+/// Same storm with a 56-byte capture, near the 64-byte inline budget that
+/// the fattest datapath lambda (a NIC local-copy completion carrying its
+/// caller's completion inline) fills: it still has to avoid the heap.
 struct FatTimer {
   sim::Engine* eng;
   std::uint64_t* budget;

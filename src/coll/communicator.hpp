@@ -300,7 +300,9 @@ class Endpoint {
   std::unordered_map<std::uint16_t, CtrlHandler> ctrl_handlers_;
   std::unordered_map<std::uint16_t, std::function<void(const rdma::Cqe&)>>
       read_handlers_;
-  std::unordered_map<std::uint8_t, ChunkHandler> mcast_ops_;
+  // Indexed by the 8-bit fast-path op tag, grown to the highest tag
+  // registered; an empty handler is a finished (or never started) op.
+  std::vector<ChunkHandler> mcast_ops_;
   std::vector<Subgroup> subgroups_;
 };
 

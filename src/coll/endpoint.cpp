@@ -108,8 +108,7 @@ void Endpoint::setup_subgroups() {
       comm_.tag_qp(*g.uc, /*ctrl=*/false);
       nic_.attach_uc_mcast(group, *g.uc);
       g.uc->set_mcast_destination(group);
-      for (std::size_t i = 0; i < cfg.staging_slots; ++i)
-        g.uc->post_recv({});
+      g.uc->post_blank_recvs(cfg.staging_slots);
       g.posted = cfg.staging_slots;
     }
 
@@ -166,11 +165,12 @@ void Endpoint::unregister_read_handler(std::uint16_t op) {
 }
 
 void Endpoint::register_mcast_op(std::uint8_t tag, ChunkHandler handler) {
+  if (tag >= mcast_ops_.size()) mcast_ops_.resize(std::size_t{tag} + 1);
   mcast_ops_[tag] = std::move(handler);
 }
 
 void Endpoint::unregister_mcast_op(std::uint8_t tag) {
-  mcast_ops_.erase(tag);
+  if (tag < mcast_ops_.size()) mcast_ops_[tag] = nullptr;
 }
 
 void Endpoint::repost_staging(std::size_t subgroup, std::uint64_t slot_addr) {
@@ -184,10 +184,10 @@ void Endpoint::repost_staging(std::size_t subgroup, std::uint64_t slot_addr) {
 void Endpoint::top_up_uc_recvs(std::size_t subgroup) {
   Subgroup& g = subgroups_[subgroup];
   MCCL_CHECK(g.uc != nullptr);
-  while (g.posted < comm_.config().staging_slots) {
-    g.uc->post_recv({});
-    ++g.posted;
-  }
+  const std::size_t slots = comm_.config().staging_slots;
+  if (g.posted >= slots) return;
+  g.uc->post_blank_recvs(slots - g.posted);
+  g.posted = slots;
 }
 
 std::uint64_t Endpoint::rnr_drops() const { return nic_.ud_rnr_drops(); }
@@ -235,9 +235,10 @@ void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
     --g.posted;
     if (g.uc != nullptr) top_up_uc_recvs(subgroup);
   }
-  auto it = mcast_ops_.find(imm_op_tag(imm));
-  if (it == mcast_ops_.end()) return;  // late completion of a finished op
-  it->second(imm_chunk(imm), subgroup, cqe);
+  const std::uint8_t tag = imm_op_tag(imm);
+  if (tag >= mcast_ops_.size() || !mcast_ops_[tag])
+    return;  // late completion of a finished op
+  mcast_ops_[tag](imm_chunk(imm), subgroup, cqe);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,10 +257,8 @@ rdma::RcQp& Communicator::ctrl_qp(std::size_t from, std::size_t to) {
   tag_qp(qb, /*ctrl=*/true);
   qa.connect(b.host(), qb.qpn());
   qb.connect(a.host(), qa.qpn());
-  for (std::size_t i = 0; i < kCtrlRecvCredits; ++i) {
-    qa.post_recv({});
-    qb.post_recv({});
-  }
+  qa.post_blank_recvs(kCtrlRecvCredits);
+  qb.post_blank_recvs(kCtrlRecvCredits);
   a.ctrl_qps_[to] = &qa;
   b.ctrl_qps_[from] = &qb;
   return qa;

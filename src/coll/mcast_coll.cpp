@@ -106,9 +106,8 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     s.bitmaps.reserve(map_.subgroups);
     for (std::size_t sg = 0; sg < map_.subgroups; ++sg)
       s.bitmaps.emplace_back(map_.total_chunks());
-    const std::size_t foreign_blocks =
-        p_.roots.size() - (s.root_index >= 0 ? 1 : 0);
-    s.expected = foreign_blocks * map_.chunks_per_block();
+    s.foreign_blocks = p_.roots.size() - (s.root_index >= 0 ? 1 : 0);
+    s.expected = s.foreign_blocks * map_.chunks_per_block();
     s.local_copy_done = s.root_index < 0;  // roots copy their block locally
 
     // Handlers.
@@ -366,10 +365,10 @@ void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
   if (comm_.config().transport == Transport::kUd) {
     // Staging -> user buffer copy through the NIC DMA engine; the staging
     // slot is reposted only once its bytes have drained. Capture audit:
-    // 32 bytes here; the NIC's completion wrapper (this + src/dst/len +
-    // the owned callback) lands exactly on the engine's 64-byte inline
-    // budget — see the kInlineBytes comment in sim/callback.hpp before
-    // adding captures.
+    // 32 bytes here, the whole of Nic::kCopyDoneBytes — the NIC's own 32
+    // bytes (this + src/dst/len) fill the rest of the engine's 64-byte
+    // inline cell. post_local_copy rejects a larger capture at compile
+    // time.
     Endpoint& ep = comm_.ep(r);
     const std::uint64_t slot = cqe.wr_id;
     const std::uint64_t dst = s.recvbuf + map_.offset_of(chunk);
@@ -404,9 +403,16 @@ bool McastCollective::set_chunk(std::size_t r, std::uint32_t id) {
   MCCL_VALIDATE_THAT(s.received <= s.expected, "coll.chunk_conservation",
                      "rank %zu: received %zu chunks, expected at most %zu",
                      r, s.received, s.expected);
-  if (s.block_received[block] == map_.chunks_per_block())
+  if (s.block_received[block] == map_.chunks_per_block()) {
+    if (!s.block_abandoned[block]) satisfy_block(r, block);
     on_block_complete(r, block);
+  }
   return true;
+}
+
+void McastCollective::satisfy_block(std::size_t r, std::size_t block) {
+  RankState& s = st_[r];
+  if (static_cast<int>(block) != s.root_index) ++s.blocks_satisfied;
 }
 
 void McastCollective::check_data_complete(std::size_t r) {
@@ -425,13 +431,24 @@ void McastCollective::check_data_complete(std::size_t r) {
 
 bool McastCollective::all_blocks_satisfied(std::size_t r) const {
   const RankState& s = st_[r];
+  // The scan only runs in validate builds (MCCL_VALIDATE_THAT folds away).
+  MCCL_VALIDATE_THAT(scan_blocks_satisfied(r) == s.blocks_satisfied,
+                     "coll.blocks_satisfied",
+                     "rank %zu: %zu foreign blocks full or abandoned but "
+                     "the count says %zu",
+                     r, scan_blocks_satisfied(r), s.blocks_satisfied);
+  return s.blocks_satisfied == s.foreign_blocks;
+}
+
+std::size_t McastCollective::scan_blocks_satisfied(std::size_t r) const {
+  const RankState& s = st_[r];
+  std::size_t n = 0;
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     if (static_cast<int>(b) == s.root_index) continue;
-    if (s.block_received[b] < map_.chunks_per_block() &&
-        !s.block_abandoned[b])
-      return false;
+    if (s.block_received[b] == map_.chunks_per_block() || s.block_abandoned[b])
+      ++n;
   }
-  return true;
+  return n;
 }
 
 void McastCollective::send_final(std::size_t r) {
@@ -1018,6 +1035,7 @@ void McastCollective::apply_block_dead(std::size_t r, std::size_t block) {
   if (s.block_abandoned[block]) return;
   if (s.block_received[block] == map_.chunks_per_block()) return;  // we hold it
   s.block_abandoned[block] = 1;
+  satisfy_block(r, block);
   BlockFetch& f = s.fetch[block];
   if (f.active) {
     if (f.acked && f.reads_outstanding > 0) {
@@ -1343,6 +1361,13 @@ bool McastCollective::validate_rank(std::size_t r) const {
     debug::report("coll.chunk_conservation",
                   "rank %zu: received %zu chunks, expected at most %zu", r,
                   s.received, s.expected);
+    ok = false;
+  }
+  if (scan_blocks_satisfied(r) != s.blocks_satisfied) {
+    debug::report("coll.blocks_satisfied",
+                  "rank %zu: %zu foreign blocks full or abandoned but the "
+                  "count says %zu",
+                  r, scan_blocks_satisfied(r), s.blocks_satisfied);
     ok = false;
   }
   for (std::size_t b = 0; b < s.block_received.size(); ++b) {

@@ -101,10 +101,12 @@ class McastCollective : public OpBase {
 
   /// Validate-build audit of one rank's bookkeeping: chunk conservation
   /// (bitmap popcounts == received counter, per-block counts within bounds,
-  /// received <= expected) and barrier-credit balance (at most one real
-  /// token plus one death credit outstanding per round). Reports
-  /// "coll.chunk_conservation" / "coll.barrier_credit_balance"; returns
-  /// false if anything was reported. Always true in regular builds.
+  /// received <= expected), the satisfied-block count (== a recount of full
+  /// or abandoned foreign blocks) and barrier-credit balance (at most one
+  /// real token plus one death credit outstanding per round). Reports
+  /// "coll.chunk_conservation" / "coll.blocks_satisfied" /
+  /// "coll.barrier_credit_balance"; returns false if anything was reported.
+  /// Always true in regular builds.
   bool validate_rank(std::size_t r) const;
 
   // --- validate-build fault-injection hooks (tests/test_validate.cpp) -----
@@ -112,6 +114,11 @@ class McastCollective : public OpBase {
   /// validate_rank trips "coll.chunk_conservation".
   void test_skew_received(std::size_t r, std::size_t delta) {
     st_[r].received += delta;
+  }
+  /// Skews the satisfied-block count away from the per-block state so the
+  /// next completion check trips "coll.blocks_satisfied".
+  void test_skew_blocks_satisfied(std::size_t r, std::size_t delta) {
+    st_[r].blocks_satisfied += delta;
   }
   /// Over-credits a barrier round past the legal 2-token ceiling so
   /// validate_rank trips "coll.barrier_credit_balance".
@@ -161,6 +168,10 @@ class McastCollective : public OpBase {
     std::vector<Bitmap> bitmaps;  // per subgroup, indexed by global chunk id
     std::size_t received = 0;
     std::size_t expected = 0;
+    // Foreign blocks (all but the one this rank roots) and how many of
+    // them are full or abandoned; data is complete when the two meet.
+    std::size_t foreign_blocks = 0;
+    std::size_t blocks_satisfied = 0;
     std::size_t pending_copies = 0;
     bool local_copy_done = false;
     bool data_complete = false;
@@ -251,8 +262,14 @@ class McastCollective : public OpBase {
                 const rdma::Cqe& cqe);
   bool set_chunk(std::size_t r, std::uint32_t id);
   void check_data_complete(std::size_t r);
-  /// Every foreign block either fully received or abandoned.
+  /// Every foreign block either fully received or abandoned. O(1): reads
+  /// the blocks_satisfied count (checked against a full scan in validate
+  /// builds, "coll.blocks_satisfied").
   bool all_blocks_satisfied(std::size_t r) const;
+  /// Counts `block` into blocks_satisfied if it is foreign to `r`.
+  void satisfy_block(std::size_t r, std::size_t block);
+  /// The O(blocks) recount that blocks_satisfied replaces (validators).
+  std::size_t scan_blocks_satisfied(std::size_t r) const;
   /// Sends (or re-sends, after ring repair) this rank's Final to its
   /// current left-alive neighbor.
   void send_final(std::size_t r);

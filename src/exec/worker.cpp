@@ -81,28 +81,22 @@ void Worker::flush_trace() {
     tracer_->complete(trace_track_, "busy", span_start_, span_end_, "exec");
 }
 
-void Worker::subscribe(rdma::Cq& cq, CqeHandler handler, CqeCostFn cost_of) {
-  subs_[&cq] = Subscription{std::move(handler), std::move(cost_of)};
-  cq.set_consumer(this);
-  // Drain anything already queued.
-  while (!cq.empty()) on_cqe(cq);
-}
-
 void Worker::subscribe(rdma::Cq& cq, CqeHandler handler, Cost per_cqe) {
-  subscribe(cq, std::move(handler),
-            [per_cqe](const rdma::Cqe&) { return per_cqe; });
+  subs_.push_back(
+      std::make_unique<Subscription>(*this, std::move(handler), per_cqe));
+  Subscription& sub = *subs_.back();
+  cq.set_consumer(&sub);
+  // Drain anything already queued.
+  while (!cq.empty()) sub.on_cqe(cq);
 }
 
-void Worker::on_cqe(rdma::Cq& cq) {
+void Worker::Subscription::on_cqe(rdma::Cq& cq) {
   if (cq.empty()) return;
-  auto it = subs_.find(&cq);
-  MCCL_CHECK_MSG(it != subs_.end(), "CQE on unsubscribed CQ");
   const rdma::Cqe cqe = cq.pop();
-  ++cqes_seen_;
-  Subscription& sub = it->second;
-  // sub aliases a node-stable subs_ slot that outlives every posted task.
-  // mccl-lint: allow(lambda-escape) node-stable slot owned by this Worker
-  post(sub.cost_of(cqe), [&sub, cqe] { sub.handler(cqe); });
+  ++worker.cqes_seen_;
+  // The subscription is heap-allocated and owned by the worker, so it
+  // outlives every task the worker runs.
+  worker.post(cost, [this, cqe] { handler(cqe); });
 }
 
 void Worker::pump() {

@@ -20,7 +20,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/check.hpp"
@@ -115,10 +114,9 @@ class Complex {
   std::vector<std::unique_ptr<Worker>> workers_;
 };
 
-class Worker : public rdma::Cq::Consumer {
+class Worker {
  public:
   using CqeHandler = std::function<void(const rdma::Cqe&)>;
-  using CqeCostFn = std::function<Cost(const rdma::Cqe&)>;
 
   Worker(Complex& complex, std::size_t core_index);
   ~Worker();  // flushes any open trace span
@@ -146,14 +144,10 @@ class Worker : public rdma::Cq::Consumer {
   }
 
   /// Subscribes to a CQ: every CQE is drained into this worker's task queue
-  /// with `cost_of(cqe)` charged before `handler(cqe)` runs. A worker may
-  /// poll several CQs (the paper maps one worker to one or more multicast
+  /// with `per_cqe` charged before `handler(cqe)` runs. A worker may poll
+  /// several CQs (the paper maps one worker to one or more multicast
   /// subgroups); each CQ has exactly one consumer.
-  void subscribe(rdma::Cq& cq, CqeHandler handler, CqeCostFn cost_of);
   void subscribe(rdma::Cq& cq, CqeHandler handler, Cost per_cqe);
-
-  // rdma::Cq::Consumer
-  void on_cqe(rdma::Cq& cq) override;
 
   // --- statistics -----------------------------------------------------------
   std::uint64_t tasks_done() const { return tasks_done_; }
@@ -171,9 +165,16 @@ class Worker : public rdma::Cq::Consumer {
     sim::InlineCallback fn;
   };
 
-  struct Subscription {
+  /// One subscribed CQ. It is the CQ's consumer itself, so a CQE reaches
+  /// its handler and cost without a lookup.
+  struct Subscription final : rdma::Cq::Consumer {
+    Subscription(Worker& w, CqeHandler h, Cost c)
+        : worker(w), handler(std::move(h)), cost(c) {}
+    void on_cqe(rdma::Cq& cq) override;
+
+    Worker& worker;
     CqeHandler handler;
-    CqeCostFn cost_of;
+    Cost cost;
   };
 
   void pump();
@@ -189,7 +190,7 @@ class Worker : public rdma::Cq::Consumer {
   bool span_open_ = false;
   Time span_start_ = 0;
   Time span_end_ = 0;
-  std::unordered_map<rdma::Cq*, Subscription> subs_;
+  std::vector<std::unique_ptr<Subscription>> subs_;  // stable addresses
 
   std::uint64_t tasks_done_ = 0;
   std::uint64_t cqes_seen_ = 0;

@@ -108,7 +108,19 @@ void Fabric::send_out(NodeId node, int port_idx, const PacketPtr& packet) {
 // mccl-lint: begin-hot fabric-wire
 void Fabric::pump_lanes(NodeId node, int port_idx, const Port& port) {
   LaneState& lane = lanes_[port.dir_index];
-  if (lane.busy) return;
+  if (lane.busy) {
+    if (!lane.ticketed) return;  // the release event is queued
+    lane.ticketed = false;
+    if (!engine_.passed(lane.release)) {
+      // A packet queued while the wire is still busy: the release event is
+      // needed after all, at the place reserved for it.
+      engine_.schedule_ticket(lane.release, [this, node, port_idx] {
+        release_lanes(node, port_idx);
+      });
+      return;
+    }
+    lane.busy = false;  // the release came and went with nothing to send
+  }
   PacketPtr next;
   for (auto& q : lane.queues) {  // strict priority: lane 0 first
     if (!q.empty()) {
@@ -123,14 +135,27 @@ void Fabric::pump_lanes(NodeId node, int port_idx, const Port& port) {
   put_on_wire(node, port_idx, port, next);
   // Clamp to now: a packet black-holed inside put_on_wire (link died while
   // queued) leaves the serializer's free_at in the past.
-  engine_.schedule_at(std::max(engine_.now(),
-                               serializers_[port.dir_index].free_at()),
-                      [this, node, port_idx] {
-                        const Port& p =
-                            topo_.ports(node)[static_cast<size_t>(port_idx)];
-                        lanes_[p.dir_index].busy = false;
-                        pump_lanes(node, port_idx, p);
-                      });
+  const Time now = engine_.now();
+  const Time free_at =
+      std::max(now, serializers_[port.dir_index].free_at());
+  const bool idle = std::all_of(lane.queues.begin(), lane.queues.end(),
+                                [](const auto& q) { return q.empty(); });
+  if (idle && free_at > now) {
+    // Nothing left to send: most such releases would find the queues still
+    // empty, so only their place in the dispatch order is reserved.
+    lane.release = engine_.reserve_at(free_at);
+    lane.ticketed = true;
+    return;
+  }
+  engine_.schedule_at(free_at, [this, node, port_idx] {
+    release_lanes(node, port_idx);
+  });
+}
+
+void Fabric::release_lanes(NodeId node, int port_idx) {
+  const Port& p = topo_.ports(node)[static_cast<size_t>(port_idx)];
+  lanes_[p.dir_index].busy = false;
+  pump_lanes(node, port_idx, p);
 }
 
 void Fabric::put_on_wire(NodeId node, int /*port_idx*/, const Port& port,

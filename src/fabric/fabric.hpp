@@ -241,6 +241,10 @@ class Fabric {
     std::array<std::deque<PacketPtr>, kNumLanes> queues;
     std::uint64_t queued_bytes = 0;  // wire bytes across all lanes
     bool busy = false;
+    // Busy with no release event queued: the serializer frees at `release`,
+    // and the event is scheduled there only if a packet arrives first.
+    bool ticketed = false;
+    sim::Engine::Ticket release;
   };
 
   // The per-hop chain resolves the egress Port once in send_out and threads
@@ -250,6 +254,8 @@ class Fabric {
   void put_on_wire(NodeId node, int port, const Port& p,
                    const PacketPtr& packet);
   void pump_lanes(NodeId node, int port, const Port& p);
+  /// The serializer of a lane-queued switch egress port freed.
+  void release_lanes(NodeId node, int port);
   void arrive(NodeId node, int in_port, const PacketPtr& packet);
   void forward(NodeId sw, int in_port, const PacketPtr& packet);
   int pick_next_hop(NodeId node, const Packet& packet);

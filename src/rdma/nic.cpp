@@ -180,21 +180,17 @@ void Nic::pump_tx() {
 }
 // mccl-lint: end-hot
 
-void Nic::post_local_copy(std::uint64_t src, std::uint64_t dst,
-                          std::uint64_t len, std::function<void()> done) {
+Time Nic::book_local_copy(std::uint64_t len) {
   ++dma_ops_;
   dma_bytes_ += len;
   const Time xfer = serialization_time(len, config_.dma_gbps);
-  const Time queued_done = dma_.acquire(engine_.now(), xfer);
-  engine_.schedule_at(queued_done + config_.dma_latency,
-                      [this, src, dst, len, done = std::move(done)] {
-                        if (crashed_) return;  // completion dies with the host
-                        if (config_.carry_payload)
-                          memory_.write(
-                              dst, std::as_const(memory_).span(src, len).data(),
-                              len);
-                        if (done) done();
-                      });
+  return dma_.acquire(engine_.now(), xfer) + config_.dma_latency;
+}
+
+void Nic::finish_local_copy(std::uint64_t src, std::uint64_t dst,
+                            std::uint64_t len) {
+  if (config_.carry_payload)
+    memory_.write(dst, std::as_const(memory_).span(src, len).data(), len);
 }
 
 Qp* Nic::find_qp(std::uint32_t qpn) {

@@ -7,7 +7,9 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -115,11 +117,29 @@ class Nic {
   sched::QosPolicy qos_policy() const { return qos_arbiter_.policy(); }
   const sched::QosArbiter& qos_arbiter() const { return qos_arbiter_; }
 
+  /// Capture budget of a post_local_copy completion: the engine cell also
+  /// holds the NIC's own 32-byte capture (this, src, dst, len).
+  static constexpr std::size_t kCopyDoneBytes =
+      sim::InlineCallback::kInlineBytes - 32;
+
   /// Asynchronous on-NIC DMA copy between local buffers (staging → user).
   /// Models non-blocking queuing: posting returns immediately; `done` runs
-  /// after queuing + transfer + PCIe latency.
+  /// after queuing + transfer + PCIe latency. `done` is stored inline in
+  /// the completion event (once per received UD chunk), never in a
+  /// std::function.
+  template <typename F>
   void post_local_copy(std::uint64_t src, std::uint64_t dst,
-                       std::uint64_t len, std::function<void()> done);
+                       std::uint64_t len, F&& done) {
+    static_assert(sizeof(std::decay_t<F>) <= kCopyDoneBytes,
+                  "local-copy completion would leave the inline budget");
+    engine_.schedule_at(book_local_copy(len),
+                        [this, src, dst, len,
+                         done = std::forward<F>(done)]() mutable {
+                          if (crashed_) return;  // dies with the host
+                          finish_local_copy(src, dst, len);
+                          done();
+                        });
+  }
 
   Qp* find_qp(std::uint32_t qpn);
 
@@ -160,6 +180,11 @@ class Nic {
   };
 
   void on_packet(const fabric::PacketPtr& packet);
+  /// Queues a local copy on the DMA engine; returns its completion time.
+  Time book_local_copy(std::uint64_t len);
+  /// Moves the bytes of a completed local copy (payload mode only).
+  void finish_local_copy(std::uint64_t src, std::uint64_t dst,
+                         std::uint64_t len);
   void pump_tx();
   std::size_t add_tx_queue();
   std::size_t next_ready_tx(std::size_t start) const;

@@ -10,12 +10,30 @@ Qp::Qp(Nic& nic, std::uint32_t qpn, Cq* send_cq, Cq* recv_cq)
     : nic_(nic), qpn_(qpn), send_cq_(send_cq), recv_cq_(recv_cq) {}
 
 void Qp::post_recv(const RecvWr& wr) {
-  MCCL_CHECK_MSG(rq_.size() < nic_.config().max_recv_queue,
+  MCCL_CHECK_MSG(recv_queue_depth() < nic_.config().max_recv_queue,
                  "receive queue overflow");
+  if (rq_.empty() && wr.wr_id == 0 && wr.laddr == 0 && wr.len == 0) {
+    ++rq_blanks_;
+    return;
+  }
   rq_.push(wr);
 }
 
+void Qp::post_blank_recvs(std::size_t n) {
+  MCCL_CHECK_MSG(recv_queue_depth() + n <= nic_.config().max_recv_queue,
+                 "receive queue overflow");
+  if (rq_.empty()) {
+    rq_blanks_ += n;
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) rq_.push(RecvWr{});
+}
+
 RecvWr Qp::rq_pop() {
+  if (rq_blanks_ > 0) {
+    --rq_blanks_;
+    return RecvWr{};
+  }
   MCCL_CHECK(!rq_.empty());
   return rq_.pop();
 }

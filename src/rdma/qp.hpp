@@ -64,7 +64,11 @@ class Qp {
   std::uint32_t qpn() const { return qpn_; }
 
   void post_recv(const RecvWr& wr);
-  std::size_t recv_queue_depth() const { return rq_.size(); }
+  /// Posts `n` blank receive WRs (all fields zero), the credits of control
+  /// QPs and UC write-with-imm: same effect as `n` post_recv({}) calls, in
+  /// O(1) when the stored part of the queue is empty.
+  void post_blank_recvs(std::size_t n);
+  std::size_t recv_queue_depth() const { return rq_blanks_ + rq_.size(); }
 
   virtual void on_packet(const fabric::PacketPtr& packet) = 0;
 
@@ -88,7 +92,7 @@ class Qp {
   std::uint16_t qos_weight() const { return qos_weight_; }
 
  protected:
-  bool rq_empty() const { return rq_.empty(); }
+  bool rq_empty() const { return rq_blanks_ == 0 && rq_.empty(); }
   RecvWr rq_pop();
   void complete_send(const SendFlags& flags, std::uint32_t byte_len,
                      Time when);
@@ -101,7 +105,12 @@ class Qp {
   std::uint32_t qpn_;
   Cq* send_cq_;
   Cq* recv_cq_;
-  Ring<RecvWr> rq_;  // bounded by NicConfig::max_recv_queue
+  // Receive queue, bounded by NicConfig::max_recv_queue. Blank WRs (all
+  // fields zero: the credits of control QPs and UC write-with-imm) at the
+  // head are only counted — they come out ahead of everything in rq_.
+  // A blank posted behind an addressed WR is stored, keeping FIFO order.
+  std::size_t rq_blanks_ = 0;
+  Ring<RecvWr> rq_;
   std::uint16_t tenant_ = 0;
   std::uint8_t data_vl_ = fabric::kBulkLane;
   std::uint8_t qos_band_ = 1;   // NIC arbiter priority (0 = control)

@@ -3,10 +3,9 @@
 // `std::function` heap-allocates for any capture larger than (typically) two
 // pointers; the simulator schedules tens of millions of callbacks per run,
 // so that allocation *is* the hot path. InlineFn stores any nothrow-movable
-// callable of up to kInlineBytes (64) in place — every capture of 48 bytes
-// or less is guaranteed allocation-free — and falls back to a single heap
-// cell above that. Move-only (no copies: events are scheduled once and
-// dispatched once).
+// callable of up to kInlineBytes (64) in place, allocation-free, and falls
+// back to a single heap cell above that. Move-only (no copies: events are
+// scheduled once and dispatched once).
 //
 // `InlineFn<void(Args...)>` generalizes over the call signature so that the
 // same machinery serves the engine's event callbacks (`InlineCallback`,
@@ -27,9 +26,10 @@ class InlineFn;
 template <typename... Args>
 class InlineFn<void(Args...)> {
  public:
-  /// Inline capture budget. Chosen one cache line wide so that the fattest
-  /// datapath lambdas (e.g. a NIC local-copy completion carrying an owned
-  /// `std::function` callback, ~56 bytes) still stay off the heap.
+  /// Inline capture budget, one cache line. The fattest datapath lambda
+  /// fills it exactly: a NIC local-copy completion (this, src, dst, len:
+  /// 32 bytes) carrying the collective's 32-byte staging-slot completion
+  /// inline (see Nic::kCopyDoneBytes).
   static constexpr std::size_t kInlineBytes = 64;
 
   InlineFn() = default;

@@ -39,6 +39,14 @@
 //    events, so steady-state scheduling touches no allocator at all. The
 //    pool is chunked (stable addresses) so dispatch can invoke the callback
 //    in place via InlineFn::consume() instead of paying a move per event.
+//
+//  * Reserved tickets. A caller that may not need an event at all (a switch
+//    egress port whose release would find its queues empty) reserves the
+//    event's place instead: reserve_at() uses up the seq a schedule_at()
+//    would have taken and queues nothing. If the event turns out to be
+//    needed before the dispatch order passes that place, schedule_ticket()
+//    puts it there; otherwise it never exists. Every other event keeps its
+//    seq, so the dispatch order of all remaining events is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -112,13 +120,53 @@ class Engine {
     sift_up(heap_.size() - 1);
   }
 
+  /// A reserved place (when, seq) in the dispatch order; see reserve_at().
+  struct Ticket {
+    Time when = 0;
+    std::uint64_t seq = 0;
+  };
+
+  /// Reserves the place in the dispatch order that `schedule_at(when, fn)`
+  /// would give an event now, without scheduling anything. `when` must lie
+  /// in the future: events due now take no seq (they go to the FIFO), so
+  /// there is nothing to reserve.
+  Ticket reserve_at(Time when) {
+    MCCL_CHECK_MSG(when > now_, "tickets reserve a future place");
+    if (when > horizon_) horizon_ = when;
+    return Ticket{when, seq_++};
+  }
+
+  /// True once the dispatch order has gone past `t`: an event at the
+  /// ticket's place would already have run. The event being dispatched
+  /// decides; one taken from the zero-delay FIFO is later than every heap
+  /// or lane entry due at now.
+  bool passed(const Ticket& t) const {
+    return t.when < now_ || (t.when == now_ && t.seq < cur_seq_);
+  }
+
+  /// Schedules `fn` at the ticket's reserved place, which must not have
+  /// passed. Dispatch order is exactly that of a schedule_at() made when
+  /// the ticket was reserved.
+  template <typename F>
+  void schedule_ticket(const Ticket& t, F&& fn) {
+    MCCL_CHECK_MSG(!passed(t), "ticket already passed");
+    // Always the heap: the entry's seq is older than the lanes' backs, so
+    // appending it to a lane could break that lane's (when, seq) order.
+    heap_.push_back(
+        Entry{t.when, (t.seq << kSlotBits) | make_slot(std::forward<F>(fn))});
+    sift_up(heap_.size() - 1);
+  }
+
   /// Runs events until the queue drains. Returns the number of events run.
+  /// The clock ends where the last event would have left it had every
+  /// reserved ticket been scheduled (see drained()).
   std::uint64_t run() {
     std::uint64_t n = 0;
     while (!empty()) {
       step();
       ++n;
     }
+    drained();
     return n;
   }
 
@@ -130,7 +178,10 @@ class Engine {
       step();
       ++n;
     }
-    if (now_ < deadline) now_ = deadline;
+    if (now_ <= deadline) {
+      now_ = deadline;
+      cur_seq_ = kAfterAll;  // everything due by the deadline has run
+    }
     return n;
   }
 
@@ -142,6 +193,7 @@ class Engine {
       if (done()) return true;
       step();
     }
+    drained();
     return done();
   }
 
@@ -233,6 +285,18 @@ class Engine {
   static constexpr int kSrcHeap = -1;
   static constexpr Time kNoFit = std::numeric_limits<Time>::min();
   static constexpr Time kNever = std::numeric_limits<Time>::max();
+  /// cur_seq_ of a FIFO dispatch, before the first dispatch and after a
+  /// drain or deadline: later than every seq at the current time.
+  static constexpr std::uint64_t kAfterAll =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// The queue ran dry. Unscheduled tickets stand for events that would
+  /// have run (doing nothing) before the drain, so the clock moves to the
+  /// latest of them, where those events would have left it.
+  void drained() {
+    if (horizon_ > now_) now_ = horizon_;
+    cur_seq_ = kAfterAll;
+  }
 
   // --- Chunked callback pool (stable addresses) ---------------------------
   static constexpr std::uint32_t kBlockBits = 10;  // 1024 cells per block
@@ -319,6 +383,7 @@ class Engine {
     // were scheduled before the clock reached now_, hence with smaller seq.
     if (!fifo_.empty() && (best == nullptr || best->when > now_)) {
       slot = fifo_.pop();
+      cur_seq_ = kAfterAll;
     } else {
       const Entry top = *best;
       // Monotonic-dispatch invariant: the k-way merge must emit non-FIFO
@@ -349,6 +414,7 @@ class Engine {
       }
       MCCL_CHECK(top.when >= now_);
       now_ = top.when;
+      cur_seq_ = top.key >> kSlotBits;
       slot = static_cast<std::uint32_t>(top.key) & kSlotMask;
     }
     ++dispatched_;
@@ -381,6 +447,10 @@ class Engine {
 
   Time now_ = 0;
   std::uint64_t seq_ = 0;
+  // seq of the event being (or last) dispatched, or kAfterAll: with now_,
+  // the place passed() compares tickets against.
+  std::uint64_t cur_seq_ = kAfterAll;
+  Time horizon_ = 0;  // latest reserved ticket
   std::uint64_t dispatched_ = 0;
   std::vector<Entry> heap_;
   Ring<std::uint32_t> fifo_;  // events due exactly now, in schedule order

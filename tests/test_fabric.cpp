@@ -378,6 +378,44 @@ TEST(Fabric, VirtualLanesPrioritizeControlAtSwitch) {
   EXPECT_LE(pos, 2);  // overtakes most of the bulk queue
 }
 
+TEST(Fabric, IdleLaneReleaseIsOnlyReservedYetKeepsItsTiming) {
+  // Switch egress ports with virtual lanes reserve a dispatch ticket
+  // instead of scheduling a release event when nothing waits behind the
+  // packet on the wire. Three cases at one port (switch -> host 2):
+  //  - a packet that arrives while the wire is busy turns the ticket into
+  //    the release event and leaves right behind the first;
+  //  - a packet that arrives after the wire freed leaves at once;
+  //  - the last release is never dispatched, yet run() ends the clock
+  //    where it would have fired (the final packet is dropped on that
+  //    hop, so its release is the latest would-be event).
+  sim::Engine e;
+  Fabric::Config cfg;
+  cfg.switch_latency = 150 * kNanosecond;
+  const Time lat = 500 * kNanosecond;
+  Fabric f(e, make_star(3, {100.0, lat}), cfg);
+  const Time ser = serialization_time(4096, 100.0);
+  std::vector<Time> arrivals;
+  f.set_delivery(2, [&](const PacketPtr&) { arrivals.push_back(e.now()); });
+  f.set_delivery(0, [](const PacketPtr&) {});
+  f.set_delivery(1, [](const PacketPtr&) {});
+  f.set_drop_filter([](NodeId from, NodeId to, const Packet& p) {
+    return from == 3 && to == 2 && p.flow_id == 99;
+  });
+  const Time at_switch = ser + lat + cfg.switch_latency;  // egress start
+  f.inject(make_test_packet(0, 2, 4096));
+  f.inject(make_test_packet(1, 2, 4096));  // same egress, same instant
+  const Time later = 10 * kMicrosecond;
+  e.schedule_at(later, [&] { f.inject(make_test_packet(0, 2, 4096)); });
+  e.schedule_at(2 * later,
+                [&] { f.inject(make_test_packet(0, 2, 4096, 99)); });
+  e.run();
+  EXPECT_EQ(arrivals, (std::vector<Time>{at_switch + ser + lat,
+                                         at_switch + 2 * ser + lat,
+                                         later + at_switch + ser + lat}));
+  EXPECT_EQ(f.traffic().drops, 1u);
+  EXPECT_EQ(e.now(), 2 * later + at_switch + ser);
+}
+
 TEST(Fabric, VirtualLanesCanBeDisabled) {
   sim::Engine e;
   Fabric::Config cfg;

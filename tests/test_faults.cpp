@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/debug/validate.hpp"
 #include "tests/coll_test_util.hpp"
 
 namespace mccl::coll {
@@ -320,16 +321,21 @@ TEST(Faults, EarlyRootCrashIsDegradedNotHung) {
   // Crash the root before its multicast can deliver a full block anywhere:
   // the census finds no surviving full holder and the block is declared
   // dead. Survivors still complete (degraded), promptly and structurally.
+  // Completion waits on the count of full-or-abandoned blocks, so this
+  // also covers the abandon path of that count; in validate builds every
+  // completion check recounts it ("coll.blocks_satisfied").
   ClusterConfig kcfg;
   kcfg.fabric.faults.events = {
       fabric::FaultEvent::node_crash(2 * kMicrosecond, 0)};
   FtWorld w(quick_recovery(), kcfg);
+  debug::ViolationTrap trap;
   const OpResult res = w.comm->broadcast(0, 4 * 1024 * 1024, BcastAlgo::kMcast);
   EXPECT_FALSE(res.failed);
   EXPECT_FALSE(res.watchdog_fired);
   EXPECT_EQ(res.status, OpStatus::kPartial);
   EXPECT_EQ(res.missing_blocks, (std::vector<std::size_t>{0}));
   EXPECT_TRUE(res.data_verified);
+  EXPECT_TRUE(trap.empty());  // coll.blocks_satisfied among them
 }
 
 // The point-to-point baselines are not crash-tolerant, but a crash must

@@ -324,5 +324,83 @@ TEST(RcQp, ZeroLengthSendCompletes) {
   EXPECT_EQ(w.send_cqs[0]->depth(), 1u);
 }
 
+TEST(RcQp, BlankAndAddressedReceivesKeepFifoOrder) {
+  // Blank WRs (all fields zero) at the head of the RQ are only counted;
+  // one posted behind an addressed WR is stored. Either way the receives
+  // complete in post order.
+  RcWorld w;
+  const auto dst = w.nics[1]->memory().alloc(64);
+  const auto src = w.nics[0]->memory().alloc(64);
+  RcQp& rx = *w.qps[1];
+  rx.post_recv({});
+  rx.post_recv({.wr_id = 7, .laddr = dst, .len = 64});
+  rx.post_blank_recvs(2);      // behind a stored WR: stored too
+  rx.post_recv({.wr_id = 9});  // zero length but named: not blank
+  rx.post_recv({});
+  EXPECT_EQ(rx.recv_queue_depth(), 6u);
+  for (std::uint32_t i = 0; i < 6; ++i)
+    w.qps[0]->post_send(src, i == 1 ? 64 : 0,
+                        {.imm = i, .has_imm = true, .signaled = false});
+  w.engine.run();
+  EXPECT_EQ(rx.recv_queue_depth(), 0u);
+  std::vector<std::uint64_t> wr_ids;
+  std::vector<std::uint32_t> lens;
+  while (!w.recv_cqs[1]->empty()) {
+    const Cqe cqe = w.recv_cqs[1]->pop();
+    EXPECT_EQ(cqe.imm, wr_ids.size());
+    wr_ids.push_back(cqe.wr_id);
+    lens.push_back(cqe.byte_len);
+  }
+  EXPECT_EQ(wr_ids, (std::vector<std::uint64_t>{0, 7, 0, 0, 9, 0}));
+  EXPECT_EQ(lens, (std::vector<std::uint32_t>{0, 64, 0, 0, 0, 0}));
+}
+
+TEST(RcQp, BlankReceivesCountTowardTheQueueBound) {
+  NicConfig ncfg;
+  ncfg.max_recv_queue = 4;
+  RcWorld w({}, ncfg);
+  RcQp& rx = *w.qps[1];
+  rx.post_blank_recvs(2);
+  rx.post_recv({.wr_id = 1});
+  rx.post_recv({});
+  EXPECT_EQ(rx.recv_queue_depth(), 4u);
+  EXPECT_DEATH(rx.post_recv({}), "receive queue overflow");
+  EXPECT_DEATH(rx.post_blank_recvs(1), "receive queue overflow");
+  RcQp& tx = *w.qps[0];
+  EXPECT_DEATH(tx.post_blank_recvs(5), "receive queue overflow");
+  tx.post_blank_recvs(4);
+  EXPECT_EQ(tx.recv_queue_depth(), 4u);
+}
+
+/// Reposts one blank credit per consumed receive, like the control plane's
+/// credit recycling.
+struct CreditRecycler : Cq::Consumer {
+  Qp* qp = nullptr;
+  std::vector<std::uint32_t> imms;
+  void on_cqe(Cq& cq) override {
+    while (!cq.empty()) {
+      imms.push_back(cq.pop().imm);
+      qp->post_recv({});
+    }
+  }
+};
+
+TEST(RcQp, RecycledBlankCreditsCarryAStreamLongerThanTheQueue) {
+  NicConfig ncfg;
+  ncfg.max_recv_queue = 4;
+  RcWorld w({}, ncfg);
+  CreditRecycler recycler;
+  recycler.qp = w.qps[1];
+  w.recv_cqs[1]->set_consumer(&recycler);
+  w.qps[1]->post_blank_recvs(4);
+  for (std::uint32_t i = 0; i < 40; ++i)
+    w.qps[0]->post_send(0, 0, {.imm = i, .has_imm = true, .signaled = false});
+  w.engine.run();
+  ASSERT_EQ(recycler.imms.size(), 40u);
+  for (std::uint32_t i = 0; i < 40; ++i) EXPECT_EQ(recycler.imms[i], i);
+  EXPECT_EQ(w.qps[1]->recv_queue_depth(), 4u);
+  EXPECT_EQ(w.qps[0]->retransmissions(), 0u);
+}
+
 }  // namespace
 }  // namespace mccl::rdma

@@ -19,13 +19,14 @@ struct UcWorld {
   std::vector<Cq*> send_cqs;
   std::vector<Cq*> recv_cqs;
 
-  explicit UcWorld(std::size_t hosts = 2, fabric::Fabric::Config fcfg = {}) {
+  explicit UcWorld(std::size_t hosts = 2, fabric::Fabric::Config fcfg = {},
+                   NicConfig ncfg = {}) {
     fabric::Topology topo = hosts == 2 ? fabric::make_back_to_back({})
                                        : fabric::make_star(hosts, {});
     fab = std::make_unique<fabric::Fabric>(engine, std::move(topo), fcfg);
     for (std::size_t h = 0; h < hosts; ++h) {
       nics.push_back(std::make_unique<Nic>(
-          engine, *fab, static_cast<fabric::NodeId>(h), NicConfig{}));
+          engine, *fab, static_cast<fabric::NodeId>(h), ncfg));
       Cq& scq = nics[h]->create_cq();
       Cq& rcq = nics[h]->create_cq();
       send_cqs.push_back(&scq);
@@ -227,6 +228,72 @@ TEST(UcQp, ZeroCopySegmentationSendsExactBytes) {
   const auto t = w.fab->traffic();
   EXPECT_EQ(t.total_bytes, len);
   EXPECT_EQ(t.packets, 11u);
+}
+
+TEST(UcQp, BlankAndNamedReceivesKeepFifoOrder) {
+  // Each write-with-imm consumes the RQ head: counted blanks first, then
+  // the stored WRs in post order (a blank behind a named WR is stored).
+  UcWorld w;
+  w.qps[0]->connect(1, w.qps[1]->qpn());
+  const auto src = w.nics[0]->memory().alloc(64);
+  const auto dst = w.nics[1]->memory().alloc(64);
+  const auto mr = w.nics[1]->mrs().register_region(dst, 64);
+  UcQp& rx = *w.qps[1];
+  rx.post_recv({});
+  rx.post_recv({.wr_id = 4});
+  rx.post_recv({});
+  EXPECT_EQ(rx.recv_queue_depth(), 3u);
+  for (std::uint32_t i = 0; i < 4; ++i)
+    w.qps[0]->post_write(src, 64, dst, mr.rkey,
+                         {.imm = i, .has_imm = true, .signaled = false});
+  w.engine.run();
+  std::vector<std::uint64_t> wr_ids;
+  while (!w.recv_cqs[1]->empty()) {
+    const Cqe cqe = w.recv_cqs[1]->pop();
+    EXPECT_EQ(cqe.imm, wr_ids.size());
+    wr_ids.push_back(cqe.wr_id);
+  }
+  EXPECT_EQ(wr_ids, (std::vector<std::uint64_t>{0, 4, 0}));
+  EXPECT_EQ(rx.recv_queue_depth(), 0u);
+  EXPECT_EQ(rx.rnr_drops(), 1u);  // the fourth found the RQ empty
+}
+
+/// Tops the RQ back up to `slots` blank WRs after every completion, like
+/// the collective layer's UC receive top-up.
+struct TopUp : Cq::Consumer {
+  Qp* qp = nullptr;
+  std::size_t slots = 0;
+  std::size_t completions = 0;
+  void on_cqe(Cq& cq) override {
+    while (!cq.empty()) {
+      cq.pop();
+      ++completions;
+    }
+    qp->post_blank_recvs(slots - qp->recv_queue_depth());
+  }
+};
+
+TEST(UcQp, BlankTopUpSustainsAStreamWithinTheQueueBound) {
+  NicConfig ncfg;
+  ncfg.max_recv_queue = 3;
+  UcWorld w(2, {}, ncfg);
+  w.qps[0]->connect(1, w.qps[1]->qpn());
+  const auto src = w.nics[0]->memory().alloc(64);
+  const auto dst = w.nics[1]->memory().alloc(64);
+  const auto mr = w.nics[1]->mrs().register_region(dst, 64);
+  TopUp top_up;
+  top_up.qp = w.qps[1];
+  top_up.slots = 3;
+  w.recv_cqs[1]->set_consumer(&top_up);
+  for (int i = 0; i < 3; ++i) w.qps[1]->post_recv({});
+  EXPECT_DEATH(w.qps[1]->post_recv({}), "receive queue overflow");
+  for (int i = 0; i < 25; ++i)
+    w.qps[0]->post_write(src, 64, dst, mr.rkey,
+                         {.has_imm = true, .signaled = false});
+  w.engine.run();
+  EXPECT_EQ(top_up.completions, 25u);
+  EXPECT_EQ(w.qps[1]->rnr_drops(), 0u);
+  EXPECT_EQ(w.qps[1]->recv_queue_depth(), 3u);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 // Unit tests for the discrete-event engine and FIFO resources.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "src/common/rng.hpp"
+#include "src/debug/validate.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/resource.hpp"
 
@@ -122,6 +125,198 @@ TEST(Engine, ScheduleAtAbsoluteTime) {
   e.schedule_at(12345, [&] { seen = e.now(); });
   e.run();
   EXPECT_EQ(seen, 12345);
+}
+
+TEST(Engine, TicketFilledLateKeepsItsReservedPlace) {
+  // Two runs of one script: `reference` schedules X and Y when their places
+  // are reserved, `ticketed` reserves tickets and fills them later, from
+  // events dispatched before the places pass. Both must dispatch in the same
+  // order, with X tied against heap, lane and FIFO events at t=10 and Y
+  // tied against lane events at t=20.
+  const auto run = [](bool tickets) {
+    Engine e;
+    std::vector<char> order;
+    const auto rec = [&order](char c) {
+      return [&order, c] { order.push_back(c); };
+    };
+    Engine::Ticket x, y;
+    e.schedule_at(10, [&] {
+      order.push_back('A');
+      e.schedule(0, rec('F'));  // FIFO: after every t=10 heap/lane entry
+    });
+    if (tickets)
+      x = e.reserve_at(10);
+    else
+      e.schedule_at(10, rec('X'));
+    e.schedule_at(10, rec('B'));
+    e.schedule_at(20, rec('D'));
+    if (tickets)
+      y = e.reserve_at(20);
+    else
+      e.schedule_at(20, rec('Y'));
+    e.schedule_at(20, rec('E'));
+    e.schedule_at(5, [&] {
+      e.schedule(5, rec('C'));  // t=10 lane entry, later seq than X
+      if (!tickets) return;
+      EXPECT_FALSE(e.passed(x));
+      e.schedule_ticket(x, rec('X'));
+    });
+    e.schedule_at(15, [&] {
+      if (!tickets) return;
+      EXPECT_FALSE(e.passed(y));
+      e.schedule_ticket(y, rec('Y'));
+    });
+    debug::ViolationTrap trap;  // engine.dispatch_order must stay clean
+    e.run();
+    EXPECT_TRUE(trap.empty());
+    EXPECT_EQ(e.now(), 20);
+    return order;
+  };
+  const std::vector<char> want{'A', 'X', 'B', 'C', 'F', 'D', 'Y', 'E'};
+  EXPECT_EQ(run(false), want);
+  EXPECT_EQ(run(true), want);
+}
+
+TEST(Engine, PassedComparesWithTheEventBeingDispatched) {
+  Engine e;
+  const Engine::Ticket early = e.reserve_at(10);
+  Engine::Ticket mid, late;
+  std::vector<bool> seen;
+  e.schedule_at(10, [&] {
+    seen.push_back(e.passed(early));  // true: reserved before this event
+    seen.push_back(e.passed(mid));    // false: reserved after it
+    e.schedule(0, [&] {
+      // A FIFO event is later than every heap or lane entry due now.
+      seen.push_back(e.passed(mid));
+      seen.push_back(e.passed(late));
+    });
+  });
+  mid = e.reserve_at(10);
+  late = e.reserve_at(30);
+  e.schedule_at(10, [&] { seen.push_back(e.passed(mid)); });
+  EXPECT_FALSE(e.passed(early));  // not yet dispatching at all
+  e.run();
+  EXPECT_EQ(seen, (std::vector<bool>{true, false, true, true, false}));
+  // Draining moves the clock to the last ticket, as its event would have.
+  EXPECT_EQ(e.now(), 30);
+  EXPECT_TRUE(e.passed(late));
+  EXPECT_EQ(e.dispatched(), 3u);
+}
+
+TEST(Engine, RunUntilPassesEveryTicketUpToTheDeadline) {
+  Engine e;
+  const Engine::Ticket at_deadline = e.reserve_at(50);
+  const Engine::Ticket after = e.reserve_at(51);
+  e.schedule_at(50, [] {});
+  e.schedule_at(40, [] {});
+  e.run_until(50);
+  EXPECT_TRUE(e.passed(at_deadline));
+  EXPECT_FALSE(e.passed(after));
+  EXPECT_EQ(e.now(), 50);
+}
+
+/// Randomized differential check of reserve_at/passed/schedule_ticket: one
+/// seeded event script runs as `reference` (every reserved place is a real
+/// event, a no-op unless filled) and as `ticketed` (places are tickets,
+/// scheduled only when filled). Every event records its id, the time, and
+/// which open places have passed; fills go only to places not yet passed.
+/// The two traces must agree event for event.
+class TicketScript {
+ public:
+  explicit TicketScript(bool tickets) : tickets_(tickets), rng_(20261017) {}
+
+  std::vector<std::int64_t> run() {
+    for (int i = 0; i < 8; ++i) spawn(static_cast<Time>(rng_.below(4)));
+    for (int i = 0; i < 4; ++i) reserve(1 + static_cast<Time>(rng_.below(6)));
+    engine_.run();
+    trace_.push_back(engine_.now());
+    return trace_;
+  }
+  const Engine& engine() const { return engine_; }
+
+ private:
+  struct Place {
+    Engine::Ticket ticket;  // ticketed run
+    bool fired = false;     // reference run: its event has dispatched
+    bool filled = false;
+    int fill_id = 0;
+  };
+
+  void spawn(Time delay) {
+    const int id = next_id_++;
+    engine_.schedule(delay, [this, id] { on_event(id); });
+  }
+
+  void reserve(Time delay) {
+    const std::size_t k = places_.size();
+    places_.emplace_back();
+    open_.push_back(k);
+    if (tickets_) {
+      places_[k].ticket = engine_.reserve_at(engine_.now() + delay);
+      return;
+    }
+    engine_.schedule(delay, [this, k] {
+      places_[k].fired = true;
+      if (places_[k].filled) on_event(places_[k].fill_id);
+    });
+  }
+
+  bool passed(std::size_t k) const {
+    return tickets_ ? engine_.passed(places_[k].ticket) : places_[k].fired;
+  }
+
+  void on_event(int id) {
+    trace_.push_back(id);
+    trace_.push_back(engine_.now());
+    for (std::size_t i = 0; i < open_.size();) {
+      if (passed(open_[i])) {
+        trace_.push_back(-1 - static_cast<std::int64_t>(open_[i]));
+        open_[i] = open_.back();
+        open_.pop_back();
+      } else {
+        ++i;
+      }
+    }
+    if (next_id_ > 4000) return;
+    static constexpr Time kDelays[] = {0, 0, 1, 2, 3, 5, 8};
+    const std::uint64_t children = rng_.below(3);
+    for (std::uint64_t c = 0; c < children; ++c)
+      spawn(kDelays[rng_.below(std::size(kDelays))]);
+    if (rng_.below(3) == 0) reserve(kDelays[2 + rng_.below(5)]);
+    if (!open_.empty() && rng_.below(2) == 0) {
+      const std::size_t i = rng_.below(open_.size());
+      const std::size_t k = open_[i];
+      open_[i] = open_.back();
+      open_.pop_back();
+      Place& p = places_[k];
+      p.filled = true;
+      p.fill_id = next_id_++;
+      if (tickets_) {
+        const int fid = p.fill_id;
+        engine_.schedule_ticket(p.ticket, [this, fid] { on_event(fid); });
+      }
+    }
+  }
+
+  bool tickets_;
+  Rng rng_;
+  Engine engine_;
+  std::vector<Place> places_;
+  std::vector<std::size_t> open_;  // reserved, neither filled nor passed
+  std::vector<std::int64_t> trace_;
+  int next_id_ = 0;
+};
+
+TEST(Engine, TicketsMatchEagerSchedulingUnderRandomTies) {
+  debug::ViolationTrap trap;  // engine.dispatch_order must stay clean
+  TicketScript reference(false);
+  TicketScript ticketed(true);
+  const std::vector<std::int64_t> want = reference.run();
+  EXPECT_EQ(ticketed.run(), want);
+  EXPECT_TRUE(trap.empty());
+  // The unfilled places never became events.
+  EXPECT_LT(ticketed.engine().dispatched(), reference.engine().dispatched());
+  EXPECT_GT(want.size(), 4000u);
 }
 
 TEST(Resource, IdleResourceStartsImmediately) {

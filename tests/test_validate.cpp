@@ -214,6 +214,22 @@ TEST(Validate, CollChunkConservationDetected) {
   EXPECT_TRUE(trap.tripped("coll.chunk_conservation"));
 }
 
+TEST(Validate, CollBlocksSatisfiedDetected) {
+  SKIP_UNLESS_VALIDATE();
+  World w(5);
+  coll::OpBase& op =
+      w.comm->start_allgather(16 * 1024, coll::AllgatherAlgo::kMcast);
+  auto& mc = static_cast<coll::McastCollective&>(op);
+  const coll::OpResult res = w.comm->finish(op);
+  ASSERT_TRUE(res.data_verified);
+  debug::ViolationTrap trap;
+  EXPECT_TRUE(mc.validate_rank(2));
+  ASSERT_TRUE(trap.empty());
+  mc.test_skew_blocks_satisfied(2, 1);
+  EXPECT_FALSE(mc.validate_rank(2));
+  EXPECT_TRUE(trap.tripped("coll.blocks_satisfied"));
+}
+
 TEST(Validate, CollBarrierCreditBalanceDetected) {
   SKIP_UNLESS_VALIDATE();
   World w(5);
