@@ -52,10 +52,11 @@ void BM_StagingDepth(benchmark::State& state) {
     coll::OpBase& op =
         w.comm->start_broadcast(0, 8 * MiB, coll::BcastAlgo::kMcast);
     w.cluster->run_until_done([&op] { return op.done(); });
-    MCCL_CHECK(!op.failed());
-    dur = op.finish_time() - op.start_time();
+    const coll::OpResult& res = op.result();
+    MCCL_CHECK(!res.failed);
+    dur = res.duration();
     rnr = w.comm->ep(1).rnr_drops();
-    fetched = op.fetched_chunks();
+    fetched = res.fetched_chunks;
     bench::record_sim_time(state, dur);
   }
   state.counters["rnr_drops"] = static_cast<double>(rnr);
@@ -109,9 +110,10 @@ void BM_VirtualLanes(benchmark::State& state) {
     coll::OpBase& rs =
         w.comm->start_reduce_scatter(bytes, coll::ReduceScatterAlgo::kInc);
     w.cluster->run_until_done([&] { return ag.done() && rs.done(); });
-    MCCL_CHECK(!ag.failed() && !rs.failed());
-    dur = std::max(ag.finish_time(), rs.finish_time()) -
-          std::min(ag.start_time(), rs.start_time());
+    const coll::OpResult& a = ag.result();
+    const coll::OpResult& b = rs.result();
+    MCCL_CHECK(!a.failed && !b.failed);
+    dur = std::max(a.finish, b.finish) - std::min(a.start, b.start);
     bench::record_sim_time(state, dur);
   }
   state.counters["pair_us"] = to_microseconds(dur);

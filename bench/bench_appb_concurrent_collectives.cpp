@@ -18,9 +18,10 @@ Time run_pair(bench::World& w, bool optimal, std::uint64_t bytes) {
       bytes,
       optimal ? coll::ReduceScatterAlgo::kInc : coll::ReduceScatterAlgo::kRing);
   w.cluster->run_until_done([&] { return ag.done() && rs.done(); });
-  MCCL_CHECK(!ag.failed() && !rs.failed());
-  return std::max(ag.finish_time(), rs.finish_time()) -
-         std::min(ag.start_time(), rs.start_time());
+  const coll::OpResult& a = ag.result();
+  const coll::OpResult& b = rs.result();
+  MCCL_CHECK(!a.failed && !b.failed);
+  return std::max(a.finish, b.finish) - std::min(a.start, b.start);
 }
 
 void BM_Concurrent(benchmark::State& state) {

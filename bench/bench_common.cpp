@@ -99,7 +99,7 @@ DatapathResult run_datapath(World& w, std::uint64_t bytes) {
   coll::OpBase& op =
       w.comm->start_broadcast(0, bytes, coll::BcastAlgo::kMcast);
   w.cluster->run_until_done([&op] { return op.done(); });
-  MCCL_CHECK(!op.failed());
+  MCCL_CHECK(!op.result().failed);
 
   DatapathResult r;
   r.transfer = op.rank_phases(1).transfer;

@@ -323,20 +323,31 @@ bool run_case(std::uint64_t seed, bool chaos, RunOut* out) {
     led_degraded += sched.job(id).state == sched::JobState::kDegraded;
     led_shrunk += sched.job(id).shrunk_ranks;
   }
+  // Every issued op, failed attempts included, settles through
+  // OpBase::settle(), which publishes coll.* once per op.
+  const std::uint64_t issued = metric("sched.ops_issued");
+  const std::uint64_t coll_ops = telemetry::total_count(snap, "coll.ops");
+  const std::uint64_t coll_durations =
+      telemetry::total_count(snap, "coll.op_duration_us");
   if (metric("sched.retries") != led_retries ||
       metric("sched.requeues") != led_requeues ||
-      metric("sched.jobs_degraded") != led_degraded) {
+      metric("sched.jobs_degraded") != led_degraded || coll_ops != issued ||
+      coll_durations != issued) {
     std::fprintf(stderr,
                  "FAIL: seed %llu %s registry disagrees with ledger "
                  "(retries %llu vs %llu, requeues %llu vs %llu, degraded "
-                 "%llu vs %llu)\n",
+                 "%llu vs %llu, coll.ops %llu and coll.op_duration_us "
+                 "samples %llu vs %llu issued)\n",
                  static_cast<unsigned long long>(seed), mode,
                  static_cast<unsigned long long>(metric("sched.retries")),
                  static_cast<unsigned long long>(led_retries),
                  static_cast<unsigned long long>(metric("sched.requeues")),
                  static_cast<unsigned long long>(led_requeues),
                  static_cast<unsigned long long>(metric("sched.jobs_degraded")),
-                 static_cast<unsigned long long>(led_degraded));
+                 static_cast<unsigned long long>(led_degraded),
+                 static_cast<unsigned long long>(coll_ops),
+                 static_cast<unsigned long long>(coll_durations),
+                 static_cast<unsigned long long>(issued));
     return false;
   }
   if (!sched.conservation_ok() || !sched.retry_ledger_ok()) {

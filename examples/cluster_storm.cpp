@@ -139,16 +139,25 @@ bool run_mode(std::uint64_t seed, Mode mode, ModeOut* out) {
   };
   std::uint64_t ops_total = 0;
   for (const std::size_t id : ids) ops_total += sched.job(id).ops_done;
+  // Every scheduler op settles through OpBase::settle(), which publishes
+  // coll.* once per op.
+  const std::uint64_t coll_ops = telemetry::total_count(snap, "coll.ops");
+  const std::uint64_t coll_durations =
+      telemetry::total_count(snap, "coll.op_duration_us");
   if (metric("sched.jobs_completed") != completed ||
-      metric("sched.ops_issued") != ops_total) {
+      metric("sched.ops_issued") != ops_total || coll_ops != ops_total ||
+      coll_durations != ops_total) {
     std::fprintf(stderr,
                  "FAIL: seed %llu %s registry disagrees with ledger (jobs "
-                 "%llu vs %zu, ops %llu vs %llu)\n",
+                 "%llu vs %zu, ops %llu vs %llu, coll.ops %llu, "
+                 "coll.op_duration_us samples %llu)\n",
                  static_cast<unsigned long long>(seed), to_string(mode),
                  static_cast<unsigned long long>(metric("sched.jobs_completed")),
                  completed,
                  static_cast<unsigned long long>(metric("sched.ops_issued")),
-                 static_cast<unsigned long long>(ops_total));
+                 static_cast<unsigned long long>(ops_total),
+                 static_cast<unsigned long long>(coll_ops),
+                 static_cast<unsigned long long>(coll_durations));
     return false;
   }
   // Every admitted tenant must have charged its packets to its own

@@ -37,7 +37,7 @@ double run_once(coll::Transport transport, coll::EngineKind engine,
 
   coll::OpBase& op = comm.start_broadcast(0, 8 * MiB, coll::BcastAlgo::kMcast);
   cluster.run_until_done([&op] { return op.done(); });
-  if (op.failed()) {
+  if (op.result().failed) {
     std::fprintf(stderr, "dpa_offload: broadcast failed\n");
     std::exit(1);
   }

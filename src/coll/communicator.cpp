@@ -19,31 +19,18 @@ OpBase::OpBase(Communicator& comm, std::string name)
     : comm_(comm),
       name_(std::move(name)),
       id_(comm.cluster().next_op_id()),
-      finish_(comm.size(), 0),
       phases_(comm.size()),
-      crashed_(comm.size(), 0) {}
+      crashed_(comm.size(), 0) {
+  res_.rank_finish.assign(comm.size(), 0);
+}
 
 OpBase::~OpBase() = default;
 
 bool OpBase::done() const { return completed_ == comm_.size(); }
 
-Time OpBase::finish_time() const {
-  return *std::max_element(finish_.begin(), finish_.end());
-}
-
-Phases OpBase::max_phases() const {
-  Phases out;
-  for (const Phases& p : phases_) {
-    out.barrier = std::max(out.barrier, p.barrier);
-    out.transfer = std::max(out.transfer, p.transfer);
-    out.reliability = std::max(out.reliability, p.reliability);
-    out.handshake = std::max(out.handshake, p.handshake);
-  }
-  return out;
-}
-
 void OpBase::mark_started() {
-  start_time_ = comm_.cluster().engine().now();
+  res_.start = comm_.cluster().engine().now();
+  rnr_base_ = comm_.rnr_drops();
   comm_.note_op_started();
   // Ranks that crashed before this op started never participate: settle
   // their completion accounting up front so survivors alone gate done().
@@ -54,41 +41,34 @@ void OpBase::mark_started() {
 telemetry::Telemetry& OpBase::telem() { return comm_.cluster().telemetry(); }
 
 void OpBase::rank_done(std::size_t r) {
-  MCCL_CHECK(finish_[r] == 0);
-  finish_[r] = comm_.cluster().engine().now();
+  MCCL_CHECK(res_.rank_finish[r] == 0);
+  res_.rank_finish[r] = comm_.cluster().engine().now();
   ++completed_;
-  maybe_note_done();
+  settle();
 }
 
 void OpBase::note_rank_crashed(std::size_t r) {
   if (crashed_[r]) return;
   crashed_[r] = true;
-  if (failed_ || finish_[r] != 0) return;  // already accounted for
-  // finish_[r] == 0 is the "unfinished" sentinel; clamp a t=0 crash to 1ps.
-  finish_[r] = std::max<Time>(comm_.cluster().engine().now(), 1);
+  if (res_.failed || res_.rank_finish[r] != 0) return;  // already accounted
+  // 0 is the "unfinished" sentinel; clamp a t=0 crash to 1ps.
+  res_.rank_finish[r] = std::max<Time>(comm_.cluster().engine().now(), 1);
   ++completed_;
-  maybe_note_done();
-}
-
-std::vector<std::size_t> OpBase::crashed_ranks() const {
-  std::vector<std::size_t> out;
-  for (std::size_t r = 0; r < crashed_.size(); ++r)
-    if (crashed_[r]) out.push_back(r);
-  return out;
+  settle();
 }
 
 void OpBase::fail_op(std::string error) {
-  MCCL_CHECK(!failed_);
-  failed_ = true;
-  error_ = std::move(error);
+  MCCL_CHECK(!res_.failed);
+  res_.failed = true;
+  res_.error = std::move(error);
   const Time now = comm_.cluster().engine().now();
-  for (std::size_t r = 0; r < finish_.size(); ++r) {
-    if (finish_[r] == 0) {
-      finish_[r] = now;
+  for (Time& f : res_.rank_finish) {
+    if (f == 0) {
+      f = now;
       ++completed_;
     }
   }
-  maybe_note_done();
+  settle();
 }
 
 bool OpBase::verify_reduce_scatter(
@@ -111,12 +91,49 @@ bool OpBase::verify_reduce_scatter(
   return true;
 }
 
-void OpBase::maybe_note_done() {
-  if (done_noted_ || !done()) return;
-  done_noted_ = true;
+void OpBase::settle() {
+  if (settled_ || !done()) return;
+  settled_ = true;
+  OpResult& res = res_;
+  res.finish =
+      *std::max_element(res.rank_finish.begin(), res.rank_finish.end());
+  Phases& m = res.max_phases;
+  for (const Phases& p : phases_) {
+    m.barrier = std::max(m.barrier, p.barrier);
+    m.transfer = std::max(m.transfer, p.transfer);
+    m.reliability = std::max(m.reliability, p.reliability);
+    m.handshake = std::max(m.handshake, p.handshake);
+  }
+  res.status = res.failed                   ? OpStatus::kFailed
+               : res.missing_blocks.empty() ? OpStatus::kOk
+                                            : OpStatus::kPartial;
+  std::sort(res.missing_blocks.begin(), res.missing_blocks.end());
+  for (std::size_t r = 0; r < crashed_.size(); ++r)
+    if (crashed_[r]) res.crashed_ranks.push_back(r);
+  res.rnr_drops = comm_.rnr_drops() - rnr_base_;
+  // A watchdog-terminated op has incomplete buffers by definition; don't
+  // report synthetic-mode success for garbage. Partial completion verifies
+  // what survivors do hold (crashed ranks and abandoned blocks exempt).
+  res.data_verified = !res.failed && verify();
+  comm_.note_op_loss(res.fetched_chunks > 0 || res.rnr_drops > 0 ||
+                     res.failed);
+  // Surface slow-path counters through the metrics registry (incremental:
+  // op-scoped deltas accumulate communicator-wide, diffable via snapshots).
+  telemetry::MetricsRegistry& reg = telem().metrics;
+  reg.counter("coll.ops", {{"result", to_string(res.status)}}).add(1);
+  reg.counter("coll.fetched_chunks").add(res.fetched_chunks);
+  reg.counter("coll.fetch_retries").add(res.fetch_retries);
+  reg.counter("coll.fetch_failovers").add(res.fetch_failovers);
+  reg.counter("coll.rnr_drops").add(res.rnr_drops);
+  if (res.watchdog_fired) reg.counter("coll.watchdog_fired").add(1);
+  reg.counter("coll.reroots").add(res.reroots);
+  reg.counter("coll.missing_blocks").add(res.missing_blocks.size());
+  reg.counter("coll.adapt.slow_reroots").add(res.adapt_reroots);
+  reg.counter("coll.adapt.chain_demotions").add(res.chain_demotions);
+  reg.counter("coll.adapt.fetch_detours").add(res.fetch_detours);
+  reg.histogram("coll.op_duration_us", {{"op", name_}})
+      .observe(to_microseconds(res.duration()));
   comm_.note_op_finished();
-  // Fire after the communicator's own bookkeeping so the callback observes
-  // a fully settled op (detector deactivated, finish times final).
   if (on_done_) on_done_(*this);
 }
 
@@ -208,6 +225,12 @@ std::size_t Communicator::presumed_alive() const {
   for (std::size_t r = 0; r < size(); ++r)
     if (!rank_presumed_dead(r)) ++n;
   return n;
+}
+
+std::uint64_t Communicator::rnr_drops() const {
+  std::uint64_t total = 0;
+  for (const auto& ep : eps_) total += ep->rnr_drops();
+  return total;
 }
 
 void Communicator::note_op_started() {
@@ -351,56 +374,8 @@ OpBase& Communicator::start_barrier() {
 }
 
 OpResult Communicator::finish(OpBase& op) {
-  const std::uint64_t rnr_before = [&] {
-    std::uint64_t total = 0;
-    for (auto& ep : eps_) total += ep->rnr_drops();
-    return total;
-  }();
   cluster_.run_until_done([&op] { return op.done(); });
-  OpResult res;
-  res.start = op.start_time();
-  res.finish = op.finish_time();
-  res.rank_finish = op.rank_finish();
-  res.max_phases = op.max_phases();
-  res.fetched_chunks = op.fetched_chunks();
-  res.fetch_retries = op.fetch_retries();
-  res.fetch_failovers = op.fetch_failovers();
-  res.watchdog_fired = op.watchdog_fired();
-  res.failed = op.failed();
-  res.error = op.error();
-  res.status = op.status();
-  res.missing_blocks = op.missing_blocks();
-  std::sort(res.missing_blocks.begin(), res.missing_blocks.end());
-  res.crashed_ranks = op.crashed_ranks();
-  res.reroots = op.reroots();
-  res.adapt_reroots = op.adapt_reroots();
-  res.chain_demotions = op.chain_demotions();
-  res.fetch_detours = op.fetch_detours();
-  // A watchdog-terminated op has incomplete buffers by definition; don't
-  // report synthetic-mode success for garbage. Partial completion verifies
-  // what survivors do hold (crashed ranks and abandoned blocks exempt).
-  res.data_verified = !res.failed && op.verify();
-  std::uint64_t rnr_after = 0;
-  for (auto& ep : eps_) rnr_after += ep->rnr_drops();
-  res.rnr_drops = rnr_after - rnr_before;
-  note_op_loss(res.fetched_chunks > 0 || res.rnr_drops > 0 || res.failed);
-  // Surface slow-path counters through the metrics registry (incremental:
-  // op-scoped deltas accumulate communicator-wide, diffable via snapshots).
-  telemetry::MetricsRegistry& reg = cluster_.telemetry().metrics;
-  reg.counter("coll.ops", {{"result", to_string(res.status)}}).add(1);
-  reg.counter("coll.fetched_chunks").add(res.fetched_chunks);
-  reg.counter("coll.fetch_retries").add(res.fetch_retries);
-  reg.counter("coll.fetch_failovers").add(res.fetch_failovers);
-  reg.counter("coll.rnr_drops").add(res.rnr_drops);
-  if (res.watchdog_fired) reg.counter("coll.watchdog_fired").add(1);
-  reg.counter("coll.reroots").add(res.reroots);
-  reg.counter("coll.missing_blocks").add(res.missing_blocks.size());
-  reg.counter("coll.adapt.slow_reroots").add(res.adapt_reroots);
-  reg.counter("coll.adapt.chain_demotions").add(res.chain_demotions);
-  reg.counter("coll.adapt.fetch_detours").add(res.fetch_detours);
-  reg.histogram("coll.op_duration_us", {{"op", op.name()}})
-      .observe(to_microseconds(res.duration()));
-  return res;
+  return op.result();
 }
 
 void Communicator::note_op_loss(bool lossy) {

@@ -138,7 +138,8 @@ inline const char* to_string(OpStatus s) {
   return "?";
 }
 
-/// Result of a completed (blocking) collective.
+/// Result of a completed collective: OpBase::result(), settled once at the
+/// done event for blocking and non-blocking drivers alike.
 struct OpResult {
   Time start = 0;
   Time finish = 0;  // max completion over ranks
@@ -263,6 +264,8 @@ class Endpoint {
   /// Tops up the zero-length receive WRs consumed by UC write-with-imm.
   void top_up_uc_recvs(std::size_t subgroup);
 
+  /// RNR drops on this endpoint's own subgroup QPs (UD or UC): not the
+  /// NIC-wide count, which other communicators on the host share.
   std::uint64_t rnr_drops() const;
 
   /// Tracer row for this rank's protocol-phase spans (pid = rank, tid 0).
@@ -320,41 +323,26 @@ class OpBase {
   std::uint16_t id() const { return id_; }
   const std::string& name() const { return name_; }
   bool done() const;
-  Time start_time() const { return start_time_; }
-  Time finish_time() const;
-  const std::vector<Time>& rank_finish() const { return finish_; }
-  Phases max_phases() const;
+  /// The settled verdict; only valid once done().
+  const OpResult& result() const {
+    MCCL_CHECK(done());
+    return res_;
+  }
   const Phases& rank_phases(std::size_t r) const { return phases_[r]; }
-  std::uint64_t fetched_chunks() const { return fetched_chunks_; }
-  std::uint64_t fetch_retries() const { return fetch_retries_; }
-  std::uint64_t fetch_failovers() const { return fetch_failovers_; }
-  bool watchdog_fired() const { return watchdog_fired_; }
-  bool failed() const { return failed_; }
-  const std::string& error() const { return error_; }
-  OpStatus status() const {
-    if (failed_) return OpStatus::kFailed;
-    return missing_blocks_.empty() ? OpStatus::kOk : OpStatus::kPartial;
-  }
-  const std::vector<std::size_t>& missing_blocks() const {
-    return missing_blocks_;
-  }
-  std::uint64_t reroots() const { return reroots_; }
-  std::uint64_t adapt_reroots() const { return adapt_reroots_; }
-  std::uint64_t chain_demotions() const { return chain_demotions_; }
-  std::uint64_t fetch_detours() const { return fetch_detours_; }
   bool rank_crashed(std::size_t r) const { return crashed_[r] != 0; }
-  std::vector<std::size_t> crashed_ranks() const;
 
   /// Launches the op (records the start time, posts initial tasks).
   virtual void start() = 0;
-  /// Byte-for-byte output validation (true in synthetic mode).
+  /// Byte-for-byte output validation (true in synthetic mode). settle()
+  /// runs it once into result().data_verified; public as the reference
+  /// check.
   virtual bool verify() const = 0;
 
   /// Completion hook for non-blocking drivers (the cluster scheduler): runs
-  /// exactly once, from inside the engine, when the op transitions to
-  /// done() — whether it completed, failed, or was settled by crashes. Set
-  /// before or right after start(); the callback may start new ops but must
-  /// not destroy this one.
+  /// exactly once, from inside the engine, as the last step of settle(), so
+  /// result() is final — whether the op completed, failed, or was settled
+  /// by crashes. Set before or right after start(); the callback may start
+  /// new ops but must not destroy this one.
   void set_on_done(std::function<void(OpBase&)> fn) { on_done_ = std::move(fn); }
 
   /// Physical-crash channel (from the cluster's fault plane): settle the
@@ -387,7 +375,7 @@ class OpBase {
   telemetry::Telemetry& telem();
   /// Watchdog path: records the error, marks every unfinished rank complete
   /// at the current time so done() holds, and freezes further protocol
-  /// callbacks behind failed().
+  /// callbacks behind res_.failed.
   void fail_op(std::string error);
 
   /// Reduce-Scatter check for verify(): every surviving rank r's buffer
@@ -399,28 +387,21 @@ class OpBase {
   Communicator& comm_;
   std::string name_;
   std::uint16_t id_;
-  Time start_time_ = 0;
-  std::vector<Time> finish_;
+  /// The op's one result record. Protocol code writes its counters, start,
+  /// rank_finish (0 = unfinished), failed/error and missing_blocks here;
+  /// settle() derives the rest once done() holds.
+  OpResult res_;
   std::vector<Phases> phases_;
   std::size_t completed_ = 0;
-  std::uint64_t fetched_chunks_ = 0;
-  std::uint64_t fetch_retries_ = 0;
-  std::uint64_t fetch_failovers_ = 0;
-  bool watchdog_fired_ = false;
-  bool failed_ = false;
-  std::string error_;
   std::vector<char> crashed_;  // physically crashed ranks
-  std::vector<std::size_t> missing_blocks_;  // abandoned (sorted at finish)
-  std::uint64_t reroots_ = 0;
-  std::uint64_t adapt_reroots_ = 0;
-  std::uint64_t chain_demotions_ = 0;
-  std::uint64_t fetch_detours_ = 0;
 
  private:
-  /// Notifies the communicator exactly once when the op transitions to
-  /// done() (detector deactivation is refcounted on in-flight ops).
-  void maybe_note_done();
-  bool done_noted_ = false;
+  /// Runs exactly once, inside the engine, at the event that makes done()
+  /// true: finalizes res_, verifies, adapts the cutoff, publishes coll.*,
+  /// releases the detector and fires on_done.
+  void settle();
+  bool settled_ = false;
+  std::uint64_t rnr_base_ = 0;  // communicator RNR drops at mark_started()
   std::function<void(OpBase&)> on_done_;
 };
 
@@ -500,7 +481,7 @@ class Communicator {
   OpResult reduce_scatter(std::uint64_t block_bytes, ReduceScatterAlgo algo);
   OpResult barrier();
 
-  /// Runs the simulation until `op` completes and builds its result.
+  /// Runs the simulation until `op` completes and returns its result.
   OpResult finish(OpBase& op);
 
   /// Pairwise RC QP management (both directions created and connected).
@@ -526,6 +507,8 @@ class Communicator {
  private:
   friend class OpBase;
   void note_op_loss(bool lossy);
+  /// RNR drops on every rank's multicast subgroup QPs.
+  std::uint64_t rnr_drops() const;
   void on_host_crash(fabric::NodeId host, bool crashed);
 
   Cluster& cluster_;

@@ -190,7 +190,12 @@ void Endpoint::top_up_uc_recvs(std::size_t subgroup) {
   g.posted = slots;
 }
 
-std::uint64_t Endpoint::rnr_drops() const { return nic_.ud_rnr_drops(); }
+std::uint64_t Endpoint::rnr_drops() const {
+  std::uint64_t total = 0;
+  for (const Subgroup& g : subgroups_)
+    total += g.ud != nullptr ? g.ud->rnr_drops() : g.uc->rnr_drops();
+  return total;
+}
 
 void Endpoint::on_ctrl_cqe(const rdma::Cqe& cqe) {
   // Recycle the consumed control-receive credit.

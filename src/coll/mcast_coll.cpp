@@ -140,7 +140,7 @@ void McastCollective::start() {
   arm_watchdog();
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     if (rank_crashed(r)) continue;  // dead hosts run nothing
-    st_[r].t_start = start_time_;
+    st_[r].t_start = res_.start;
     barrier_kick(r);
     if (is_root(r)) {
       // Roots place their own block into the receive region through the
@@ -150,7 +150,7 @@ void McastCollective::start() {
       const std::uint64_t dst =
           s.recvbuf + static_cast<std::size_t>(s.root_index) * p_.block_bytes;
       ep.nic().post_local_copy(s.sendbuf, dst, p_.block_bytes, [this, r] {
-        if (failed_ || rank_crashed(r)) return;
+        if (res_.failed || rank_crashed(r)) return;
         RankState& s2 = st_[r];
         s2.local_copy_done = true;
         const auto own = static_cast<std::size_t>(s2.root_index);
@@ -280,7 +280,7 @@ void McastCollective::send_batch(std::size_t r, std::size_t sg,
                  ep.send_costs().send_post.stall * batch} +
       ep.send_costs().doorbell;
   auto task = [this, r, sg, pos, batch] {
-    if (failed_ || rank_crashed(r)) return;
+    if (res_.failed || rank_crashed(r)) return;
     Endpoint& ep = comm_.ep(r);
     RankState& s = st_[r];
     const IdxSpan indices = sg_indices(sg);
@@ -336,7 +336,7 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
     }
     comm_.ep(r).ctrl_send(root, {CtrlType::kChainToken, id(), 0});
     if (!s.peer_lagging[root]) break;
-    ++chain_demotions_;
+    ++res_.chain_demotions;
     telem().recorder.record(comm_.cluster().engine().now(),
                             static_cast<std::int32_t>(r),
                             telemetry::EventCat::kAdapt, "chain_demote", root,
@@ -352,7 +352,7 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
 
 void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
                                std::size_t sg, const rdma::Cqe& cqe) {
-  if (failed_ || rank_crashed(r)) return;
+  if (res_.failed || rank_crashed(r)) return;
   if (cqe.opcode == rdma::CqeOpcode::kSend) {
     on_subgroup_sent(r, sg);
     return;
@@ -417,7 +417,7 @@ void McastCollective::satisfy_block(std::size_t r, std::size_t block) {
 
 void McastCollective::check_data_complete(std::size_t r) {
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || s.data_complete || !s.barrier_done)
+  if (res_.failed || rank_crashed(r) || s.data_complete || !s.barrier_done)
     return;
   if (s.pending_copies > 0 || !s.local_copy_done || !all_blocks_satisfied(r))
     return;
@@ -485,7 +485,7 @@ void McastCollective::arm_cutoff(std::size_t r) {
 
 void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || gen != s.timer_gen || s.data_complete)
+  if (res_.failed || rank_crashed(r) || gen != s.timer_gen || s.data_complete)
     return;
   // Without the reliability layer there is no slow path; the watchdog is
   // the only thing standing between a lossy fabric and a hang.
@@ -535,7 +535,7 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
     if (static_cast<int>(b) == s.root_index) continue;
     if (s.block_received[b] < map_.chunks_per_block() &&
         !s.block_abandoned[b]) {
-      if (detoured) ++fetch_detours_;
+      if (detoured) ++res_.fetch_detours;
       start_fetch(r, b, tgt);
     }
   }
@@ -603,7 +603,7 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
                                      std::uint64_t gen) {
   RankState& s = st_[r];
   BlockFetch& f = s.fetch[block];
-  if (failed_ || rank_crashed(r) || !f.active || f.acked || gen != f.gen)
+  if (res_.failed || rank_crashed(r) || !f.active || f.acked || gen != f.gen)
     return;
   if (s.block_received[block] == map_.chunks_per_block()) return;
   if (s.block_abandoned[block]) return;
@@ -621,7 +621,7 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
     // Same target, another request: the original (or its ACK) may have
     // been lost on a degraded link.
     ++f.attempts;
-    ++fetch_retries_;
+    ++res_.fetch_retries;
     f.sent_at = comm_.cluster().engine().now();
     telemetry::Telemetry& te = telem();
     te.recorder.record(comm_.cluster().engine().now(),
@@ -661,14 +661,14 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
     if (alt != f.target && alt != r && !s.peer_lagging[alt] &&
         topo.distance(here, comm_.ep(alt).host()) <= base_dist) {
       next = alt;
-      ++fetch_detours_;
+      ++res_.fetch_detours;
       telem().recorder.record(comm_.cluster().engine().now(),
                               static_cast<std::int32_t>(r),
                               telemetry::EventCat::kAdapt, "fetch_detour",
                               block, next);
     }
   }
-  ++fetch_failovers_;
+  ++res_.fetch_failovers;
   f.target = next;
   f.attempts = 1;
   f.sent_at = comm_.cluster().engine().now();
@@ -689,7 +689,7 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
 void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
                                    std::size_t src) {
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || s.data_complete) return;
+  if (res_.failed || rank_crashed(r) || s.data_complete) return;
   if (s.block_abandoned[block]) return;  // decided dead while the ACK flew
   BlockFetch& f = s.fetch[block];
   if (f.acked) return;  // duplicate ACK (retry raced the original)
@@ -721,13 +721,13 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
     if (s.pending_fetches == 0) check_data_complete(r);
     return;
   }
-  fetched_chunks_ += missing.size();
+  res_.fetched_chunks += missing.size();
   Endpoint& ep = comm_.ep(r);
   s.pending_fetches += missing.size();
   f.reads_outstanding = missing.size();
   for (const std::uint32_t id32 : missing) {
     auto task = [this, r, src, id32] {
-      if (failed_ || rank_crashed(r)) return;
+      if (res_.failed || rank_crashed(r)) return;
       RankState& s2 = st_[r];
       Endpoint& ep2 = comm_.ep(r);
       rdma::SendFlags flags;
@@ -749,7 +749,7 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
 
 void McastCollective::on_read_done(std::size_t r, const rdma::Cqe& cqe) {
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r)) return;
+  if (res_.failed || rank_crashed(r)) return;
   MCCL_CHECK(cqe.opcode == rdma::CqeOpcode::kRead);
   const std::uint32_t id32 = static_cast<std::uint32_t>(cqe.wr_id);
   set_chunk(r, id32);  // may be a duplicate if multicast raced the fetch
@@ -769,7 +769,7 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
                                              std::size_t peer) {
   const std::size_t r = observer;
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || s.peer_dead[peer]) return;
+  if (res_.failed || rank_crashed(r) || s.peer_dead[peer]) return;
   s.peer_dead[peer] = 1;
   note_repair(r);
   // (1) Barrier: credit rounds whose token sender just died.
@@ -846,7 +846,7 @@ void McastCollective::repair_fetches(std::size_t r, std::size_t dead) {
       s.pending_fetches -= f.reads_outstanding;
       f.reads_outstanding = 0;
     }
-    ++fetch_failovers_;
+    ++res_.fetch_failovers;
     telem().recorder.record(comm_.cluster().engine().now(),
                             static_cast<std::int32_t>(r),
                             telemetry::EventCat::kColl, "fetch_dead_target",
@@ -859,7 +859,7 @@ void McastCollective::repair_fetches(std::size_t r, std::size_t dead) {
       continue;
     }
     if (det) {
-      ++fetch_detours_;
+      ++res_.fetch_detours;
       telem().recorder.record(comm_.cluster().engine().now(),
                               static_cast<std::int32_t>(r),
                               telemetry::EventCat::kAdapt, "fetch_detour", b,
@@ -949,7 +949,7 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
   if (holder < P) {
     s.block_decision[block] = 1;
     s.block_new_root[block] = holder;
-    ++reroots_;
+    ++res_.reroots;
     te.recorder.record(now, static_cast<std::int32_t>(r),
                        telemetry::EventCat::kColl, "block_reroot", block,
                        holder);
@@ -961,9 +961,9 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
     // Degraded completion: record the block as unrecoverable at op level
     // (once — several coordinators can reach the same verdict for
     // different blocks, not the same one, but be safe).
-    if (std::find(missing_blocks_.begin(), missing_blocks_.end(), block) ==
-        missing_blocks_.end())
-      missing_blocks_.push_back(block);
+    std::vector<std::size_t>& missing = res_.missing_blocks;
+    if (std::find(missing.begin(), missing.end(), block) == missing.end())
+      missing.push_back(block);
     te.recorder.record(now, static_cast<std::int32_t>(r),
                        telemetry::EventCat::kColl, "block_dead", block,
                        s.block_root[block]);
@@ -1094,7 +1094,7 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
                                    bool slow) {
   const std::size_t r = observer;
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || s.op_done) return;
+  if (res_.failed || rank_crashed(r) || s.op_done) return;
   if (s.peer_lagging[peer] == static_cast<char>(slow ? 1 : 0)) return;
   s.peer_lagging[peer] = slow ? 1 : 0;
   // A clear only stops future avoidance: detours and re-roots already made
@@ -1122,7 +1122,7 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
     bool det = false;
     const std::size_t next = fetch_target_of(r, r, &det);
     if (next == r || next == peer || s.peer_lagging[next]) continue;
-    ++fetch_detours_;
+    ++res_.fetch_detours;
     telem().recorder.record(comm_.cluster().engine().now(),
                             static_cast<std::int32_t>(r),
                             telemetry::EventCat::kAdapt, "fetch_detour", b,
@@ -1152,7 +1152,7 @@ void McastCollective::report_slow_root(std::size_t r, std::size_t block) {
 void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
                                           std::size_t src, bool holds_full) {
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r)) return;
+  if (res_.failed || rank_crashed(r)) return;
   if (!holds_full) return;  // only a full holder can take ownership
   if (s.slow_decision[block] != 0 || s.block_decision[block] != 0 ||
       s.block_abandoned[block])
@@ -1170,7 +1170,7 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
       "%zu/%zu chunks",
       r, block, s.block_received[block], map_.chunks_per_block());
   s.slow_decision[block] = 1;
-  ++adapt_reroots_;
+  ++res_.adapt_reroots;
   const Time now = comm_.cluster().engine().now();
   telemetry::Telemetry& te = telem();
   te.recorder.record(now, static_cast<std::int32_t>(r),
@@ -1211,8 +1211,8 @@ void McastCollective::arm_watchdog() {
 }
 
 void McastCollective::on_watchdog() {
-  if (done() || failed_) return;
-  watchdog_fired_ = true;
+  if (done() || res_.failed) return;
+  res_.watchdog_fired = true;
   const Time now = comm_.cluster().engine().now();
   // Record the verdict per stuck rank, then dump the flight recorder: the
   // merged tail of recent packet/QP/collective/fault events around each
@@ -1246,7 +1246,7 @@ void McastCollective::on_watchdog() {
 void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
                               std::size_t src, const rdma::Cqe& cqe) {
   (void)cqe;
-  if (failed_ || rank_crashed(r)) return;
+  if (res_.failed || rank_crashed(r)) return;
   RankState& s = st_[r];
   switch (msg.type) {
     case CtrlType::kBarrier: {
@@ -1311,7 +1311,7 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
 
 void McastCollective::check_op_done(std::size_t r) {
   RankState& s = st_[r];
-  if (failed_ || rank_crashed(r) || s.op_done || !s.data_complete) return;
+  if (res_.failed || rank_crashed(r) || s.op_done || !s.data_complete) return;
   // Wait for the Final of whoever currently counts us as *their* left-alive
   // neighbor: our right-alive neighbor. A sole survivor waits on nobody.
   const std::size_t ra = right_alive_of(r);

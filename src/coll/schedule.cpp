@@ -433,10 +433,11 @@ void ScheduleOp::advance(std::size_t r, std::uint32_t i) {
   MCCL_CHECK(s.unmet[i] != kNone);
   complete(r, i);
   pump(r);
-  if (s.open > 0 || finish_[r] != 0) return;  // busy, done or crashed
+  // Busy, done or crashed.
+  if (s.open > 0 || res_.rank_finish[r] != 0) return;
   Phases& ph = phases_[r];
   (plan_.coll == Coll::kBarrier ? ph.barrier : ph.transfer) =
-      comm_.cluster().engine().now() - start_time_;
+      comm_.cluster().engine().now() - res_.start;
   rank_done(r);
   if (done()) release();
 }

@@ -190,24 +190,24 @@ void ClusterScheduler::issue_next(std::size_t id) {
           ? rec.comm->start_allgather(rec.spec.bytes, rec.spec.ag_algo)
           : rec.comm->start_broadcast(rec.launch_root, rec.spec.bytes,
                                       rec.spec.bc_algo);
-  op.set_on_done([this, id](coll::OpBase& o) { on_op_done(id, o); });
+  op.set_on_done(
+      [this, id](coll::OpBase& o) { on_op_done(id, o.result()); });
 }
 
-void ClusterScheduler::on_op_done(std::size_t id, coll::OpBase& op) {
+void ClusterScheduler::on_op_done(std::size_t id, const coll::OpResult& res) {
   JobRecord& rec = jobs_[id];
-  const bool clean =
-      !op.failed() && op.status() == coll::OpStatus::kOk && op.verify();
+  const bool clean = res.status == coll::OpStatus::kOk && res.data_verified;
   // kPartial with verified survivor data is acceptable progress for
   // tenants that opted in (bulk training prefers a lost block over a lost
   // job); everything else climbs the failure-policy ladder.
-  const bool degraded = !clean && !op.failed() &&
-                        op.status() == coll::OpStatus::kPartial &&
-                        rec.spec.on_failure.accept_partial && op.verify();
+  const bool degraded = res.status == coll::OpStatus::kPartial &&
+                        res.data_verified &&
+                        rec.spec.on_failure.accept_partial;
   if (!clean && !degraded) {
-    on_op_failure(id, op);
+    on_op_failure(id, res);
     return;
   }
-  const double lat_us = to_microseconds(op.finish_time() - op.start_time());
+  const double lat_us = to_microseconds(res.duration());
   if (clean) {
     ++rec.ops_done;
   } else {
@@ -220,14 +220,13 @@ void ClusterScheduler::on_op_done(std::size_t id, coll::OpBase& op) {
   // root block (a partial broadcast lost exactly that, so it moves 0).
   if (rec.spec.coll == CollKind::kAllgather)
     rec.bytes_moved +=
-        rec.spec.bytes * (rec.comm->size() - op.missing_blocks().size());
+        rec.spec.bytes * (rec.comm->size() - res.missing_blocks.size());
   else if (clean)
     rec.bytes_moved += rec.spec.bytes;
   cluster_.telemetry()
       .metrics.histogram("sched.op_latency_us", {{"tenant", rec.spec.name}})
       .observe(lat_us);
-  if (rec.spec.slo_target != 0 &&
-      op.finish_time() - op.start_time() > rec.spec.slo_target)
+  if (rec.spec.slo_target != 0 && res.duration() > rec.spec.slo_target)
     ++rec.slo_misses;
   if (rec.ops_done + rec.ops_degraded < rec.spec.num_ops) {
     if (rec.spec.gap == 0) {
@@ -243,7 +242,8 @@ void ClusterScheduler::on_op_done(std::size_t id, coll::OpBase& op) {
   pump_queue();
 }
 
-void ClusterScheduler::on_op_failure(std::size_t id, coll::OpBase& op) {
+void ClusterScheduler::on_op_failure(std::size_t id,
+                                     const coll::OpResult& res) {
   JobRecord& rec = jobs_[id];
   const FailurePolicy& pol = rec.spec.on_failure;
   const Time now = cluster_.engine().now();
@@ -251,7 +251,7 @@ void ClusterScheduler::on_op_failure(std::size_t id, coll::OpBase& op) {
   if (rec.cycle_first_failure == 0) rec.cycle_first_failure = now;
   cluster_.telemetry().recorder.record(
       now, -1, telemetry::EventCat::kSched, "op_fail", id,
-      static_cast<std::uint64_t>(op.status()));
+      static_cast<std::uint64_t>(res.status));
   // Rung 1: in-place retry with exponential backoff, bounded by both the
   // per-cycle count and the deadline budget from the cycle's first
   // failure. The communicator is shrunk off presumed-dead ranks first, so

@@ -164,10 +164,10 @@ class ClusterScheduler {
   /// given a prior communicator — confirmed by its failure detector).
   std::vector<fabric::NodeId> surviving_hosts(const JobRecord& rec) const;
   void issue_next(std::size_t id);
-  void on_op_done(std::size_t id, coll::OpBase& op);
+  void on_op_done(std::size_t id, const coll::OpResult& res);
   /// Escalation ladder for a failed op attempt: accept-partial was already
   /// refused upstream, so shrink+retry, requeue, or settle kFailed.
-  void on_op_failure(std::size_t id, coll::OpBase& op);
+  void on_op_failure(std::size_t id, const coll::OpResult& res);
   /// Shrinks the communicator off presumed-dead ranks ahead of a retry.
   /// Returns false when fewer than two ranks survive (job unsalvageable).
   bool shrink_for_retry(std::size_t id);

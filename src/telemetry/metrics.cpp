@@ -149,6 +149,13 @@ Snapshot MetricsRegistry::snapshot() {
   return snap;
 }
 
+std::uint64_t total_count(const Snapshot& snap, std::string_view name) {
+  std::uint64_t total = 0;
+  for (const auto& [key, v] : snap)
+    if (v.name == name) total += v.count;
+  return total;
+}
+
 Snapshot MetricsRegistry::diff(const Snapshot& later, const Snapshot& earlier) {
   Snapshot out;
   for (const auto& [k, v] : later) {

@@ -77,6 +77,9 @@ struct MetricValue {
 /// Snapshot: full-key -> value, sorted (deterministic JSON / stable diff).
 using Snapshot = std::map<std::string, MetricValue>;
 
+/// Sum of `count` over every label set of metric `name` in `snap`.
+std::uint64_t total_count(const Snapshot& snap, std::string_view name);
+
 class MetricsRegistry {
  public:
   struct Options {

@@ -192,7 +192,7 @@ TEST(McastAllgather, PhaseBreakdownSumsToDuration) {
   for (std::size_t r = 0; r < 6; ++r) {
     const Phases& ph = op.rank_phases(r);
     const Time sum = ph.total();
-    const Time actual = op.rank_finish()[r] - op.start_time();
+    const Time actual = op.result().rank_finish[r] - op.result().start;
     EXPECT_EQ(sum, actual) << "rank " << r;
   }
 }

@@ -50,6 +50,26 @@ TEST(McastBroadcast, SubgroupsSplitTraffic) {
                   .data_verified);
 }
 
+// settle() verifies at the event that completes the op; checking again
+// after the run must agree, for both datapaths.
+TEST(McastBroadcast, SettledVerdictMatchesReferenceVerifyUd) {
+  World w(4);
+  OpBase& op = w.comm->start_broadcast(1, 96 * 1024 + 5, BcastAlgo::kMcast);
+  const OpResult res = w.comm->finish(op);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_EQ(op.verify(), res.data_verified);
+}
+
+TEST(McastBroadcast, SettledVerdictMatchesReferenceVerifyUc) {
+  CommConfig cfg;
+  cfg.transport = Transport::kUcMcast;
+  World w(4, cfg);
+  OpBase& op = w.comm->start_broadcast(1, 96 * 1024 + 5, BcastAlgo::kMcast);
+  const OpResult res = w.comm->finish(op);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_EQ(op.verify(), res.data_verified);
+}
+
 TEST(McastBroadcast, UcTransportNoStaging) {
   CommConfig cfg;
   cfg.transport = Transport::kUcMcast;

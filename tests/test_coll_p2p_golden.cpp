@@ -55,26 +55,30 @@ Golden run_case(const Case& c) {
     ids.push_back(static_cast<fabric::NodeId>(h));
   Communicator comm(cluster, ids);
 
-  OpResult res;
+  OpBase* op = nullptr;
   switch (c.kind) {
     case Kind::kBcast:
-      res = comm.broadcast(kBcastRoot, kBcastBytes,
-                           static_cast<BcastAlgo>(c.algo));
+      op = &comm.start_broadcast(kBcastRoot, kBcastBytes,
+                                 static_cast<BcastAlgo>(c.algo));
       break;
     case Kind::kAllgather:
-      res = comm.allgather(kAllgatherBytes,
-                           static_cast<AllgatherAlgo>(c.algo));
+      op = &comm.start_allgather(kAllgatherBytes,
+                                 static_cast<AllgatherAlgo>(c.algo));
       break;
     case Kind::kReduceScatter:
-      res = comm.reduce_scatter(kRsBlockBytes,
-                                static_cast<ReduceScatterAlgo>(c.algo));
+      op = &comm.start_reduce_scatter(kRsBlockBytes,
+                                      static_cast<ReduceScatterAlgo>(c.algo));
       break;
     case Kind::kBarrier:
-      res = comm.barrier();
+      op = &comm.start_barrier();
       break;
   }
+  const OpResult res = comm.finish(*op);
   EXPECT_EQ(res.status, OpStatus::kOk) << c.name;
   EXPECT_TRUE(res.data_verified) << c.name;
+  // settle() verified at the done event; the buffers it saw are the final
+  // ones.
+  EXPECT_EQ(op->verify(), res.data_verified) << c.name;
   const auto t = cluster.fabric().traffic();
   return Golden{res.rank_finish,
                 {res.max_phases.barrier, res.max_phases.transfer,

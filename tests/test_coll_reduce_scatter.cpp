@@ -105,7 +105,7 @@ TEST(Concurrent, AgRsRingRingSharesBothPaths) {
   a.cluster->run_until_done([&] { return ag1.done() && rs1.done(); });
   EXPECT_TRUE(ag1.verify());
   EXPECT_TRUE(rs1.verify());
-  const Time t_ring = std::max(ag1.finish_time(), rs1.finish_time());
+  const Time t_ring = std::max(ag1.result().finish, rs1.result().finish);
 
   World b(P, cfg);
   OpBase& ag2 = b.comm->start_allgather(N, AllgatherAlgo::kMcast);
@@ -113,7 +113,7 @@ TEST(Concurrent, AgRsRingRingSharesBothPaths) {
   b.cluster->run_until_done([&] { return ag2.done() && rs2.done(); });
   EXPECT_TRUE(ag2.verify());
   EXPECT_TRUE(rs2.verify());
-  const Time t_opt = std::max(ag2.finish_time(), rs2.finish_time());
+  const Time t_opt = std::max(ag2.result().finish, rs2.result().finish);
 
   EXPECT_LT(t_opt, t_ring);
 }

@@ -140,6 +140,46 @@ TEST(Reliability, RnrDropsRecovered) {
   EXPECT_GT(res.rnr_drops + res.fetched_chunks, 0u);
 }
 
+TEST(Reliability, UcRnrDropsAreReported) {
+  // UC write-with-immediate consumes a blank receive per chunk; a tiny
+  // credit pool on a slowed receiver runs dry under a burst and the NIC
+  // drops completions. The op's result must count them (they are on the UC
+  // subgroup QPs).
+  CommConfig cfg = quick_recovery();
+  cfg.transport = Transport::kUcMcast;
+  cfg.staging_slots = 2;
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::straggler_begin(0, 1, 20.0)};
+  World w(3, cfg, kcfg);
+  const OpResult res = w.comm->broadcast(0, 512 * 1024, BcastAlgo::kMcast);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_GT(res.rnr_drops, 0u);
+  EXPECT_GT(res.fetched_chunks, 0u);
+}
+
+TEST(Reliability, RnrDropsStayWithTheirCommunicator) {
+  // Two communicators on the same hosts run at once. Only the one with a
+  // starved staging ring drops; the other's result must not inherit those
+  // drops through the shared NICs.
+  Cluster cluster(fabric::make_star(3, {}), {});
+  CommConfig starved = quick_recovery();
+  starved.staging_slots = 4;
+  Communicator lossy(cluster, {0, 1, 2}, starved);
+  Communicator clean(cluster, {0, 1, 2}, quick_recovery());
+  OpBase& a = lossy.start_broadcast(0, 512 * 1024, BcastAlgo::kMcast);
+  OpBase& b = clean.start_broadcast(1, 1024 * 1024, BcastAlgo::kMcast);
+  const OpResult rb = clean.finish(b);
+  const OpResult ra = lossy.finish(a);
+  EXPECT_TRUE(ra.data_verified);
+  EXPECT_TRUE(rb.data_verified);
+  EXPECT_GT(ra.rnr_drops, 0u);
+  EXPECT_EQ(rb.rnr_drops, 0u);
+  EXPECT_EQ(ra.rnr_drops + rb.rnr_drops,
+            cluster.nic(0).ud_rnr_drops() + cluster.nic(1).ud_rnr_drops() +
+                cluster.nic(2).ud_rnr_drops());
+}
+
 TEST(Reliability, DropsOnControlPlaneAreAbsorbedByRc) {
   // Control packets (barrier, final) ride RC: random loss there must only
   // delay, never corrupt.

@@ -786,5 +786,74 @@ TEST(ClusterSched, FatTree3K16ClusterSmoke) {
   EXPECT_TRUE(sched.conservation_ok());
 }
 
+// --- One settle path: scheduler ops settle like blocking ones ------------
+
+TEST(ClusterSched, OnDoneSeesTheSettledResult) {
+  coll::Cluster cluster = one_leaf_cluster();
+  coll::Communicator comm(cluster, {0, 1, 2, 3});
+  coll::OpBase& op =
+      comm.start_allgather(64 * KiB, coll::AllgatherAlgo::kMcast);
+  int calls = 0;
+  coll::OpResult seen;
+  op.set_on_done([&](coll::OpBase& o) {
+    ++calls;
+    seen = o.result();
+  });
+  const coll::OpResult res = comm.finish(op);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(seen.status, coll::OpStatus::kOk);
+  EXPECT_TRUE(seen.data_verified);
+  EXPECT_GT(seen.finish, seen.start);
+  EXPECT_EQ(seen.start, res.start);
+  EXPECT_EQ(seen.finish, res.finish);
+  EXPECT_EQ(seen.rank_finish, res.rank_finish);
+  EXPECT_EQ(seen.max_phases.total(), res.max_phases.total());
+  EXPECT_EQ(seen.data_verified, res.data_verified);
+}
+
+TEST(ClusterSched, ScheduledOpsReachCollMetrics) {
+  coll::Cluster cluster = one_leaf_cluster();
+  ClusterScheduler sched(cluster);
+  sched.submit(make_job(1, {0, 1}, CollKind::kAllgather, 64 * KiB, 3));
+  sched.submit(make_job(2, {2, 3}, CollKind::kBroadcast, 64 * KiB, 2));
+  sched.run();
+  const telemetry::Snapshot snap = cluster.telemetry().metrics.snapshot();
+  EXPECT_EQ(metric_count(cluster, "sched.ops_issued"), 5u);
+  EXPECT_EQ(metric_count(cluster, "coll.ops{result=ok}"), 5u);
+  EXPECT_EQ(telemetry::total_count(snap, "coll.ops"), 5u);
+  EXPECT_EQ(telemetry::total_count(snap, "coll.op_duration_us"), 5u);
+}
+
+TEST(ClusterSched, LossyOpTightensCutoffForTheJobsNextOp) {
+  // Drop the first multicast chunk of every op on its way to host 1: each
+  // op recovers it over the slow path, so each settles lossy and halves
+  // the communicator's cutoff slack before the job's next op starts.
+  coll::Cluster cluster = one_leaf_cluster();
+  ClusterScheduler sched(cluster);
+  const std::size_t id =
+      sched.submit(make_job(1, {0, 1, 2, 3}, CollKind::kAllgather, 64 * KiB,
+                            2));
+  std::vector<std::uint8_t> tags;
+  std::vector<Time> alpha_at_drop;  // the cutoff slack each op runs with
+  cluster.fabric().set_drop_filter(
+      [&](fabric::NodeId, fabric::NodeId to, const fabric::Packet& p) {
+        if (p.th.op != fabric::TransportOp::kUdSend || to != 1) return false;
+        const std::uint8_t tag = coll::imm_op_tag(p.th.imm);
+        if (std::find(tags.begin(), tags.end(), tag) != tags.end())
+          return false;
+        tags.push_back(tag);
+        alpha_at_drop.push_back(
+            sched.job(id).comm->effective_cutoff_alpha());
+        return true;
+      });
+  sched.run();
+  const JobRecord& rec = sched.job(id);
+  ASSERT_EQ(rec.state, JobState::kCompleted);
+  const Time alpha = rec.spec.comm.cutoff_alpha;
+  EXPECT_EQ(alpha_at_drop, (std::vector<Time>{alpha, alpha / 2}));
+  EXPECT_EQ(rec.comm->effective_cutoff_alpha(), alpha / 4);
+  EXPECT_GE(metric_count(cluster, "coll.fetched_chunks"), 2u);
+}
+
 }  // namespace
 }  // namespace mccl::sched

@@ -4,7 +4,7 @@ int waited(coll::Communicator& comm, coll::Cluster& cluster) {
   coll::OpBase& op =
       comm.start_allgather(1024, coll::AllgatherAlgo::kMcast);
   cluster.run_until_done([&op] { return op.done(); });
-  return op.failed() ? 1 : 0;
+  return op.result().failed ? 1 : 0;
 }
 
 void finished(coll::Communicator& comm) {

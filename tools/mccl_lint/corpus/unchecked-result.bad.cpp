@@ -18,3 +18,12 @@ void wait_no_check(coll::Communicator& comm, coll::Cluster& cluster) {
       comm.start_broadcast(0, 64, coll::BcastAlgo::kMcast);
   cluster.run_until_done([&op] { return op.done(); });
 }
+
+// Timed from the per-rank phases, but result() is never consulted: a
+// failed op's phase timers describe no delivered data.
+void phases_only(coll::Communicator& comm, coll::Cluster& cluster) {
+  coll::OpBase& op =
+      comm.start_broadcast(0, 64, coll::BcastAlgo::kMcast);
+  cluster.run_until_done([&op] { return op.done(); });
+  record(op.rank_phases(1).transfer);
+}

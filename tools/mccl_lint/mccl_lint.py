@@ -69,9 +69,9 @@ examples/, tests/ and bench/:
                      or escaping by return / function argument) silently
                      swallows kPartial / kFailed. Same for a start_*-bound
                      OpBase that is waited on but never status-checked
-                     (verify() / failed() / status() / finish() /
-                     set_on_done), and for a blocking collective whose
-                     OpResult is discarded outright.
+                     (result() / verify() / finish() / set_on_done), and
+                     for a blocking collective whose OpResult is discarded
+                     outright.
   lambda-escape      src/ only. By-reference lambda captures passed to
                      Engine::schedule / schedule_at / post escape into
                      engine callbacks that outlive the enclosing frame --
@@ -159,9 +159,9 @@ BLOCKING_COLLS = ("broadcast", "allgather", "reduce_scatter", "barrier")
 # Methods on OpResult that constitute a status check.
 RESULT_STATUS_MEMBERS = ("status", "failed", "data_verified", "error",
                          "missing_blocks", "watchdog_fired", "crashed_ranks")
-# Methods on OpBase that constitute a status check.
-OP_STATUS_METHODS = ("verify", "failed", "status", "missing_blocks", "error",
-                     "watchdog_fired")
+# Methods on OpBase that constitute a status check: the settled OpResult,
+# or the reference verify().
+OP_STATUS_METHODS = ("result", "verify")
 
 OPBASE_BIND_RE = re.compile(
     r"\b(?:(?:coll::)?OpBase|auto)\s*&\s*([A-Za-z_]\w*)\s*=")
@@ -475,7 +475,7 @@ def check_unchecked_result(ctx, violations):
         if not checked:
             emit(violations, ctx, call.line, "unchecked-result",
                  "OpBase '%s' from '%s' is waited on but never "
-                 "status-checked (verify()/failed()/status()): a partial "
+                 "status-checked (result()/verify()): a partial "
                  "or failed op completes silently" % (name, call.name))
     # Blocking collective whose OpResult is dropped on the floor.
     for call in model.find_calls(BLOCKING_COLLS):
@@ -792,7 +792,7 @@ CLEAN_TESTS = [
      "  coll::OpBase& op =\n"
      "      comm.start_allgather(1024, coll::AllgatherAlgo::kMcast);\n"
      "  cluster.run_until_done([&op] { return op.done(); });\n"
-     "  if (op.failed()) return 1;\n"
+     "  if (op.result().status != coll::OpStatus::kOk) return 1;\n"
      "  const coll::OpResult res =\n"
      "      comm.allgather(64, coll::AllgatherAlgo::kRing);\n"
      "  if (res.status != coll::OpStatus::kOk) return 1;\n"
