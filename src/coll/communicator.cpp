@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "src/coll/mcast_coll.hpp"
 #include "src/debug/validate.hpp"
@@ -84,7 +85,9 @@ bool OpBase::verify_reduce_scatter(
     for (std::uint64_t i = 0; i < want.size(); ++i)
       for (std::size_t o = 0; o < P; ++o) want[i] += rs_value(o, r, i);
     const float* got = reinterpret_cast<const float*>(
-        comm_.ep(r).nic().memory().span(recvbuf(r), block_bytes).data());
+        std::as_const(comm_.ep(r).nic().memory())
+            .span(recvbuf(r), block_bytes)
+            .data());
     for (std::uint64_t i = 0; i < n; ++i)
       if (got[i] != want[i % want.size()]) return false;
   }

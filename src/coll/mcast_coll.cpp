@@ -72,7 +72,10 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
                                       p_.block_bytes * map_.blocks, rkey_);
     for (std::size_t b = 0; b < p_.roots.size(); ++b)
       if (p_.roots[b] == r) s.root_index = static_cast<int>(b);
-    if (fill) fill_pattern(mem, s.sendbuf, p_.block_bytes, id(), r);
+    // Only roots read their send buffer (local copy and multicast sends); a
+    // reroot fetches the block from the new root's receive buffer.
+    if (fill && s.root_index >= 0)
+      fill_pattern(mem, s.sendbuf, p_.block_bytes, id(), r);
 
     s.barrier_seen.assign(barrier_rounds_ == 0 ? 1 : barrier_rounds_, 0);
     s.barrier_credited.assign(barrier_rounds_ == 0 ? 1 : barrier_rounds_, 0);

@@ -30,7 +30,7 @@ inline void fill_pattern(rdma::HostMemory& mem, std::uint64_t addr,
                          std::uint64_t len, std::uint16_t op,
                          std::size_t origin) {
   const auto period = pattern_period(op, origin);
-  std::uint8_t* p = mem.span(addr, len).data();
+  std::uint8_t* p = mem.overwrite(addr, len).data();
   for (std::uint64_t i = 0; i < len; i += period.size())
     std::memcpy(p + i, period.data(),
                 std::min<std::uint64_t>(period.size(), len - i));
@@ -58,7 +58,7 @@ inline float rs_value(std::size_t origin, std::size_t block,
 inline void fill_rs_block(rdma::HostMemory& mem, std::uint64_t addr,
                           std::uint64_t bytes, std::size_t origin,
                           std::size_t block) {
-  float* p = reinterpret_cast<float*>(mem.span(addr, bytes).data());
+  float* p = reinterpret_cast<float*>(mem.overwrite(addr, bytes).data());
   for (std::uint64_t i = 0; i < bytes / sizeof(float); ++i)
     p[i] = rs_value(origin, block, i);
 }

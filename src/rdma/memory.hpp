@@ -6,6 +6,11 @@
 // registration mirrors verbs: a region gets a local key and a remote key;
 // one-sided operations name (raddr, rkey) and are bounds-checked against the
 // registration, exactly the failure mode a real HCA enforces.
+//
+// A backed allocation is its own block, zeroed lazily one 4 KiB page at a
+// time: a page is zeroed when something first reads it or writes part of it,
+// while a write or overwrite() that covers it whole skips the zeroing. Every
+// byte never written still reads as zero; pages nobody touches cost nothing.
 #pragma once
 
 #include <algorithm>
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/debug/validate.hpp"
 #include "src/fabric/packet.hpp"
 
 namespace mccl::rdma {
@@ -43,14 +49,19 @@ class HostMemory {
   bool backed() const { return backed_; }
 
   /// Bump allocation; simulation arenas are never freed piecemeal. In a
-  /// backed arena every allocation gets its own zeroed block, so alignment
-  /// padding and align_brk() gaps cost nothing and idle hosts cost nothing.
+  /// backed arena every allocation gets its own block that reads as zero
+  /// and is zeroed page by page on first touch, so alignment padding,
+  /// align_brk() gaps, idle hosts and overwritten pages cost nothing.
   std::uint64_t alloc(std::uint64_t len, std::uint64_t align = 64) {
     std::uint64_t base = (brk_ + align - 1) / align * align;
     MCCL_CHECK_MSG(base + len <= capacity_, "host memory exhausted");
     brk_ = base + len;
-    if (backed_ && len > 0)
-      blocks_.push_back({base, len, std::make_unique<std::uint8_t[]>(len)});
+    if (backed_ && len > 0) {
+      const std::uint64_t pages = (len + kPage - 1) / kPage;
+      blocks_.push_back({base, len,
+                         std::make_unique_for_overwrite<std::uint8_t[]>(len),
+                         std::vector<bool>(pages, false), pages});
+    }
     return base;
   }
 
@@ -73,17 +84,30 @@ class HostMemory {
   /// Cached send snapshots overlapping the range are dropped, since the
   /// caller may scribble through the view.
   std::span<std::uint8_t> span(std::uint64_t addr, std::uint64_t len) {
-    std::uint8_t* p = locate(addr, len);
+    std::uint8_t* p = locate(addr, len, Access::kRead);
     invalidate(addr, len);
     return {p, len};
   }
   std::span<const std::uint8_t> span(std::uint64_t addr,
                                      std::uint64_t len) const {
-    return {locate(addr, len), len};
+    return {locate(addr, len, Access::kRead), len};
+  }
+
+  /// Mutable view for a producer that writes every byte of [addr, addr+len)
+  /// before reading any: pages the range covers whole are not zeroed first.
+  /// In MCCL_VALIDATE builds the whole range starts as kPoison instead, so a
+  /// producer that leaves bytes unwritten fails verification every time.
+  std::span<std::uint8_t> overwrite(std::uint64_t addr, std::uint64_t len) {
+    std::uint8_t* p = locate(addr, len, Access::kWrite);
+    invalidate(addr, len);
+    if constexpr (debug::kValidate) {
+      if (len > 0) std::memset(p, kPoison, len);
+    }
+    return {p, len};
   }
 
   void write(std::uint64_t addr, const std::uint8_t* src, std::uint64_t len) {
-    std::uint8_t* dst = locate(addr, len);
+    std::uint8_t* dst = locate(addr, len, Access::kWrite);
     // In-flight packets holding slices keep the pre-write bytes (by design
     // — they were "serialized" when the send was pumped).
     invalidate(addr, len);
@@ -91,9 +115,13 @@ class HostMemory {
   }
 
   void read(std::uint64_t addr, std::uint8_t* dst, std::uint64_t len) const {
-    const std::uint8_t* src = locate(addr, len);
+    const std::uint8_t* src = locate(addr, len, Access::kRead);
     if (len > 0) std::memcpy(dst, src, len);
   }
+
+  /// What overwrite() hands out in MCCL_VALIDATE builds before the producer
+  /// writes it.
+  static constexpr std::uint8_t kPoison = 0xA5;
 
   /// Zero-copy send path: an immutable shared slice of this arena's bytes
   /// as of now. Slices are cut from a small LRU cache of window-sized
@@ -116,6 +144,8 @@ class HostMemory {
         std::max(addr & ~(kSnapshotWindow - 1), b.base);
     const std::uint64_t end =
         std::min(std::max(addr + len, base + kSnapshotWindow), b.base + b.len);
+    if (b.untouched != 0)
+      materialize(b, base - b.base, end - base, Access::kRead);
     Snapshot* victim = &snaps_[0];
     for (Snapshot& s : snaps_) {
       if (s.data == nullptr) {
@@ -136,14 +166,22 @@ class HostMemory {
   struct Block {
     std::uint64_t base;
     std::uint64_t len;
-    std::unique_ptr<std::uint8_t[]> bytes;
+    std::unique_ptr<std::uint8_t[]> bytes;  // uninitialized until touched
+    // Pages (kPage bytes from `base`) already zeroed or wholly written, and
+    // how many are not; const readers materialize pages too.
+    mutable std::vector<bool> touched;
+    mutable std::uint64_t untouched;
   };
+  /// Read-type accesses zero every untouched page they cover; writes zero
+  /// only the untouched pages they cover in part.
+  enum class Access { kRead, kWrite };
   struct Snapshot {
     std::shared_ptr<std::vector<std::uint8_t>> data;
     std::uint64_t base = 0;
     std::uint64_t last_use = 0;
   };
   static constexpr std::uint64_t kSnapshotWindow = std::uint64_t{1} << 18;
+  static constexpr std::uint64_t kPage = 4096;
 
   /// The allocation holding [addr, addr+len): binary search over the
   /// allocation bases, which the bump allocator keeps sorted.
@@ -158,14 +196,33 @@ class HostMemory {
     return *std::prev(it);
   }
 
-  /// Host pointer of `addr`; a zero-length access needs no allocation.
-  std::uint8_t* locate(std::uint64_t addr, std::uint64_t len) const {
+  /// Host pointer of `addr`, with the pages of the range materialized for
+  /// `access`; a zero-length access needs no allocation.
+  std::uint8_t* locate(std::uint64_t addr, std::uint64_t len,
+                       Access access) const {
     if (len == 0) {
       MCCL_CHECK_MSG(backed_, "access to an unbacked (timing-only) arena");
       return nullptr;
     }
     const Block& b = block_of(addr, len);
+    if (b.untouched != 0) materialize(b, addr - b.base, len, access);
     return b.bytes.get() + (addr - b.base);
+  }
+
+  /// Marks the untouched pages of block bytes [off, off+len) touched,
+  /// zeroing those the access reads or leaves partly unwritten.
+  static void materialize(const Block& b, std::uint64_t off, std::uint64_t len,
+                          Access access) {
+    const std::uint64_t end = off + len;
+    for (std::uint64_t p = off / kPage; p * kPage < end; ++p) {
+      if (b.touched[p]) continue;
+      b.touched[p] = true;
+      --b.untouched;
+      const std::uint64_t lo = p * kPage;
+      const std::uint64_t hi = std::min(lo + kPage, b.len);
+      if (access == Access::kRead || off > lo || end < hi)
+        std::memset(b.bytes.get() + lo, 0, hi - lo);
+    }
   }
 
   void invalidate(std::uint64_t addr, std::uint64_t len) {

@@ -2,7 +2,10 @@
 // (timing-only) mode used by large synthetic benchmarks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -10,6 +13,44 @@
 
 namespace mccl::rdma {
 namespace {
+
+constexpr std::uint64_t kPage = 4096;
+
+/// Frees a `len`-byte heap block full of 0xEE, so the next block of that size
+/// likely reuses it: a page that skipped its zeroing then reads garbage.
+void dirty_heap(std::uint64_t len) {
+  auto* p = new std::uint8_t[len];
+  volatile std::uint8_t* v = p;
+  for (std::uint64_t i = 0; i < len; ++i) v[i] = 0xEE;
+  delete[] p;
+}
+
+/// A backed block of `len` bytes carved from a dirtied heap block.
+std::uint64_t dirty_alloc(HostMemory& m, std::uint64_t len) {
+  dirty_heap(len);
+  return m.alloc(len, kPage);
+}
+
+std::vector<std::uint8_t> read_all(const HostMemory& m, std::uint64_t addr,
+                                   std::uint64_t len) {
+  std::vector<std::uint8_t> out(len, 0x11);
+  m.read(addr, out.data(), len);
+  return out;
+}
+
+/// `len` zero bytes with `bytes` placed at `at`.
+std::vector<std::uint8_t> zeros_with(std::uint64_t len, std::uint64_t at,
+                                     const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t> want(len, 0);
+  std::copy(bytes.begin(), bytes.end(), want.begin() + at);
+  return want;
+}
+
+std::vector<std::uint8_t> ramp(std::uint64_t len, std::uint8_t first = 1) {
+  std::vector<std::uint8_t> v(len);
+  std::iota(v.begin(), v.end(), first);
+  return v;
+}
 
 TEST(HostMemory, AllocAlignsAndAdvances) {
   HostMemory m(1 << 20);
@@ -125,6 +166,74 @@ TEST(HostMemory, SnapshotServesLatestBytesWithinItsAllocation) {
   const fabric::Payload again = m.snapshot_slice(a, 4);
   EXPECT_EQ(again.data(), second.data());
   EXPECT_EQ(m.snapshot_slice(b, 4).data()[0], 9);
+}
+
+TEST(HostMemory, UntouchedPagesReadZeroThroughEveryReader) {
+  HostMemory m(1 << 20);
+  const auto a = dirty_alloc(m, 3 * kPage + 100);
+  EXPECT_EQ(read_all(m, a, kPage), std::vector<std::uint8_t>(kPage, 0));
+  for (std::uint8_t byte : std::as_const(m).span(a + kPage, kPage))
+    EXPECT_EQ(byte, 0);
+  const fabric::Payload tail = m.snapshot_slice(a + 2 * kPage, kPage + 100);
+  EXPECT_EQ(std::vector<std::uint8_t>(tail.data(), tail.data() + tail.size()),
+            std::vector<std::uint8_t>(kPage + 100, 0));
+}
+
+TEST(HostMemory, PartialWritesLeaveTheRestOfTheirPagesZero) {
+  HostMemory m(1 << 20);
+  const std::uint64_t len = 3 * kPage + 100;  // not a page multiple
+  const auto a = dirty_alloc(m, len);
+  const auto x = ramp(64);
+  m.write(a + 100, x.data(), x.size());                // inside page 0
+  m.write(a + 2 * kPage - 32, x.data(), x.size());     // straddles 1 and 2
+  m.write(a + 3 * kPage + 10, x.data(), 20);           // inside the tail page
+  std::vector<std::uint8_t> want = zeros_with(len, 100, x);
+  std::copy(x.begin(), x.end(), want.begin() + 2 * kPage - 32);
+  std::copy(x.begin(), x.begin() + 20, want.begin() + 3 * kPage + 10);
+  EXPECT_EQ(read_all(m, a, len), want);
+}
+
+TEST(HostMemory, WholePageWritesKeepNeighboursZero) {
+  HostMemory m(1 << 20);
+  const std::uint64_t len = 3 * kPage + 100;
+  const auto a = dirty_alloc(m, len);
+  const auto page = ramp(kPage);
+  const auto tail = ramp(100, 7);
+  m.write(a + kPage, page.data(), page.size());
+  m.write(a + 3 * kPage, tail.data(), tail.size());  // the whole short tail
+  std::vector<std::uint8_t> want = zeros_with(len, kPage, page);
+  std::copy(tail.begin(), tail.end(), want.begin() + 3 * kPage);
+  EXPECT_EQ(read_all(m, a, len), want);
+}
+
+TEST(HostMemory, OverwriteReadsBackExactlyTheWrittenBytes) {
+  HostMemory m(1 << 20);
+  const std::uint64_t len = 3 * kPage + 100;
+  const auto a = dirty_alloc(m, len);
+  const auto x = ramp(2 * kPage + 50, 3);
+  const std::span<std::uint8_t> out = m.overwrite(a + 40, x.size());
+  std::copy(x.begin(), x.end(), out.begin());
+  // Bytes of partly covered pages outside the range still read zero.
+  EXPECT_EQ(read_all(m, a, len), zeros_with(len, 40, x));
+}
+
+TEST(HostMemory, SnapshotOfPartlyWrittenBlockServesZeros) {
+  HostMemory m(1 << 20);
+  const std::uint64_t len = 2 * kPage + 100;
+  const auto a = dirty_alloc(m, len);
+  const auto x = ramp(16);
+  m.write(a + kPage + 8, x.data(), x.size());
+  // The window spans the whole block, including pages nobody touched.
+  const fabric::Payload s = m.snapshot_slice(a + kPage, 64);
+  EXPECT_EQ(std::vector<std::uint8_t>(s.data(), s.data() + 64),
+            zeros_with(64, 8, x));
+  const fabric::Payload rest = m.snapshot_slice(a + 2 * kPage, 100);
+  EXPECT_EQ(rest.data(), s.data() + kPage);  // same window
+  EXPECT_EQ(std::vector<std::uint8_t>(rest.data(), rest.data() + 100),
+            std::vector<std::uint8_t>(100, 0));
+  const fabric::Payload head = m.snapshot_slice(a, kPage);
+  EXPECT_EQ(std::vector<std::uint8_t>(head.data(), head.data() + kPage),
+            std::vector<std::uint8_t>(kPage, 0));
 }
 
 TEST(MrTable, SequentialKeys) {

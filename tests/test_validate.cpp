@@ -7,7 +7,10 @@
 // observes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "src/coll/mcast_coll.hpp"
@@ -228,6 +231,31 @@ TEST(Validate, CollBlocksSatisfiedDetected) {
   mc.test_skew_blocks_satisfied(2, 1);
   EXPECT_FALSE(mc.validate_rank(2));
   EXPECT_TRUE(trap.tripped("coll.blocks_satisfied"));
+}
+
+TEST(Validate, ShortOverwriteReadsPoisonAndFailsVerify) {
+  SKIP_UNLESS_VALIDATE();
+  World w(3);
+  constexpr std::uint64_t kBytes = 16 * 1024;
+  coll::OpBase& op =
+      w.comm->start_broadcast(0, kBytes, coll::BcastAlgo::kMcast);
+  auto& mc = static_cast<coll::McastCollective&>(op);
+  ASSERT_TRUE(w.comm->finish(op).data_verified);
+  // Rank 1 refills its received block through overwrite() but stops at half.
+  rdma::HostMemory& mem = w.comm->ep(1).nic().memory();
+  const std::uint64_t addr = mc.recvbuf_addr(1);
+  std::vector<std::uint8_t> good(kBytes);
+  mem.read(addr, good.data(), kBytes);
+  std::span<std::uint8_t> out = mem.overwrite(addr, kBytes);
+  std::copy(good.begin(), good.begin() + kBytes / 2, out.begin());
+  EXPECT_EQ(std::as_const(mem).span(addr + kBytes / 2, 1)[0],
+            rdma::HostMemory::kPoison);
+  EXPECT_EQ(std::as_const(mem).span(addr + kBytes - 1, 1)[0],
+            rdma::HostMemory::kPoison);
+  EXPECT_FALSE(op.verify());
+  out = mem.overwrite(addr, kBytes);  // a complete fill passes again
+  std::copy(good.begin(), good.end(), out.begin());
+  EXPECT_TRUE(op.verify());
 }
 
 TEST(Validate, CollBarrierCreditBalanceDetected) {
