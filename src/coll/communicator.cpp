@@ -23,9 +23,16 @@ OpBase::OpBase(Communicator& comm, std::string name)
       phases_(comm.size()),
       crashed_(comm.size(), 0) {
   res_.rank_finish.assign(comm.size(), 0);
+  if (id_ >= comm.op_by_id_.size()) comm.op_by_id_.resize(id_ + 1, nullptr);
+  comm.op_by_id_[id_] = this;
 }
 
 OpBase::~OpBase() = default;
+
+void OpBase::on_ctrl(std::size_t, const CtrlMsg&, std::size_t,
+                     const rdma::Cqe&) {
+  MCCL_CHECK_MSG(false, "control message for unknown collective");
+}
 
 bool OpBase::done() const { return completed_ == comm_.size(); }
 
@@ -177,40 +184,49 @@ Communicator::Communicator(Cluster& cluster,
       });
   if (config_.adapt.enabled)
     health_ = std::make_unique<HealthMonitor>(*this, config_.adapt);
-  if (config_.detector.enabled) {
+  if (config_.detector.enabled)
     detector_ = std::make_unique<FailureDetector>(*this, config_.detector);
-    // Heartbeats and death notices travel on the reserved op id 0
-    // (Cluster::next_op_id starts at 1, so no collective ever claims it).
-    // The health monitor piggybacks on the same control-plane event: gap
-    // samples cost nothing extra.
-    for (auto& ep : eps_) {
-      const std::size_t r = ep->rank();
-      ep->register_ctrl(0, [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe&) {
-        if (m.type == CtrlType::kHeartbeat) {
-          detector_->on_heartbeat(r, src);
-          if (health_) health_->on_heartbeat(r, src);
-        } else if (m.type == CtrlType::kDead) {
-          detector_->on_dead_notice(r, src, m.arg);
-        }
-      });
-    }
-    detector_->add_listener([this](std::size_t observer, std::size_t peer) {
-      for (auto& op : ops_)
-        if (!op->done()) op->on_peer_confirmed_dead(observer, peer);
-    });
-  }
-  if (health_) {
-    health_->add_listener(
-        [this](std::size_t observer, std::size_t peer, bool slow) {
-          for (auto& op : ops_)
-            if (!op->done()) op->on_peer_slow(observer, peer, slow);
-        });
-  }
 }
 
 Communicator::~Communicator() {
   cluster_.remove_crash_listener(crash_listener_id_);
+}
+
+void Communicator::on_detector_msg(std::size_t r, const CtrlMsg& msg,
+                                   std::size_t src) {
+  // The health monitor piggybacks on the heartbeat: gap samples cost
+  // nothing extra.
+  if (msg.type == CtrlType::kHeartbeat) {
+    detector_->on_heartbeat(r, src);
+    if (health_) health_->on_heartbeat(r, src);
+  } else if (msg.type == CtrlType::kDead) {
+    detector_->on_dead_notice(r, src, msg.arg);
+  }
+}
+
+void Communicator::notify_peer_dead(std::size_t observer, std::size_t peer) {
+  for (auto& op : ops_)
+    if (!op->done()) op->on_peer_confirmed_dead(observer, peer);
+}
+
+void Communicator::notify_peer_slow(std::size_t observer, std::size_t peer,
+                                   bool slow) {
+  for (auto& op : ops_)
+    if (!op->done()) op->on_peer_slow(observer, peer, slow);
+}
+
+std::uint8_t Communicator::claim_mcast_tag(McastCollective* op) {
+  if (next_tag_ == 0) ++next_tag_;
+  const std::uint8_t tag = next_tag_++;
+  const McastCollective* prev = op_by_tag_[tag];
+  MCCL_VALIDATE_THAT(prev == nullptr || prev->done(), "coll.tag_alias",
+                     "op %u claims fast-path tag %u while op %u still runs "
+                     "on it",
+                     static_cast<unsigned>(op->id()),
+                     static_cast<unsigned>(tag),
+                     static_cast<unsigned>(prev->id()));
+  op_by_tag_[tag] = op;
+  return tag;
 }
 
 void Communicator::on_host_crash(fabric::NodeId host, bool crashed) {

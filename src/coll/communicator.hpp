@@ -14,6 +14,7 @@
 //    of the P2P baselines and the reliability fetch layer.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -31,6 +32,7 @@
 namespace mccl::coll {
 
 class Communicator;
+class McastCollective;
 class OpBase;
 
 enum class Transport : std::uint8_t {
@@ -195,18 +197,12 @@ enum class ReduceScatterAlgo : std::uint8_t { kRing, kInc };
 // Endpoint: per-rank resources
 // ---------------------------------------------------------------------------
 
+/// A rank's workers, CQs and QPs. Its CQE entry points find the owning op
+/// through the communicator's op tables (control/data messages and send
+/// completions by op id, fast-path chunks by the 8-bit tag) and call the
+/// op's hooks directly.
 class Endpoint {
  public:
-  /// Handler for control-plane messages addressed to one collective op.
-  using CtrlHandler =
-      std::function<void(const CtrlMsg&, std::size_t src_rank,
-                         const rdma::Cqe&)>;
-  /// Handler for fast-path chunk arrivals (runs on a receive worker, after
-  /// the per-CQE datapath cost has been charged).
-  using ChunkHandler =
-      std::function<void(std::uint32_t chunk, std::size_t subgroup,
-                         const rdma::Cqe&)>;
-
   Endpoint(Communicator& comm, std::size_t rank, fabric::NodeId host);
 
   std::size_t rank() const { return rank_; }
@@ -233,18 +229,12 @@ class Endpoint {
   // --- control plane -------------------------------------------------------
   /// Posts a control message to `peer` (charged on the app worker).
   void ctrl_send(std::size_t peer, const CtrlMsg& msg);
-  void register_ctrl(std::uint16_t op, CtrlHandler handler);
-  void unregister_ctrl(std::uint16_t op);
 
   // --- P2P data plane (baselines + fetch layer) -----------------------------
   /// Completions of data-plane messages are dispatched like control
-  /// messages: the immediate encodes a CtrlMsg naming the op.
+  /// messages: the immediate encodes a CtrlMsg naming the op. Send and RDMA
+  /// Read completions name the op in the high half of their wr_id.
   rdma::RcQp& data_qp(std::size_t peer);
-  /// Registers the handler for this op's RDMA Read completions (fetch layer)
-  /// and data sends (wr_id-keyed).
-  void register_read_handler(std::uint16_t op,
-                             std::function<void(const rdma::Cqe&)> handler);
-  void unregister_read_handler(std::uint16_t op);
 
   // --- multicast fast path ---------------------------------------------------
   struct Subgroup {
@@ -257,8 +247,6 @@ class Endpoint {
   };
   Subgroup& subgroup(std::size_t s) { return subgroups_[s]; }
   std::size_t num_subgroups() const { return subgroups_.size(); }
-  void register_mcast_op(std::uint8_t tag, ChunkHandler handler);
-  void unregister_mcast_op(std::uint8_t tag);
   /// Reposts a UD staging slot after its copy drained (UD datapath step 4).
   void repost_staging(std::size_t subgroup, std::uint64_t slot_addr);
   /// Tops up the zero-length receive WRs consumed by UC write-with-imm.
@@ -275,8 +263,10 @@ class Endpoint {
   friend class Communicator;
   void setup_workers();
   void setup_subgroups();
-  void on_ctrl_cqe(const rdma::Cqe& cqe);
-  void on_data_cqe(const rdma::Cqe& cqe);
+  /// Control-QP (`ctrl` true: recycles the receive credit) and data-QP
+  /// receive completions: op id 0 feeds the detector, any other id goes to
+  /// its op's on_ctrl.
+  void on_msg_cqe(const rdma::Cqe& cqe, bool ctrl);
   void on_data_send_cqe(const rdma::Cqe& cqe);
   void on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe);
 
@@ -300,12 +290,6 @@ class Endpoint {
   // once per control message, so the lookup is a plain vector load.
   std::vector<rdma::RcQp*> ctrl_qps_;
   std::vector<rdma::RcQp*> data_qps_;
-  std::unordered_map<std::uint16_t, CtrlHandler> ctrl_handlers_;
-  std::unordered_map<std::uint16_t, std::function<void(const rdma::Cqe&)>>
-      read_handlers_;
-  // Indexed by the 8-bit fast-path op tag, grown to the highest tag
-  // registered; an empty handler is a finished (or never started) op.
-  std::vector<ChunkHandler> mcast_ops_;
   std::vector<Subgroup> subgroups_;
 };
 
@@ -366,6 +350,17 @@ class OpBase {
     (void)observer;
     (void)peer;
     (void)slow;
+  }
+  /// Control-QP or data-QP message `msg` from `src` arrived at rank `r`
+  /// (Endpoint dispatch by op id). The default fails: an op that sends no
+  /// control messages must never receive one.
+  virtual void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
+                       const rdma::Cqe& cqe);
+  /// Data-send CQ completion (signaled send or RDMA Read) at rank `r` whose
+  /// wr_id names this op. The default ignores it: not every op tracks them.
+  virtual void on_send_done(std::size_t r, const rdma::Cqe& cqe) {
+    (void)r;
+    (void)cqe;
   }
 
  protected:
@@ -466,6 +461,16 @@ class Communicator {
   /// Op-lifecycle hooks (detector activation refcount).
   void note_op_started();
   void note_op_finished();
+  /// Detector notice: `observer` confirmed `peer` dead. Forwards to every
+  /// op still in flight (OpBase::on_peer_confirmed_dead).
+  void notify_peer_dead(std::size_t observer, std::size_t peer);
+  /// Health-monitor notice: `observer` marked `peer` slow (or cleared it).
+  /// Forwards to every op still in flight (OpBase::on_peer_slow).
+  void notify_peer_slow(std::size_t observer, std::size_t peer, bool slow);
+  /// Takes the next fast-path op tag (8 bits, 1..255, recycled) for `op`,
+  /// which owns it until a later op claims it again. Validate builds report
+  /// "coll.tag_alias" when the previous owner is still running.
+  std::uint8_t claim_mcast_tag(McastCollective* op);
 
   // --- non-blocking API ------------------------------------------------------
   OpBase& start_broadcast(std::size_t root, std::uint64_t bytes,
@@ -505,7 +510,15 @@ class Communicator {
   }
 
  private:
+  friend class Endpoint;
   friend class OpBase;
+  /// The op with this id, or null (id 0, or an op of another communicator).
+  OpBase* find_op(std::uint16_t id) const {
+    return id < op_by_id_.size() ? op_by_id_[id] : nullptr;
+  }
+  /// Op-id-0 control message at rank `r`: heartbeats feed the detector and
+  /// the health monitor, kDead notices the detector. Requires the detector.
+  void on_detector_msg(std::size_t r, const CtrlMsg& msg, std::size_t src);
   void note_op_loss(bool lossy);
   /// RNR drops on every rank's multicast subgroup QPs.
   std::uint64_t rnr_drops() const;
@@ -518,19 +531,18 @@ class Communicator {
   std::unordered_map<fabric::NodeId, std::size_t> rank_of_;
   std::vector<fabric::McastGroupId> groups_;  // one per subgroup
   std::vector<std::unique_ptr<OpBase>> ops_;
+  // Op tables, one entry per op (not per rank). Every op lives in ops_
+  // until the communicator dies, so an entry never dangles. Indexed by op
+  // id (below 4096, grown on demand; 0 stays null) ...
+  std::vector<OpBase*> op_by_id_;
+  // ... and by the 8-bit fast-path tag (0 never claimed).
+  std::array<McastCollective*, 256> op_by_tag_{};
   std::unique_ptr<FailureDetector> detector_;
   std::unique_ptr<HealthMonitor> health_;
   std::uint64_t subgroup_repins_ = 0;
   std::vector<char> host_crashed_;
   std::uint64_t crash_listener_id_ = 0;
   std::uint8_t next_tag_ = 1;
-
- public:
-  /// Allocates the next fast-path op tag (8 bits, recycled modulo 256).
-  std::uint8_t next_mcast_tag() {
-    if (next_tag_ == 0) ++next_tag_;
-    return next_tag_++;
-  }
 };
 
 }  // namespace mccl::coll

@@ -33,7 +33,7 @@ enum class CtrlType : std::uint8_t {
   // Crash tolerance. Heartbeats ride the same RC control mesh as everything
   // else, between ring neighbours only (failure_detector.hpp).
   // They are addressed to the reserved op id 0, which no collective ever
-  // uses — the communicator's failure detector registers that handler.
+  // uses — the endpoint hands op id 0 to the communicator's detector.
   kHeartbeat = 7,    // lease renewal (arg unused)
   // Root-repair protocol, run when a block's root is confirmed dead. Every
   // survivor reports to the block's coordinator (first alive rank right of

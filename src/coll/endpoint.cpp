@@ -1,4 +1,5 @@
 #include "src/coll/communicator.hpp"
+#include "src/coll/mcast_coll.hpp"
 
 namespace mccl::coll {
 
@@ -69,10 +70,10 @@ void Endpoint::setup_workers() {
   data_rcq_ = &nic_.create_cq();
   data_scq_ = &nic_.create_cq();
   app_worker_->subscribe(
-      *ctrl_rcq_, [this](const rdma::Cqe& cqe) { on_ctrl_cqe(cqe); },
+      *ctrl_rcq_, [this](const rdma::Cqe& cqe) { on_msg_cqe(cqe, true); },
       cpu_costs_.control);
   app_worker_->subscribe(
-      *data_rcq_, [this](const rdma::Cqe& cqe) { on_data_cqe(cqe); },
+      *data_rcq_, [this](const rdma::Cqe& cqe) { on_msg_cqe(cqe, false); },
       cpu_costs_.control);
   app_worker_->subscribe(
       *data_scq_, [this](const rdma::Cqe& cqe) { on_data_send_cqe(cqe); },
@@ -145,32 +146,8 @@ void Endpoint::ctrl_send(std::size_t peer, const CtrlMsg& msg) {
   });
 }
 
-void Endpoint::register_ctrl(std::uint16_t op, CtrlHandler handler) {
-  ctrl_handlers_[op] = std::move(handler);
-}
-
-void Endpoint::unregister_ctrl(std::uint16_t op) { ctrl_handlers_.erase(op); }
-
 rdma::RcQp& Endpoint::data_qp(std::size_t peer) {
   return comm_.data_qp(rank_, peer);
-}
-
-void Endpoint::register_read_handler(
-    std::uint16_t op, std::function<void(const rdma::Cqe&)> handler) {
-  read_handlers_[op] = std::move(handler);
-}
-
-void Endpoint::unregister_read_handler(std::uint16_t op) {
-  read_handlers_.erase(op);
-}
-
-void Endpoint::register_mcast_op(std::uint8_t tag, ChunkHandler handler) {
-  if (tag >= mcast_ops_.size()) mcast_ops_.resize(std::size_t{tag} + 1);
-  mcast_ops_[tag] = std::move(handler);
-}
-
-void Endpoint::unregister_mcast_op(std::uint8_t tag) {
-  if (tag < mcast_ops_.size()) mcast_ops_[tag] = nullptr;
 }
 
 void Endpoint::repost_staging(std::size_t subgroup, std::uint64_t slot_addr) {
@@ -197,35 +174,31 @@ std::uint64_t Endpoint::rnr_drops() const {
   return total;
 }
 
-void Endpoint::on_ctrl_cqe(const rdma::Cqe& cqe) {
-  // Recycle the consumed control-receive credit.
-  rdma::Qp* qp = nic_.find_qp(cqe.qpn);
-  MCCL_CHECK(qp != nullptr);
-  qp->post_recv({});
+// mccl-lint: begin-hot coll-dispatch
+void Endpoint::on_msg_cqe(const rdma::Cqe& cqe, bool ctrl) {
+  if (ctrl) {
+    // Recycle the consumed control-receive credit.
+    rdma::Qp* qp = nic_.find_qp(cqe.qpn);
+    MCCL_CHECK(qp != nullptr);
+    qp->post_recv({});
+  }
   MCCL_CHECK(cqe.has_imm);
   const CtrlMsg msg = decode_ctrl(cqe.imm);
   const std::size_t src = comm_.rank_of_host(cqe.src);
-  auto it = ctrl_handlers_.find(msg.op);
-  MCCL_CHECK_MSG(it != ctrl_handlers_.end(),
-                 "control message for unknown collective");
-  it->second(msg, src, cqe);
-}
-
-void Endpoint::on_data_cqe(const rdma::Cqe& cqe) {
-  MCCL_CHECK(cqe.has_imm);
-  const CtrlMsg msg = decode_ctrl(cqe.imm);
-  const std::size_t src = comm_.rank_of_host(cqe.src);
-  auto it = ctrl_handlers_.find(msg.op);
-  MCCL_CHECK_MSG(it != ctrl_handlers_.end(),
-                 "data message for unknown collective");
-  it->second(msg, src, cqe);
+  // Op id 0 is reserved for the detector's heartbeats and death notices
+  // (Cluster::next_op_id starts at 1); without a detector it is unknown.
+  if (msg.op == 0 && comm_.detector() != nullptr) {
+    comm_.on_detector_msg(rank_, msg, src);
+    return;
+  }
+  OpBase* op = comm_.find_op(msg.op);
+  MCCL_CHECK_MSG(op != nullptr, "control message for unknown collective");
+  op->on_ctrl(rank_, msg, src, cqe);
 }
 
 void Endpoint::on_data_send_cqe(const rdma::Cqe& cqe) {
-  const std::uint16_t op = static_cast<std::uint16_t>(cqe.wr_id >> 32);
-  auto it = read_handlers_.find(op);
-  if (it == read_handlers_.end()) return;  // op does not track completions
-  it->second(cqe);
+  OpBase* op = comm_.find_op(static_cast<std::uint16_t>(cqe.wr_id >> 32));
+  if (op != nullptr) op->on_send_done(rank_, cqe);
 }
 
 void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
@@ -240,11 +213,11 @@ void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
     --g.posted;
     if (g.uc != nullptr) top_up_uc_recvs(subgroup);
   }
-  const std::uint8_t tag = imm_op_tag(imm);
-  if (tag >= mcast_ops_.size() || !mcast_ops_[tag])
-    return;  // late completion of a finished op
-  mcast_ops_[tag](imm_chunk(imm), subgroup, cqe);
+  McastCollective* op = comm_.op_by_tag_[imm_op_tag(imm)];
+  if (op == nullptr) return;  // late completion: no op holds this tag
+  op->on_chunk(rank_, imm_chunk(imm), subgroup, cqe);
 }
+// mccl-lint: end-hot
 
 // ---------------------------------------------------------------------------
 // Communicator wiring for the RC QP meshes

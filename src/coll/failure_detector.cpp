@@ -170,7 +170,7 @@ void FailureDetector::confirm(std::size_t observer, std::size_t peer,
         ep.ctrl_send(p, {CtrlType::kDead, 0,
                          static_cast<std::uint16_t>(peer)});
   }
-  for (const DeathListener& fn : listeners_) fn(observer, peer);
+  comm_.notify_peer_dead(observer, peer);
 }
 
 void FailureDetector::on_heartbeat(std::size_t observer, std::size_t src) {

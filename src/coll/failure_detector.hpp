@@ -24,8 +24,8 @@
 // sender the observer holds dead are posthumous: counted but ignored. So a
 // live rank that was wrongly confirmed dead, and then confirms its own
 // watch set dead for want of heartbeats, cannot spread that view.
-// Confirmed deaths are delivered to listeners (the communicator fans them
-// out to in-flight ops, which repair their rings around the dead rank).
+// Confirmed deaths go to Communicator::notify_peer_dead, which fans them
+// out to in-flight ops; they repair their rings around the dead rank.
 //
 // Determinism: per-rank tick phases come from Rng(seed ^ rank) and all
 // timers from the simulation clock, so identical seeds and fault timelines
@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -68,24 +67,21 @@ struct DetectorConfig {
 
 class FailureDetector {
  public:
-  /// Called once per (observer, peer) confirmation, in confirmation order.
-  using DeathListener =
-      std::function<void(std::size_t observer, std::size_t peer)>;
-
+  /// Each (observer, peer) confirmation reaches the communicator's ops
+  /// through Communicator::notify_peer_dead, in confirmation order.
   FailureDetector(Communicator& comm, DetectorConfig cfg);
 
   const DetectorConfig& config() const { return cfg_; }
-  void add_listener(DeathListener fn) { listeners_.push_back(std::move(fn)); }
 
   /// Op lifecycle: the detector ticks only while ops are in flight.
   void note_op_started();
   void note_op_finished();
   bool active() const { return active_ops_ > 0; }
 
-  /// Heartbeat receipt at `observer` from `src` (wired by the communicator
-  /// into the op-0 control handler).
+  /// Heartbeat receipt at `observer` from `src` (the endpoint hands every
+  /// op-id-0 message to Communicator::on_detector_msg).
   void on_heartbeat(std::size_t observer, std::size_t src);
-  /// kDead notice at `observer` from `src` naming `peer` (same handler).
+  /// kDead notice at `observer` from `src` naming `peer` (same path).
   /// Dropped if it names `observer` or if `observer` holds `src` dead.
   void on_dead_notice(std::size_t observer, std::size_t src,
                       std::size_t peer);
@@ -164,7 +160,6 @@ class FailureDetector {
   std::vector<View> views_;
   std::vector<Time> phase_;      // deterministic per-rank first-tick offset
   std::vector<char> any_dead_;
-  std::vector<DeathListener> listeners_;
   std::size_t active_ops_ = 0;
   std::uint64_t generation_ = 0;  // invalidates ticks across idle windows
   Time activated_at_ = 0;

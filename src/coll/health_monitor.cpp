@@ -107,7 +107,7 @@ void HealthMonitor::set_slow(std::size_t observer, std::size_t peer,
                      telemetry::EventCat::kAdapt,
                      slow ? "peer_slow" : "peer_slow_clear", peer,
                      static_cast<std::uint64_t>(h.ewma * 100.0));
-  for (const SlowListener& fn : listeners_) fn(observer, peer, slow);
+  comm_.notify_peer_slow(observer, peer, slow);
 }
 
 void HealthMonitor::on_heartbeat(std::size_t observer, std::size_t src) {

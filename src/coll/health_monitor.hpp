@@ -41,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "src/common/units.hpp"
@@ -130,17 +129,12 @@ struct HealthConfig {
 
 class HealthMonitor {
  public:
-  /// Called on every per-observer slow-state transition (slow=true on
-  /// mark, false on clear), in transition order.
-  using SlowListener =
-      std::function<void(std::size_t observer, std::size_t peer, bool slow)>;
-
+  /// Every per-observer slow-state transition (slow=true on mark, false on
+  /// clear) reaches the communicator's ops through
+  /// Communicator::notify_peer_slow, in transition order.
   HealthMonitor(Communicator& comm, HealthConfig cfg);
 
   const HealthConfig& config() const { return cfg_; }
-  void add_listener(SlowListener fn) {
-    listeners_.push_back(std::move(fn));
-  }
 
   /// Op lifecycle: the link sampler runs only while ops are in flight.
   void note_op_started();
@@ -238,7 +232,6 @@ class HealthMonitor {
   std::size_t n_;                  // communicator size
   std::vector<PeerHealth> peers_;  // observer * n_ + peer
   std::vector<LinkHealth> links_;  // per fabric link direction
-  std::vector<SlowListener> listeners_;
   std::size_t active_ops_ = 0;
   std::uint64_t generation_ = 0;  // invalidates samplers across idle windows
   Time sample_phase_ = 0;         // deterministic first-sample offset

@@ -28,7 +28,7 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
            comm.config().subgroups, p_.roots.size()),
       schedule_(p_.roots.size(), std::min(comm.config().chains,
                                           p_.roots.size())),
-      tag_(comm.next_mcast_tag()),
+      tag_(comm.claim_mcast_tag(this)),
       rkey_(comm.cluster().next_shared_rkey()),
       barrier_rounds_(ceil_log2(comm.size())) {
   const std::size_t P = comm_.size();
@@ -112,28 +112,6 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     s.foreign_blocks = p_.roots.size() - (s.root_index >= 0 ? 1 : 0);
     s.expected = s.foreign_blocks * map_.chunks_per_block();
     s.local_copy_done = s.root_index < 0;  // roots copy their block locally
-
-    // Handlers.
-    ep.register_mcast_op(tag_, [this, r](std::uint32_t chunk, std::size_t sg,
-                                         const rdma::Cqe& cqe) {
-      on_chunk(r, chunk, sg, cqe);
-    });
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t src,
-                                     const rdma::Cqe& cqe) {
-      on_ctrl(r, m, src, cqe);
-    });
-    ep.register_read_handler(id(), [this, r](const rdma::Cqe& cqe) {
-      on_read_done(r, cqe);
-    });
-  }
-}
-
-McastCollective::~McastCollective() {
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    Endpoint& ep = comm_.ep(r);
-    ep.unregister_mcast_op(tag_);
-    ep.unregister_ctrl(id());
-    ep.unregister_read_handler(id());
   }
 }
 
@@ -750,7 +728,7 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
   }
 }
 
-void McastCollective::on_read_done(std::size_t r, const rdma::Cqe& cqe) {
+void McastCollective::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
   RankState& s = st_[r];
   if (res_.failed || rank_crashed(r)) return;
   MCCL_CHECK(cqe.opcode == rdma::CqeOpcode::kRead);

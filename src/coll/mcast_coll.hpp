@@ -82,7 +82,6 @@ class McastCollective : public OpBase {
   };
 
   McastCollective(Communicator& comm, std::string name, Params params);
-  ~McastCollective() override;
 
   void start() override;
   bool verify() const override;
@@ -140,6 +139,8 @@ class McastCollective : public OpBase {
   }
 
  private:
+  friend class Endpoint;  // fast-path chunk CQEs call on_chunk directly
+
   /// One rank's fetch of one block through the hardened slow path.
   struct BlockFetch {
     bool active = false;
@@ -282,7 +283,8 @@ class McastCollective : public OpBase {
   void arm_fetch_retry(std::size_t r, std::size_t block);
   void on_fetch_retry(std::size_t r, std::size_t block, std::uint64_t gen);
   void on_fetch_ack(std::size_t r, std::size_t block, std::size_t src);
-  void on_read_done(std::size_t r, const rdma::Cqe& cqe);
+  /// Fetch-layer RDMA Read completion (wr_id: | op id:32 | chunk:32 |).
+  void on_send_done(std::size_t r, const rdma::Cqe& cqe) override;
 
   // Crash repair.
   void note_repair(std::size_t r);
@@ -319,7 +321,7 @@ class McastCollective : public OpBase {
 
   // Handshake / completion.
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
-               const rdma::Cqe& cqe);
+               const rdma::Cqe& cqe) override;
   void check_op_done(std::size_t r);
 
   /// Non-owning view of one subgroup's block-local chunk indices (CSR row).

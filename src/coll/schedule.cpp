@@ -358,19 +358,6 @@ ScheduleOp::ScheduleOp(Communicator& comm, Schedule plan)
         (plan_.coll == Coll::kAllgather ||
          (plan_.coll == Coll::kBroadcast && r == plan_.root)))
       fill_pattern(mem, send, plan_.bytes, id(), r);
-    // Data lands in the pre-posted receive its wr_id names; a control
-    // notify names its receive step itself.
-    ep.register_ctrl(id(), [this, r](const CtrlMsg& m, std::size_t,
-                                     const rdma::Cqe& cqe) {
-      MCCL_CHECK(m.type == CtrlType::kStep || m.type == CtrlType::kBarrier);
-      advance(r, m.type == CtrlType::kStep
-                     ? static_cast<std::uint32_t>(cqe.wr_id)
-                     : m.arg);
-    });
-    // Completions of signaled sends (wr_id low half: the step).
-    ep.register_read_handler(id(), [this, r](const rdma::Cqe& cqe) {
-      advance(r, static_cast<std::uint32_t>(cqe.wr_id));
-    });
   }
 
   for (const auto& [a, b] : plan_.links)
@@ -414,16 +401,23 @@ ScheduleOp::ScheduleOp(Communicator& comm, Schedule plan)
   }
 }
 
-ScheduleOp::~ScheduleOp() {
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    comm_.ep(r).unregister_ctrl(id());
-    comm_.ep(r).unregister_read_handler(id());
-  }
-}
+ScheduleOp::~ScheduleOp() = default;
 
 void ScheduleOp::start() {
   mark_started();
   for (std::size_t r = 0; r < comm_.size(); ++r) pump(r);
+}
+
+void ScheduleOp::on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t,
+                         const rdma::Cqe& cqe) {
+  MCCL_CHECK(msg.type == CtrlType::kStep || msg.type == CtrlType::kBarrier);
+  advance(r, msg.type == CtrlType::kStep
+                 ? static_cast<std::uint32_t>(cqe.wr_id)
+                 : msg.arg);
+}
+
+void ScheduleOp::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
+  advance(r, static_cast<std::uint32_t>(cqe.wr_id));
 }
 
 void ScheduleOp::advance(std::size_t r, std::uint32_t i) {

@@ -101,6 +101,12 @@ class ScheduleOp : public OpBase {
   /// Fails the op once a survivor is left waiting on the dead peer.
   void on_peer_confirmed_dead(std::size_t observer,
                               std::size_t peer) override;
+  /// Data lands in the pre-posted receive its wr_id names; a control
+  /// notify names its receive step itself.
+  void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
+               const rdma::Cqe& cqe) override;
+  /// Completion of a signaled send (wr_id low half: the step).
+  void on_send_done(std::size_t r, const rdma::Cqe& cqe) override;
 
  private:
   struct RankState;  // progress; freed with the steps once the op is done

@@ -200,5 +200,32 @@ TEST(McastBroadcast, SequentialBroadcastsReuseInfrastructure) {
   }
 }
 
+// --- control-message dispatch contract ----------------------------------
+// The endpoint finds a message's op by the id in its immediate. An id no op
+// holds, or the detector's reserved id 0 on a communicator without a
+// detector, is a protocol bug and aborts.
+
+TEST(CtrlDispatch, MessageForUnknownOpAborts) {
+  EXPECT_DEATH(
+      {
+        World w(2);
+        w.comm->ep(0).ctrl_send(1, {CtrlType::kBarrier, 4000, 0});
+        w.cluster->engine().run();
+      },
+      "control message for unknown collective");
+}
+
+TEST(CtrlDispatch, HeartbeatWithoutDetectorAborts) {
+  CommConfig cfg;
+  cfg.detector.enabled = false;
+  EXPECT_DEATH(
+      {
+        World w(2, cfg);
+        w.comm->ep(0).ctrl_send(1, {CtrlType::kHeartbeat, 0, 0});
+        w.cluster->engine().run();
+      },
+      "control message for unknown collective");
+}
+
 }  // namespace
 }  // namespace mccl::coll

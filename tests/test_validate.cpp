@@ -258,6 +258,22 @@ TEST(Validate, ShortOverwriteReadsPoisonAndFailsVerify) {
   EXPECT_TRUE(op.verify());
 }
 
+TEST(Validate, CollTagAliasDetected) {
+  SKIP_UNLESS_VALIDATE();
+  // Fast-path tags are 8 bits (1..255): with 255 broadcasts still in
+  // flight, the next one can only take a tag a running op holds.
+  World w(2);
+  debug::ViolationTrap trap;
+  std::vector<coll::OpBase*> ops;
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_TRUE(trap.empty()) << "claim " << i;
+    ops.push_back(&w.comm->start_broadcast(0, 64, coll::BcastAlgo::kMcast));
+  }
+  EXPECT_TRUE(trap.tripped("coll.tag_alias"));
+  EXPECT_EQ(trap.size(), 1u);
+  EXPECT_FALSE(ops.front()->done());  // tag 1's first owner still runs
+}
+
 TEST(Validate, CollBarrierCreditBalanceDetected) {
   SKIP_UNLESS_VALIDATE();
   World w(5);
