@@ -288,13 +288,13 @@ void Communicator::rebalance_subgroups() {
     ++subgroup_repins_;
     MCCL_VALIDATE_THAT(
         subgroup_repins_ <=
-            static_cast<std::uint64_t>(config_.adapt.max_transitions) *
+            static_cast<std::uint64_t>(HealthMonitor::kMaxTransitions) *
                 groups_.size(),
         "adapt.oscillation",
         "subgroup re-pins (%llu) exceed %u per subgroup — rail health is "
         "flapping through the re-balancer",
         static_cast<unsigned long long>(subgroup_repins_),
-        config_.adapt.max_transitions);
+        HealthMonitor::kMaxTransitions);
     telemetry::Telemetry& te = cluster_.telemetry();
     te.metrics.counter("coll.adapt.subgroup_repins").add(1);
     te.recorder.record(cluster_.engine().now(), -1,
@@ -398,7 +398,6 @@ OpResult Communicator::finish(OpBase& op) {
 }
 
 void Communicator::note_op_loss(bool lossy) {
-  if (!config_.adaptive_cutoff) return;
   if (lossy) {
     adaptive_alpha_ = std::max(config_.cutoff_alpha_min, adaptive_alpha_ / 2);
   } else if (adaptive_alpha_ < config_.cutoff_alpha) {

@@ -66,22 +66,11 @@ struct CommConfig {
   /// A fetch request that is not ACKed within this window is retried with
   /// exponential backoff (x2 per attempt).
   Time fetch_retry_timeout = 150 * kMicrosecond;
-  /// Requests sent to one target before failing over to its left neighbor
-  /// (skipping the unresponsive rank; the chain still ends at the block
-  /// root, which always holds its own block).
-  std::size_t fetch_retry_cap = 3;
-  /// Tighten the effective cutoff alpha after an op that observed loss
+  /// The effective cutoff alpha tightens after an op that observed loss
   /// (halved per lossy op down to `cutoff_alpha_min`, relaxed back toward
   /// `cutoff_alpha` after clean ops) — recovery starts sooner on a fabric
   /// known to be misbehaving.
-  bool adaptive_cutoff = true;
   Time cutoff_alpha_min = 25 * kMicrosecond;
-  /// Hard per-op deadline: `watchdog_multiplier` times the cutoff deadline
-  /// (or `watchdog_timeout` if nonzero). On expiry the op dumps per-rank
-  /// protocol state and fails with a structured error instead of hanging
-  /// the simulation (e.g. a partitioned fabric with no surviving path).
-  double watchdog_multiplier = 50.0;
-  Time watchdog_timeout = 0;  // explicit override; 0 = multiplier-based
 
   // --- crash tolerance -------------------------------------------------------
   /// Lease-based failure detector (heartbeats on the RC control mesh while

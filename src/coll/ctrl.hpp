@@ -21,10 +21,11 @@ enum class CtrlType : std::uint8_t {
   kFinal = 3,       // final-handshake packet (arg unused)
   // Reliability slow path (arg = block index). A request may arrive from
   // ANY rank, not just the right neighbor: requesters retry with backoff
-  // and, after `fetch_retry_cap` unanswered attempts, fail over to the
-  // target's own left neighbor. Duplicate requests (retries) are normal;
-  // the target acks at most once per (requester, block) transition to
-  // complete, and the requester latches the first ack per block.
+  // and, after McastCollective::kFetchRetryCap unanswered attempts, fail
+  // over to the target's own left neighbor. Duplicate requests (retries)
+  // are normal; the target acks at most once per (requester, block)
+  // transition to complete, and the requester latches the first ack per
+  // block.
   kFetchReq = 4,    // request permission to fetch a block's chunks
   kFetchAck = 5,    // sender holds the whole block; fetch via RDMA Read
 

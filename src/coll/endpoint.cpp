@@ -261,15 +261,10 @@ rdma::RcQp& Communicator::data_qp(std::size_t from, std::size_t to) {
   if (rdma::RcQp* qp = a.data_qps_[to]) return *qp;
   Endpoint& b = ep(to);
   if (b.data_qps_.empty()) b.data_qps_.assign(eps_.size(), nullptr);
-  rdma::RcQp& qa = a.nic().create_rc_qp(a.data_scq_, a.data_rcq_);
-  rdma::RcQp& qb = b.nic().create_rc_qp(b.data_scq_, b.data_rcq_);
-  tag_qp(qa, /*ctrl=*/false);
-  tag_qp(qb, /*ctrl=*/false);
-  qa.connect(b.host(), qb.qpn());
-  qb.connect(a.host(), qa.qpn());
-  a.data_qps_[to] = &qa;
-  b.data_qps_[from] = &qb;
-  return qa;
+  const auto [qa, qb] = create_qp_pair(from, to);
+  a.data_qps_[to] = qa;
+  b.data_qps_[from] = qb;
+  return *qa;
 }
 
 }  // namespace mccl::coll

@@ -100,7 +100,7 @@ void FailureDetector::tick(std::size_t rank, std::uint64_t gen) {
   if (gen != generation_ || active_ops_ == 0) return;
   sim::Engine& eng = comm_.cluster().engine();
   const Time now = eng.now();
-  if (now - activated_at_ > cfg_.max_active) return;  // wedged-run bound
+  if (now - activated_at_ > kMaxActive) return;  // wedged-run bound
   Endpoint& ep = comm_.ep(rank);
   // A crashed host's software is gone: it neither emits heartbeats nor
   // sweeps leases. (Its NIC would drop the sends anyway; stopping the tick
@@ -130,7 +130,7 @@ void FailureDetector::tick(std::size_t rank, std::uint64_t gen) {
     te.recorder.record(now, static_cast<std::int32_t>(ep.host()),
                        telemetry::EventCat::kDetector, "peer_suspected", p,
                        v.suspect[p]);
-    if (v.suspect[p] >= cfg_.suspect_threshold)
+    if (v.suspect[p] >= kSuspectThreshold)
       confirm(rank, p, Latch::kSelf);
   }
   eng.schedule(cfg_.heartbeat_interval, [this, rank, gen] { tick(rank, gen); });
@@ -141,14 +141,14 @@ void FailureDetector::confirm(std::size_t observer, std::size_t peer,
   View& v = views_[observer];
   if (v.dead[peer] != Latch::kAlive) return;
   // A confirmation of the observer's own is only legal after
-  // `suspect_threshold` consecutive lease expiries — anything earlier is a
+  // `kSuspectThreshold` consecutive lease expiries — anything earlier is a
   // detector protocol bug.
   MCCL_VALIDATE_THAT(how != Latch::kSelf ||
-                         v.suspect[peer] >= cfg_.suspect_threshold,
+                         v.suspect[peer] >= kSuspectThreshold,
                      "detector.premature_confirm",
                      "observer %zu confirmed peer %zu dead at suspicion "
                      "%u (threshold %u)",
-                     observer, peer, v.suspect[peer], cfg_.suspect_threshold);
+                     observer, peer, v.suspect[peer], kSuspectThreshold);
   v.dead[peer] = how;
   any_dead_[peer] = 1;
   ++confirmed_total_;
@@ -214,11 +214,11 @@ bool FailureDetector::validate_view(std::size_t observer) const {
   const View& v = views_[observer];
   bool ok = true;
   for (std::size_t p = 0; p < comm_.size(); ++p) {
-    if (v.dead[p] == Latch::kSelf && v.suspect[p] < cfg_.suspect_threshold) {
+    if (v.dead[p] == Latch::kSelf && v.suspect[p] < kSuspectThreshold) {
       debug::report("detector.lease_state",
                     "observer %zu holds peer %zu dead with suspicion %u "
                     "below threshold %u",
-                    observer, p, v.suspect[p], cfg_.suspect_threshold);
+                    observer, p, v.suspect[p], kSuspectThreshold);
       ok = false;
     }
   }

@@ -11,7 +11,7 @@
 // are emitted only while at least one collective is in flight; an idle
 // communicator schedules nothing and the event queue drains.
 //
-// An expired lease raises a suspicion; `suspect_threshold` consecutive
+// An expired lease raises a suspicion; `kSuspectThreshold` consecutive
 // expiries with no intervening heartbeat confirm the peer dead. The
 // confirming rank then sends a CtrlType::kDead notice (arg = dead rank) to
 // every rank it still considers alive; a receiver latches the death as
@@ -52,17 +52,8 @@ struct DetectorConfig {
   /// Lease granted on every received heartbeat, at activation, and when a
   /// peer enters the watch set.
   Time lease_timeout = 400 * kMicrosecond;
-  /// Consecutive lease expiries before a peer is confirmed dead. With the
-  /// defaults a silent peer is confirmed after ~lease_timeout plus
-  /// (threshold - 1) sweep periods — well before the op watchdog.
-  std::uint32_t suspect_threshold = 3;
   /// Seeds the per-rank tick phase jitter (decorrelates rank timers).
   std::uint64_t seed = 1;
-  /// Hard bound on one activation window: if an op keeps the detector
-  /// alive longer than this, ticking stops so a wedged simulation drains
-  /// (and trips the usual incomplete-run check) instead of spinning
-  /// forever. The collective watchdog fires far earlier.
-  Time max_active = 500000 * kMicrosecond;
 };
 
 class FailureDetector {
@@ -71,7 +62,15 @@ class FailureDetector {
   /// through Communicator::notify_peer_dead, in confirmation order.
   FailureDetector(Communicator& comm, DetectorConfig cfg);
 
-  const DetectorConfig& config() const { return cfg_; }
+  /// Consecutive lease expiries before a peer is confirmed dead. With the
+  /// default lease a silent peer is confirmed after ~lease_timeout plus
+  /// (threshold - 1) sweep periods — well before the op watchdog.
+  static constexpr std::uint32_t kSuspectThreshold = 3;
+  /// Hard bound on one activation window: if an op keeps the detector
+  /// alive longer than this, ticking stops so a wedged simulation drains
+  /// (and trips the usual incomplete-run check) instead of spinning
+  /// forever. The collective watchdog fires far earlier.
+  static constexpr Time kMaxActive = 500000 * kMicrosecond;
 
   /// Op lifecycle: the detector ticks only while ops are in flight.
   void note_op_started();

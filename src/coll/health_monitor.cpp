@@ -8,25 +8,31 @@
 
 namespace mccl::coll {
 
+// The hysteresis bands and EWMA weights are fixed; these are the relations
+// the policies rely on.
+static_assert(HealthMonitor::kEwmaAlpha > 0.0 &&
+              HealthMonitor::kEwmaAlpha <= 1.0);
+static_assert(HealthMonitor::kHeartbeatAlpha > 0.0 &&
+              HealthMonitor::kHeartbeatAlpha <= 1.0);
+static_assert(HealthMonitor::kSlowEnter > HealthMonitor::kSlowExit);
+static_assert(HealthMonitor::kDropEnter > HealthMonitor::kDropExit);
+static_assert(HealthMonitor::kBacklogEnter > HealthMonitor::kBacklogExit);
+static_assert(HealthMonitor::kDwell >= 1 && HealthMonitor::kLinkDwell >= 1);
+static_assert(HealthMonitor::kSeverityAlpha > 0.0 &&
+              HealthMonitor::kSeverityAlpha <= 1.0);
+static_assert(HealthMonitor::kTrendAlpha > 0.0 &&
+              HealthMonitor::kTrendAlpha <= 1.0);
+static_assert(HealthMonitor::kRiskEnter > HealthMonitor::kRiskExit);
+
 HealthMonitor::HealthMonitor(Communicator& comm, HealthConfig cfg)
     : comm_(comm), cfg_(cfg), n_(comm.size()) {
-  MCCL_CHECK(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0);
-  MCCL_CHECK(cfg_.heartbeat_alpha > 0.0 && cfg_.heartbeat_alpha <= 1.0);
-  MCCL_CHECK(cfg_.slow_enter > cfg_.slow_exit);
-  MCCL_CHECK(cfg_.backlog_enter > cfg_.backlog_exit);
-  MCCL_CHECK(cfg_.dwell >= 1 && cfg_.link_dwell >= 1);
-  if (cfg_.predictive) {
-    MCCL_CHECK(cfg_.severity_alpha > 0.0 && cfg_.severity_alpha <= 1.0);
-    MCCL_CHECK(cfg_.trend_alpha > 0.0 && cfg_.trend_alpha <= 1.0);
-    MCCL_CHECK(cfg_.risk_enter > cfg_.risk_exit);
-  }
   peers_.assign(n_ * n_, PeerHealth{});
   links_.assign(comm_.cluster().fabric().topology().num_dirs(), LinkHealth{});
   // Sampler phase: decorrelated from the detector ticks and the fabric's
   // fault RNG, drawn once for deterministic replay.
   Rng rng(cfg_.seed ^ 0x4ea17bffull);
   sample_phase_ = static_cast<Time>(
-      rng.below(static_cast<std::uint64_t>(cfg_.sample_interval)));
+      rng.below(static_cast<std::uint64_t>(kSampleInterval)));
   telemetry::MetricsRegistry& reg = comm_.cluster().telemetry().metrics;
   ctr_slow_marks_ = &reg.counter("coll.adapt.slow_marks");
   ctr_slow_clears_ = &reg.counter("coll.adapt.slow_clears");
@@ -51,7 +57,7 @@ void HealthMonitor::note_op_finished() {
 
 void HealthMonitor::schedule_sample(std::uint64_t gen) {
   sim::Engine& eng = comm_.cluster().engine();
-  eng.schedule(cfg_.sample_interval + sample_phase_, [this, gen] {
+  eng.schedule(kSampleInterval + sample_phase_, [this, gen] {
     if (gen != generation_ || active_ops_ == 0) return;
     sample_links();
     sample_phase_ = 0;  // phase applies to the first sample of a window only
@@ -65,14 +71,14 @@ void HealthMonitor::observe(std::size_t observer, std::size_t peer,
   PeerHealth& h = peers_[observer * n_ + peer];
   h.ewma = alpha * sample + (1.0 - alpha) * h.ewma;
   if (!h.slow) {
-    if (h.ewma >= cfg_.slow_enter) {
-      if (++h.enter_dwell >= cfg_.dwell) set_slow(observer, peer, true);
+    if (h.ewma >= kSlowEnter) {
+      if (++h.enter_dwell >= kDwell) set_slow(observer, peer, true);
     } else {
       h.enter_dwell = 0;
     }
   } else {
-    if (h.ewma <= cfg_.slow_exit) {
-      if (++h.exit_dwell >= cfg_.dwell) set_slow(observer, peer, false);
+    if (h.ewma <= kSlowExit) {
+      if (++h.exit_dwell >= kDwell) set_slow(observer, peer, false);
     } else {
       h.exit_dwell = 0;
     }
@@ -89,11 +95,11 @@ void HealthMonitor::set_slow(std::size_t observer, std::size_t peer,
   ++h.transitions;
   // A pair flipping more often than the bound means the hysteresis band is
   // too narrow for the signal (or a policy feeds back into its own input).
-  MCCL_VALIDATE_THAT(h.transitions <= cfg_.max_transitions,
+  MCCL_VALIDATE_THAT(h.transitions <= kMaxTransitions,
                      "adapt.oscillation",
                      "observer %zu flipped peer %zu slow-state %u times "
                      "(bound %u)",
-                     observer, peer, h.transitions, cfg_.max_transitions);
+                     observer, peer, h.transitions, kMaxTransitions);
   if (slow) {
     ++slow_marks_;
     ctr_slow_marks_->add(1);
@@ -120,7 +126,7 @@ void HealthMonitor::on_heartbeat(std::size_t observer, std::size_t src) {
         comm_.config().detector.heartbeat_interval);
     if (nominal > 0 && gap > 0)
       observe(observer, src, static_cast<double>(gap) / nominal,
-              cfg_.heartbeat_alpha);
+              kHeartbeatAlpha);
   }
   h.last_heartbeat = now;
   h.heartbeat_window = generation_;
@@ -132,17 +138,17 @@ void HealthMonitor::note_fetch_ack(std::size_t observer, std::size_t peer,
       static_cast<double>(comm_.config().fetch_retry_timeout);
   if (nominal <= 0) return;
   const double sample =
-      std::min(static_cast<double>(latency) / nominal, cfg_.timeout_sample);
-  observe(observer, peer, sample, cfg_.ewma_alpha);
+      std::min(static_cast<double>(latency) / nominal, kTimeoutSample);
+  observe(observer, peer, sample, kEwmaAlpha);
 }
 
 void HealthMonitor::note_fetch_timeout(std::size_t observer,
                                        std::size_t peer) {
-  observe(observer, peer, cfg_.timeout_sample, cfg_.ewma_alpha);
+  observe(observer, peer, kTimeoutSample, kEwmaAlpha);
 }
 
 void HealthMonitor::note_block_late(std::size_t observer, std::size_t root) {
-  observe(observer, root, cfg_.timeout_sample, cfg_.ewma_alpha);
+  observe(observer, root, kTimeoutSample, kEwmaAlpha);
 }
 
 void HealthMonitor::sample_links() {
@@ -165,34 +171,34 @@ void HealthMonitor::sample_links() {
     // after the reactive hysteresis below so a direction that crosses into
     // unhealthy drops its advisory at-risk flag in the same window.
     const double drop_frac =
-        pkt_delta >= cfg_.min_window_packets && cfg_.drop_enter > 0.0
+        pkt_delta >= cfg_.min_window_packets
             ? static_cast<double>(drop_delta) /
-                  static_cast<double>(pkt_delta) / cfg_.drop_enter
+                  static_cast<double>(pkt_delta) / kDropEnter
             : 0.0;
     const double severity =
         std::max(drop_frac, static_cast<double>(backlog) /
-                                static_cast<double>(cfg_.backlog_enter));
+                                static_cast<double>(kBacklogEnter));
 
     const bool drops_bad =
         pkt_delta >= cfg_.min_window_packets &&
         static_cast<double>(drop_delta) >=
-            cfg_.drop_enter * static_cast<double>(pkt_delta);
+            kDropEnter * static_cast<double>(pkt_delta);
     const bool drops_good =
         drop_delta == 0 ||
         (pkt_delta > 0 && static_cast<double>(drop_delta) <=
-                              cfg_.drop_exit * static_cast<double>(pkt_delta));
+                              kDropExit * static_cast<double>(pkt_delta));
     if (!lh.unhealthy) {
-      if (drops_bad || backlog >= cfg_.backlog_enter) {
-        if (++lh.bad_windows >= cfg_.link_dwell) {
+      if (drops_bad || backlog >= kBacklogEnter) {
+        if (++lh.bad_windows >= kLinkDwell) {
           lh.unhealthy = true;
           lh.bad_windows = 0;
           lh.good_windows = 0;
           ++lh.transitions;
-          MCCL_VALIDATE_THAT(lh.transitions <= cfg_.max_transitions,
+          MCCL_VALIDATE_THAT(lh.transitions <= kMaxTransitions,
                              "adapt.oscillation",
                              "link dir %zu flipped health %u times (bound "
                              "%u)",
-                             dir, lh.transitions, cfg_.max_transitions);
+                             dir, lh.transitions, kMaxTransitions);
           ++link_deweights_;
           ctr_link_deweights_->add(1);
           comm_.cluster().telemetry().recorder.record(
@@ -211,8 +217,8 @@ void HealthMonitor::sample_links() {
       // crossing the link cleanly — or the subgroup re-balancer would move
       // traffic right back onto a still-degraded trunk.
       if (pkt_delta >= cfg_.min_window_packets && drops_good &&
-          backlog <= cfg_.backlog_exit) {
-        if (++lh.good_windows >= cfg_.link_dwell) {
+          backlog <= kBacklogExit) {
+        if (++lh.good_windows >= kLinkDwell) {
           lh.unhealthy = false;
           lh.bad_windows = 0;
           lh.good_windows = 0;
@@ -229,18 +235,18 @@ void HealthMonitor::sample_links() {
         lh.good_windows = 0;
       }
     }
-    if (cfg_.predictive) score_trend(dir, severity);
+    score_trend(dir, severity);
   }
 }
 
 void HealthMonitor::score_trend(std::size_t dir, double severity) {
   LinkHealth& lh = links_[dir];
   const double prev = lh.sev_ewma;
-  lh.sev_ewma = cfg_.severity_alpha * severity +
-                (1.0 - cfg_.severity_alpha) * lh.sev_ewma;
-  lh.slope_ewma = cfg_.trend_alpha * (lh.sev_ewma - prev) +
-                  (1.0 - cfg_.trend_alpha) * lh.slope_ewma;
-  const double projected = lh.sev_ewma + cfg_.risk_horizon * lh.slope_ewma;
+  lh.sev_ewma = kSeverityAlpha * severity +
+                (1.0 - kSeverityAlpha) * lh.sev_ewma;
+  lh.slope_ewma = kTrendAlpha * (lh.sev_ewma - prev) +
+                  (1.0 - kTrendAlpha) * lh.slope_ewma;
+  const double projected = lh.sev_ewma + kRiskHorizon * lh.slope_ewma;
   bool want = lh.at_risk;
   if (lh.unhealthy) {
     // The reactive plane owns a deweighted direction: "about to go sick"
@@ -251,9 +257,9 @@ void HealthMonitor::score_trend(std::size_t dir, double severity) {
     // Mark only on a rising trend. A high-but-flat projection is a steady
     // state the reactive thresholds will judge on their own; the forecast
     // earns its keep strictly on the way up.
-    want = projected >= cfg_.risk_enter && lh.slope_ewma > 0.0;
+    want = projected >= kRiskEnter && lh.slope_ewma > 0.0;
   } else {
-    want = projected > cfg_.risk_exit;
+    want = projected > kRiskExit;
   }
   if (want == lh.at_risk) return;
   lh.at_risk = want;
@@ -303,8 +309,8 @@ void HealthMonitor::reweight_host_rails() {
                        (rl >= 0 && rail_bad[static_cast<std::size_t>(rl)]);
       fab.set_dir_weight(p.dir_index,
                          !any_bad   ? 1
-                         : bad      ? cfg_.lossy_weight
-                                    : cfg_.healthy_weight);
+                         : bad      ? kLossyWeight
+                                    : kHealthyWeight);
     }
   }
 }
@@ -315,8 +321,8 @@ void HealthMonitor::reweight_node_of(std::size_t dir) {
   const fabric::NodeId from = topo.dirs()[dir].from;
   // Weighted ECMP splits flows among a node's candidate egresses in
   // proportion to their weights, so deweighting is relative: with any
-  // unhealthy egress at this node, healthy siblings get healthy_weight and
-  // unhealthy ones lossy_weight; with none, everything returns to the
+  // unhealthy egress at this node, healthy siblings get kHealthyWeight and
+  // unhealthy ones kLossyWeight; with none, everything returns to the
   // neutral default (keeping the fabric's unweighted fast path armed).
   bool any_unhealthy = false;
   for (const fabric::Port& p : topo.ports(from))
@@ -324,8 +330,8 @@ void HealthMonitor::reweight_node_of(std::size_t dir) {
   for (const fabric::Port& p : topo.ports(from)) {
     const std::uint16_t w =
         !any_unhealthy ? 1
-        : links_[p.dir_index].unhealthy ? cfg_.lossy_weight
-                                        : cfg_.healthy_weight;
+        : links_[p.dir_index].unhealthy ? kLossyWeight
+                                        : kHealthyWeight;
     fab.set_dir_weight(p.dir_index, w);
   }
 }

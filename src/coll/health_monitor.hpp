@@ -13,9 +13,9 @@
 //    failure detector's control plane, so only from the ring neighbours
 //    that heartbeat the observer), fetch request->ack latencies,
 //    fetch retry timeouts, and blocks still incomplete at cutoff while
-//    their root is alive. A peer whose score stays above `slow_enter` for
-//    `dwell` consecutive samples is marked *slow*; it is cleared again
-//    after `dwell` consecutive samples at or below `slow_exit`
+//    their root is alive. A peer whose score stays above `kSlowEnter` for
+//    `kDwell` consecutive samples is marked *slow*; it is cleared again
+//    after `kDwell` consecutive samples at or below `kSlowExit`
 //    (enter/exit hysteresis plus dwell prevents flapping). Transitions fan
 //    out to in-flight collectives, which shift block-root responsibility
 //    away from slow roots (CtrlType::kSlowRoot), detour fetch chains
@@ -25,16 +25,16 @@
 //  - Per-link-direction: a periodic (seeded-phase) sampler over the
 //    fabric's DirCounters and serializer backlogs. A direction whose
 //    windowed drop fraction or serializer backlog stays bad for
-//    `link_dwell` consecutive windows is deweighted in the fabric's ECMP
+//    `kLinkDwell` consecutive windows is deweighted in the fabric's ECMP
 //    tables (Fabric::set_dir_weight): its siblings at the same node get
-//    `healthy_weight`, the bad direction `lossy_weight`, steering unicast
+//    `kHealthyWeight`, the bad direction `kLossyWeight`, steering unicast
 //    flows (fetch reads, control) around lossy-but-alive paths the binary
 //    viability table would keep using. Restoration is symmetric.
 //
 // Everything is driven by engine events at simulated times with
 // deterministic inputs, so identical seeds replay bit-identically. The
 // validator plane guards the policies: "adapt.oscillation" fires when one
-// peer or direction flips state more than `max_transitions` times
+// peer or direction flips state more than `kMaxTransitions` times
 // (hysteresis misconfigured or a feedback loop), and the collectives'
 // "adapt.ownership_conservation" checks every slow re-root decision names
 // an alive full holder.
@@ -57,72 +57,9 @@ struct HealthConfig {
   /// Master switch: when false the communicator builds no monitor and all
   /// adaptation policies are inert (the static baseline).
   bool enabled = false;
-
-  // --- per-peer slowness scoring -------------------------------------------
-  /// EWMA weight of a new protocol sample (fetch ack/timeout, late block).
-  double ewma_alpha = 0.25;
-  /// EWMA weight of a heartbeat-gap sample. Heartbeats are frequent and
-  /// barely delayed by compute stragglers (they only cross the app worker),
-  /// so they act as slow decay toward "nominal" rather than a trigger.
-  double heartbeat_alpha = 0.05;
-  /// Normalized score thresholds (1.0 = nominal service). Enter above,
-  /// exit below, `dwell` consecutive qualifying samples each way.
-  double slow_enter = 1.8;
-  double slow_exit = 1.2;
-  std::uint32_t dwell = 2;
-  /// Sample value for a fetch retry timeout / block-late-at-cutoff event
-  /// (both mean service is at least this many nominal units late).
-  double timeout_sample = 3.0;
-
-  // --- per-link-direction health -------------------------------------------
-  /// Sampling period of the fabric sweep (runs only while ops are in
-  /// flight, with a seeded phase so replays are bit-identical).
-  Time sample_interval = 25 * kMicrosecond;
-  /// Windowed drop fraction to enter/exit the unhealthy state. Windows
-  /// with fewer than `min_window_packets` packets are ignored.
-  double drop_enter = 0.08;
-  double drop_exit = 0.0;
+  /// Per-link sampling windows with fewer packets than this carry no drop
+  /// signal and no restore evidence (see HealthMonitor::kDropEnter).
   std::uint64_t min_window_packets = 16;
-  /// Peak serializer backlog within a sampling window (booked wire time
-  /// beyond now, max-held by the fabric like a switch's max-queue-depth
-  /// register) to enter/exit — the queue-depth/ECN analog that catches
-  /// degraded links that slow down without dropping. The enter threshold
-  /// must sit above the transient backlog a send-batch burst books on a
-  /// healthy link (a few µs at line rate) but below what the same burst
-  /// books once bandwidth degrades.
-  Time backlog_enter = 10 * kMicrosecond;
-  Time backlog_exit = 2 * kMicrosecond;
-  std::uint32_t link_dwell = 2;
-  /// ECMP weights applied around an unhealthy direction: the bad direction
-  /// gets `lossy_weight`, its same-origin siblings `healthy_weight` (all
-  /// restored to the default 1 when the node has no unhealthy egress).
-  std::uint16_t healthy_weight = 15;
-  std::uint16_t lossy_weight = 1;
-
-  // --- predictive (trend) link scoring -------------------------------------
-  /// The reactive plane above reacts *after* a direction has been bad for
-  /// `link_dwell` windows. The predictive scorer runs on the same window
-  /// samples but projects forward: each window's severity (how close the
-  /// direction sits to its unhealthy thresholds, 1.0 = at threshold) feeds
-  /// a level EWMA and a slope EWMA, and a direction whose projected
-  /// severity `level + risk_horizon * slope` crosses `risk_enter` while
-  /// still trending up is flagged *at risk* in the fabric
-  /// (Fabric::set_dir_at_risk). The flag is advisory: routing never
-  /// changes, but the cluster scheduler's admission controller defers new
-  /// placements while too many directions are about to go sick. Cleared
-  /// when the projection falls back through `risk_exit`, or the moment the
-  /// reactive plane takes over (unhealthy implies deweighted, which
-  /// admission already gates on).
-  bool predictive = true;
-  double severity_alpha = 0.5;  // EWMA weight of a window's severity
-  double trend_alpha = 0.5;     // EWMA weight of the severity slope
-  double risk_horizon = 3.0;    // windows of lookahead in the projection
-  double risk_enter = 1.0;      // projected severity to mark at-risk
-  double risk_exit = 0.5;       // projected severity to clear the mark
-
-  /// Validator bound ("adapt.oscillation"): state flips per peer pair or
-  /// per direction beyond this report a violation in MCCL_VALIDATE builds.
-  std::uint32_t max_transitions = 8;
   /// Seeds the link-sampler phase.
   std::uint64_t seed = 1;
 };
@@ -134,7 +71,73 @@ class HealthMonitor {
   /// Communicator::notify_peer_slow, in transition order.
   HealthMonitor(Communicator& comm, HealthConfig cfg);
 
-  const HealthConfig& config() const { return cfg_; }
+  // --- per-peer slowness scoring -------------------------------------------
+  /// EWMA weight of a new protocol sample (fetch ack/timeout, late block).
+  static constexpr double kEwmaAlpha = 0.25;
+  /// EWMA weight of a heartbeat-gap sample. Heartbeats are frequent and
+  /// barely delayed by compute stragglers (they only cross the app worker),
+  /// so they act as slow decay toward "nominal" rather than a trigger.
+  static constexpr double kHeartbeatAlpha = 0.05;
+  /// Normalized score thresholds (1.0 = nominal service). Enter above,
+  /// exit below, `kDwell` consecutive qualifying samples each way.
+  static constexpr double kSlowEnter = 1.8;
+  static constexpr double kSlowExit = 1.2;
+  static constexpr std::uint32_t kDwell = 2;
+  /// Sample value for a fetch retry timeout / block-late-at-cutoff event
+  /// (both mean service is at least this many nominal units late).
+  static constexpr double kTimeoutSample = 3.0;
+
+  // --- per-link-direction health -------------------------------------------
+  /// Sampling period of the fabric sweep (runs only while ops are in
+  /// flight, with a seeded phase so replays are bit-identical).
+  static constexpr Time kSampleInterval = 25 * kMicrosecond;
+  /// Windowed drop fraction to enter/exit the unhealthy state. Windows
+  /// with fewer than HealthConfig::min_window_packets packets are ignored.
+  static constexpr double kDropEnter = 0.08;
+  static constexpr double kDropExit = 0.0;
+  /// Peak serializer backlog within a sampling window (booked wire time
+  /// beyond now, max-held by the fabric like a switch's max-queue-depth
+  /// register) to enter/exit — the queue-depth/ECN analog that catches
+  /// degraded links that slow down without dropping. The enter threshold
+  /// must sit above the transient backlog a send-batch burst books on a
+  /// healthy link (a few µs at line rate) but below what the same burst
+  /// books once bandwidth degrades.
+  static constexpr Time kBacklogEnter = 10 * kMicrosecond;
+  static constexpr Time kBacklogExit = 2 * kMicrosecond;
+  static constexpr std::uint32_t kLinkDwell = 2;
+  /// ECMP weights applied around an unhealthy direction: the bad direction
+  /// gets `kLossyWeight`, its same-origin siblings `kHealthyWeight` (all
+  /// restored to the default 1 when the node has no unhealthy egress).
+  static constexpr std::uint16_t kHealthyWeight = 15;
+  static constexpr std::uint16_t kLossyWeight = 1;
+
+  // --- predictive (trend) link scoring -------------------------------------
+  /// The reactive plane above reacts *after* a direction has been bad for
+  /// `kLinkDwell` windows. The predictive scorer runs on the same window
+  /// samples but projects forward: each window's severity (how close the
+  /// direction sits to its unhealthy thresholds, 1.0 = at threshold) feeds
+  /// a level EWMA and a slope EWMA, and a direction whose projected
+  /// severity `level + kRiskHorizon * slope` crosses `kRiskEnter` while
+  /// still trending up is flagged *at risk* in the fabric
+  /// (Fabric::set_dir_at_risk). The flag is advisory: routing never
+  /// changes, but the cluster scheduler's admission controller defers new
+  /// placements while too many directions are about to go sick. Cleared
+  /// when the projection falls back through `kRiskExit`, or the moment the
+  /// reactive plane takes over (unhealthy implies deweighted, which
+  /// admission already gates on).
+  /// EWMA weight of a window's severity.
+  static constexpr double kSeverityAlpha = 0.5;
+  /// EWMA weight of the severity slope.
+  static constexpr double kTrendAlpha = 0.5;
+  /// Windows of lookahead in the projection.
+  static constexpr double kRiskHorizon = 3.0;
+  /// Projected severity to mark at-risk / to clear the mark.
+  static constexpr double kRiskEnter = 1.0;
+  static constexpr double kRiskExit = 0.5;
+
+  /// Validator bound ("adapt.oscillation"): state flips per peer pair or
+  /// per direction beyond this report a violation in MCCL_VALIDATE builds.
+  static constexpr std::uint32_t kMaxTransitions = 8;
 
   /// Op lifecycle: the link sampler runs only while ops are in flight.
   void note_op_started();
@@ -204,7 +207,7 @@ class HealthMonitor {
     std::uint32_t good_windows = 0;
     bool unhealthy = false;
     std::uint32_t transitions = 0;
-    // Predictive trend state (see HealthConfig::predictive).
+    // Predictive trend state (see the predictive constants above).
     double sev_ewma = 0.0;    // smoothed window severity
     double slope_ewma = 0.0;  // smoothed severity delta per window
     bool at_risk = false;
@@ -218,7 +221,7 @@ class HealthMonitor {
   void score_trend(std::size_t dir, double severity);
   void schedule_sample(std::uint64_t gen);
   /// Applies ECMP weights for every egress direction of the node that owns
-  /// `dir` (siblings included; see HealthConfig weight semantics).
+  /// `dir` (siblings included; see kHealthyWeight / kLossyWeight).
   void reweight_node_of(std::size_t dir);
   /// Re-weights every host's per-rail uplinks from rail health. On a
   /// multi-rail fabric the host's injection choice *is* the path choice — a

@@ -598,7 +598,7 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
         s.block_abandoned[block])
       return;
   }
-  if (f.attempts < comm_.config().fetch_retry_cap) {
+  if (f.attempts < kFetchRetryCap) {
     // Same target, another request: the original (or its ACK) may have
     // been lost on a degraded link.
     ++f.attempts;
@@ -1180,14 +1180,11 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
 // --------------------------------------------------------------------------
 
 void McastCollective::arm_watchdog() {
-  Time deadline = comm_.config().watchdog_timeout;
-  if (deadline == 0) {
-    Time worst = 0;
-    for (std::size_t r = 0; r < comm_.size(); ++r)
-      worst = std::max(worst, cutoff_deadline(r));
-    deadline = static_cast<Time>(
-        static_cast<double>(worst) * comm_.config().watchdog_multiplier);
-  }
+  Time worst = 0;
+  for (std::size_t r = 0; r < comm_.size(); ++r)
+    worst = std::max(worst, cutoff_deadline(r));
+  const Time deadline =
+      static_cast<Time>(static_cast<double>(worst) * kWatchdogMultiplier);
   comm_.cluster().engine().schedule(deadline, [this] { on_watchdog(); });
 }
 
@@ -1370,39 +1367,6 @@ bool McastCollective::validate_rank(std::size_t r) const {
     }
   }
   return ok;
-}
-
-void McastCollective::debug_dump() const {
-  for (std::size_t r = 0; r < comm_.size(); ++r) {
-    const RankState& s = st_[r];
-    std::size_t dead_peers = 0;
-    for (const char d : s.peer_dead) dead_peers += d != 0;
-    const std::size_t ra = right_alive_of(r);
-    std::fprintf(stderr,
-                 "rank %zu: barrier(round=%zu done=%d) recv=%zu/%zu "
-                 "copies=%zu local=%d data=%d send(active=%d done=%d "
-                 "sgs=%zu) recovering=%d repairing=%d dead_peers=%zu "
-                 "fetches=%zu final(sent=%d from_right_alive=%d) done=%d\n",
-                 r, s.barrier_round, s.barrier_done, s.received, s.expected,
-                 s.pending_copies, s.local_copy_done, s.data_complete,
-                 s.send_active, s.send_done, s.subgroups_done, s.recovering,
-                 s.repairing, dead_peers, s.pending_fetches, s.final_sent,
-                 ra == r ? 1 : static_cast<int>(s.finals_from[ra]),
-                 s.op_done);
-    std::fprintf(stderr, "  blocks:");
-    for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-      const BlockFetch& f = s.fetch[b];
-      std::fprintf(stderr, " %zu/%zu", s.block_received[b],
-                   map_.chunks_per_block());
-      if (s.block_abandoned[b]) std::fprintf(stderr, "(dead)");
-      if (!s.fetch_waiters[b].empty())
-        std::fprintf(stderr, "(w=%zu)", s.fetch_waiters[b].size());
-      if (f.active)
-        std::fprintf(stderr, "[->%zu a=%zu%s]", f.target, f.attempts,
-                     f.acked ? " acked" : "");
-    }
-    std::fprintf(stderr, "\n");
-  }
 }
 
 bool McastCollective::verify() const {

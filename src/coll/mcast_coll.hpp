@@ -22,7 +22,7 @@
 //
 // Hardening beyond the paper (fault injection, see fabric/faults.hpp): a
 // fetch request that is not ACKed is retried with exponential backoff; after
-// `fetch_retry_cap` attempts the rank fails over to the target's own left
+// `kFetchRetryCap` attempts the rank fails over to the target's own left
 // neighbor (skipping the unresponsive rank — the chain still terminates at
 // the block root, which owns its block). An op-level watchdog (a multiple of
 // the cutoff deadline) dumps protocol state and fails the op with a
@@ -83,6 +83,16 @@ class McastCollective : public OpBase {
 
   McastCollective(Communicator& comm, std::string name, Params params);
 
+  /// Fetch requests sent to one target before failing over to its left
+  /// neighbor (skipping the unresponsive rank; the chain still ends at the
+  /// block root, which always holds its own block).
+  static constexpr std::size_t kFetchRetryCap = 3;
+  /// Hard per-op deadline: this many times the worst rank's cutoff
+  /// deadline. On expiry the op dumps the flight recorder and fails with
+  /// a structured error instead of hanging the simulation (e.g. a
+  /// partitioned fabric with no surviving path).
+  static constexpr double kWatchdogMultiplier = 50.0;
+
   void start() override;
   bool verify() const override;
   void on_peer_confirmed_dead(std::size_t observer,
@@ -93,10 +103,6 @@ class McastCollective : public OpBase {
   std::uint64_t recvbuf_addr(std::size_t rank) const {
     return st_[rank].recvbuf;
   }
-
-  /// Prints per-rank protocol state to stderr (diagnostic aid for stuck
-  /// simulations).
-  void debug_dump() const;
 
   /// Validate-build audit of one rank's bookkeeping: chunk conservation
   /// (bitmap popcounts == received counter, per-block counts within bounds,

@@ -119,50 +119,15 @@ void Nic::transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
   pump_tx();
 }
 
-std::size_t Nic::next_ready_tx(std::size_t start) const {
-  // First slot with a non-empty queue at or after `start`, wrapping — the
-  // exact pick a linear first-non-empty probe from `start` would make.
-  // Bits at or above tx_queues_.size() are never set.
-  const std::size_t n = tx_queues_.size();
-  if (n == 0) return kNoTxQueue;
-  if (start >= n) start -= n;  // tx_rr_ is at most n
-  std::size_t w = start >> 6;
-  std::uint64_t bits = (tx_ready_[w] >> (start & 63)) << (start & 63);
-  for (;;) {
-    if (bits != 0)
-      return (w << 6) +
-             static_cast<std::size_t>(__builtin_ctzll(bits));
-    if (++w == tx_ready_.size()) break;
-    bits = tx_ready_[w];
-  }
-  const std::size_t stop = start >> 6;
-  for (w = 0; w <= stop; ++w) {
-    bits = tx_ready_[w];
-    if (w == stop)
-      bits &= (std::uint64_t{1} << (start & 63)) - 1;  // below `start` only
-    if (bits != 0)
-      return (w << 6) +
-             static_cast<std::size_t>(__builtin_ctzll(bits));
-  }
-  return kNoTxQueue;
-}
-
 // mccl-lint: begin-hot nic-egress
 void Nic::pump_tx() {
   static_assert(sched::QosArbiter::kNone == kNoTxQueue,
                 "arbiter sentinel must match the NIC's");
   if (tx_active_) return;
-  // Round-robin service across non-empty TX queues; with a QoS policy
-  // armed, the arbiter picks by band/weight instead (and maintains the
-  // cursor itself). sched::QosArbiter::kNone == kNoTxQueue.
-  std::size_t picked;
-  if (qos_enabled_) {
-    picked = qos_arbiter_.pick(tx_ready_.data(), tx_ready_.size(),
-                               tx_queues_.size(), tx_rr_);
-  } else {
-    picked = next_ready_tx(tx_rr_);
-    if (picked != kNoTxQueue) tx_rr_ = picked + 1;
-  }
+  // The arbiter picks across non-empty TX queues and advances the cursor:
+  // cyclic round-robin under kFifo, by band/weight under a QoS policy.
+  const std::size_t picked = qos_arbiter_.pick(
+      tx_ready_.data(), tx_ready_.size(), tx_queues_.size(), tx_rr_);
   if (picked == kNoTxQueue) return;
   auto& queue = tx_queues_[picked];
   TxItem item = std::move(queue.front());

@@ -187,7 +187,6 @@ class Nic {
                          std::uint64_t len);
   void pump_tx();
   std::size_t add_tx_queue();
-  std::size_t next_ready_tx(std::size_t start) const;
 
   static constexpr std::size_t kNoTxQueue = ~std::size_t{0};
 
@@ -218,7 +217,9 @@ class Nic {
   std::size_t tx_rr_ = 0;
   bool tx_active_ = false;
   sched::QosArbiter qos_arbiter_;
-  bool qos_enabled_ = false;  // true iff policy != kFifo
+  // True iff policy != kFifo: only then does the arbiter need per-slot
+  // band/weight attributes and per-dequeue deficit accounting.
+  bool qos_enabled_ = false;
   telemetry::Telemetry* telem_ = nullptr;
   bool crashed_ = false;
   bool crc_enabled_ = false;

@@ -37,8 +37,11 @@ Verdict AdmissionController::decide(const JobSpec& job,
     ++predictive_deferrals_;
     return Verdict::kQueue;
   }
-  if (cfg_.gate_on_pool_pressure && view.tenants_over_quota > 0 &&
-      job.qos_class != 0) {
+  // Pool gate: while any tenant sub-pool sits above its soft packet quota,
+  // defer new admissions until the pressure clears. Class-0
+  // (highest-priority) jobs bypass this gate — a latency tenant should not
+  // wait out a bulk tenant's buffer debt.
+  if (view.tenants_over_quota > 0 && job.qos_class != 0) {
     ++queued_;
     ++pool_deferrals_;
     return Verdict::kQueue;

@@ -41,11 +41,6 @@ struct AdmissionConfig {
   /// link about to go sick instead of admitting onto it and rescuing them
   /// a few windows later. ~0 disables the gate.
   std::size_t max_at_risk_dirs = ~std::size_t{0};
-  /// Pool gate: while any tenant sub-pool sits above its soft packet
-  /// quota, defer new admissions until the pressure clears. Class-0
-  /// (highest-priority) jobs bypass this gate — a latency tenant should
-  /// not wait out a bulk tenant's buffer debt.
-  bool gate_on_pool_pressure = true;
   /// A job queued longer than this is rejected (0 = wait forever; the
   /// scheduler's re-evaluation tick keeps the engine alive meanwhile).
   Time queue_timeout = 10 * kMillisecond;

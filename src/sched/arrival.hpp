@@ -52,24 +52,17 @@ struct WorkloadConfig {
   std::size_t training_ranks = 8;  // wide, overlapping host sets
   std::size_t training_ops = 4;
   std::uint64_t training_bytes = 128 * KiB;  // per-rank allgather block
-  std::uint8_t training_class = 2;
-  std::uint16_t training_weight = 1;
 
   // --- inference tenants: the bursty latency-bound load --------------------
   std::size_t inference_jobs = 6;
   std::size_t inference_ranks = 4;  // aligned host windows
   std::size_t inference_ops = 3;
   std::uint64_t inference_bytes = 16 * KiB;
-  std::uint8_t inference_class = 1;
-  std::uint16_t inference_weight = 2;
   Time inference_mean_gap = 15 * kMicrosecond;  // Poisson inter-arrival
-  Time inference_think = 2 * kMicrosecond;      // gap between a job's ops
 
   /// The first `high_priority_jobs` inference tenants are the SLO class:
   /// class 0 (highest lane/band) with a heavy WFQ weight.
   std::size_t high_priority_jobs = 2;
-  std::uint16_t high_priority_weight = 8;
-  Time high_priority_slo = 0;
 
   // --- per-class failure handling ------------------------------------------
   /// Failure policies stamped per class (JobSpec::on_failure). The
@@ -93,6 +86,16 @@ struct WorkloadConfig {
   coll::CommConfig comm;
 };
 
+// Per-class QoS stamps of the mixed workload: tenant QoS class (0 = highest
+// priority) and WFQ weight at NIC injection.
+inline constexpr std::uint8_t kTrainingClass = 2;
+inline constexpr std::uint16_t kTrainingWeight = 1;
+inline constexpr std::uint8_t kInferenceClass = 1;
+inline constexpr std::uint16_t kInferenceWeight = 2;
+inline constexpr std::uint16_t kHighPriorityWeight = 8;
+/// Gap between consecutive ops of one inference job.
+inline constexpr Time kInferenceThink = 2 * kMicrosecond;
+
 /// Expands `cfg` into the seeded mixed workload over `hosts`. Tenant ids
 /// are assigned 1..N in generation order; training jobs come first.
 inline std::vector<JobSpec> make_mixed_workload(
@@ -112,8 +115,8 @@ inline std::vector<JobSpec> make_mixed_workload(
     s.tenant = next_tenant++;
     s.name = "train" + std::to_string(j);
     s.kind = JobKind::kTraining;
-    s.qos_class = cfg.training_class;
-    s.qos_weight = cfg.training_weight;
+    s.qos_class = kTrainingClass;
+    s.qos_weight = kTrainingWeight;
     const std::size_t rot =
         cfg.training_jobs > 1 ? j * (hosts.size() / cfg.training_jobs) : 0;
     const std::size_t stride = std::max<std::size_t>(1, hosts.size() / t_ranks);
@@ -146,9 +149,8 @@ inline std::vector<JobSpec> make_mixed_workload(
     const bool hp = j < cfg.high_priority_jobs;
     s.name = (hp ? "hp" : "infer") + std::to_string(j);
     s.kind = JobKind::kInference;
-    s.qos_class = hp ? std::uint8_t{0} : cfg.inference_class;
-    s.qos_weight = hp ? cfg.high_priority_weight : cfg.inference_weight;
-    s.slo_target = hp ? cfg.high_priority_slo : 0;
+    s.qos_class = hp ? std::uint8_t{0} : kInferenceClass;
+    s.qos_weight = hp ? kHighPriorityWeight : kInferenceWeight;
     const std::size_t w = arrivals.rng().below(windows);
     for (std::size_t r = 0; r < i_ranks; ++r)
       s.hosts.push_back(hosts[(w * i_ranks + r) % hosts.size()]);
@@ -158,7 +160,7 @@ inline std::vector<JobSpec> make_mixed_workload(
     s.bcast_root = 0;
     s.bytes = cfg.inference_bytes;
     s.num_ops = cfg.inference_ops;
-    s.gap = cfg.inference_think;
+    s.gap = kInferenceThink;
     s.on_failure = hp ? cfg.high_priority_policy : cfg.inference_policy;
     s.comm = cfg.comm;
     if (cfg.inference_heartbeat != 0)

@@ -87,7 +87,7 @@ MetricsRegistry::Slot& MetricsRegistry::slot(std::string_view name,
   s.labels = sorted_labels(labels);
   s.type = type;
   if (type == MetricType::kHistogram) {
-    s.histogram = std::make_unique<Histogram>(options_.histogram_reservoir,
+    s.histogram = std::make_unique<Histogram>(kHistogramReservoir,
                                               0x9e1e7151u + histograms_created_++);
   }
   return metrics_.emplace(std::move(k), std::move(s)).first->second;

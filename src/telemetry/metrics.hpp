@@ -82,13 +82,10 @@ std::uint64_t total_count(const Snapshot& snap, std::string_view name);
 
 class MetricsRegistry {
  public:
-  struct Options {
-    std::size_t histogram_reservoir = 256;
-  };
+  /// Reservoir capacity for registry histograms (quantile accuracy vs
+  /// memory; exact below this many samples).
+  static constexpr std::size_t kHistogramReservoir = 256;
   using Publisher = std::function<void(MetricsRegistry&)>;
-
-  MetricsRegistry() : MetricsRegistry(Options{}) {}
-  explicit MetricsRegistry(Options options) : options_(options) {}
 
   /// Finds or creates; the returned reference is stable for the registry's
   /// lifetime. Requesting an existing key with a different type aborts.
@@ -131,7 +128,6 @@ class MetricsRegistry {
 
   Slot& slot(std::string_view name, const Labels& labels, MetricType type);
 
-  Options options_;
   std::map<std::string, Slot> metrics_;
   std::vector<std::pair<std::uint64_t, Publisher>> publishers_;
   std::uint64_t next_publisher_ = 1;

@@ -19,14 +19,9 @@ struct TelemetryConfig {
   /// via Tracer::enable before the run of interest).
   bool trace = false;
   std::size_t trace_max_events = 1u << 20;
-  /// Flight-recorder ring capacity per node (0 disables the recorder).
-  std::size_t recorder_capacity = 256;
   /// The engine emits one dispatch-window span + pending-queue counter
   /// sample every `engine_sample` dispatched events when tracing.
   std::uint64_t engine_sample = 8192;
-  /// Reservoir capacity for registry histograms (quantile accuracy vs
-  /// memory; exact below this many samples).
-  std::size_t histogram_reservoir = 256;
 };
 
 /// Trace pid used for cluster-global (non-rank) rows: the engine track.
@@ -34,13 +29,14 @@ inline constexpr std::int64_t kSimTracePid = 1'000'000;
 
 class Telemetry {
  public:
+  /// Flight-recorder ring capacity per node. The recorder is always on.
+  static constexpr std::size_t kRecorderCapacity = 256;
+
   explicit Telemetry(TelemetryConfig cfg = {})
       : config(cfg),
-        metrics(MetricsRegistry::Options{cfg.histogram_reservoir}),
         tracer(Tracer::Options{cfg.trace_max_events}),
-        recorder(cfg.recorder_capacity == 0 ? 1 : cfg.recorder_capacity) {
+        recorder(kRecorderCapacity) {
     tracer.enable(cfg.trace);
-    recorder.enable(cfg.recorder_capacity > 0);
   }
 
   TelemetryConfig config;

@@ -396,7 +396,7 @@ TEST(Reliability, RingDetectorSingleCrashOnlyWatchersSuspect) {
   // The first watcher to reach the threshold confirms from its own leases;
   // the other may learn from its notice first.
   EXPECT_EQ(std::max(det->suspicion(6, 5), det->suspicion(7, 5)),
-            det->config().suspect_threshold);
+            coll::FailureDetector::kSuspectThreshold);
   EXPECT_EQ(det->suspicions(), det->suspicion(6, 5) + det->suspicion(7, 5));
   // The watchers' rings closed over the gap.
   EXPECT_EQ(det->watched(6), (std::vector<std::size_t>{4, 3}));

@@ -49,8 +49,8 @@ std::size_t dir_between(const fabric::Topology& topo, fabric::NodeId from,
 // --- per-peer EWMA scoring ------------------------------------------------
 
 TEST(Health, EwmaHysteresisAndDwellMarkThenClear) {
-  // Defaults: ewma_alpha 0.25, slow_enter 1.8 / slow_exit 1.2, dwell 2,
-  // timeout_sample 3.0, score starts at 1.0. Timeouts walk the score
+  // Constants: kEwmaAlpha 0.25, kSlowEnter 1.8 / kSlowExit 1.2, kDwell 2,
+  // kTimeoutSample 3.0, score starts at 1.0. Timeouts walk the score
   // 1.5 -> 1.875 (dwell 1) -> 2.16 (dwell 2 => slow); zero-latency acks
   // walk it back 1.62 -> 1.21 (> exit, dwell resets) -> 0.91 -> 0.68
   // (dwell 2 => cleared).
@@ -219,7 +219,7 @@ TEST(Health, DegradedTrunkIsDeweightedThenRestoredWithEvidence) {
     ASSERT_TRUE(res.data_verified) << "op " << op << ": " << res.error;
     if (hm->dir_unhealthy(up10)) {
       saw_deweighted = true;
-      EXPECT_EQ(fab.dir_weight(up10), 1);   // lossy_weight
+      EXPECT_EQ(fab.dir_weight(up10), 1);   // kLossyWeight
       EXPECT_EQ(fab.dir_weight(up11), 15);  // healthy sibling
     }
   }
@@ -361,12 +361,12 @@ TEST(Health, SubgroupsRepinOffTheSickRail) {
 // --- predictive (trend) link scoring --------------------------------------
 
 TEST(Health, PredictiveTrendMarksRisingLinkThenClears) {
-  // Defaults: severity_alpha 0.5, trend_alpha 0.5, risk_horizon 3,
-  // risk_enter 1.0, risk_exit 0.5. A 0.3 / 0.6 / 0.9 severity ramp walks
+  // Constants: kSeverityAlpha 0.5, kTrendAlpha 0.5, kRiskHorizon 3,
+  // kRiskEnter 1.0, kRiskExit 0.5. A 0.3 / 0.6 / 0.9 severity ramp walks
   // the projection 0.375 -> 0.825 -> 1.256: still below threshold after
   // two windows, marked at-risk on the third while the reactive plane
   // (which needs the direction actually *over* its thresholds for
-  // link_dwell windows) has not fired. One clean window collapses the
+  // kLinkDwell windows) has not fired. One clean window collapses the
   // projection to 0.15 and clears the mark.
   World w(4, adapt_on());
   HealthMonitor* hm = w.comm->health();
