@@ -66,8 +66,8 @@ void BM_Tenancy(benchmark::State& state, sched::QosPolicy policy,
           // death lands mid-storm on the wide training tenants.
           fabric::FaultEvent::node_crash(60 * kMicrosecond, 15),
       };
-      fc.seed = wl.seed ^ 0xc4a05ull;
       kcfg.fabric.faults = fc;
+      kcfg.fabric.seed = wl.seed ^ 0xc4a05ull;
       kcfg.nic.rc_rto = 20 * kMicrosecond;
     }
     coll::Cluster cluster(

@@ -99,7 +99,6 @@ fabric::FaultConfig make_timeline(std::uint64_t seed,
   fc.burst.p_enter_bad = 0.0005;
   fc.burst.p_exit_bad = 0.25;
   fc.burst.drop_bad = 0.25;
-  fc.seed = splitmix64(seed ^ 0xada9705ull);
   return fc;
 }
 
@@ -107,6 +106,7 @@ bool run_mode(std::uint64_t seed, bool adaptive, ModeStats* out) {
   fabric::NodeId straggler = 0;
   coll::ClusterConfig kcfg;
   kcfg.fabric.faults = make_timeline(seed, &straggler);
+  kcfg.fabric.seed = splitmix64(seed ^ 0xada9705ull);
   // Recovery timers scaled to the scenario (ops finish in ~100-250us, the
   // defaults assume multi-ms ops): a dropped packet must cost a re-send,
   // not an era. Identical in both modes — the A/B isolates adaptation.

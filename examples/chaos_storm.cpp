@@ -56,7 +56,7 @@ constexpr Time kMidBcast = 15 * kMicrosecond;
 
 struct Scenario {
   const char* name;
-  fabric::FaultConfig faults;
+  fabric::Fabric::Config wire;  // fault timeline + seed
   bool lossy;  // expect a watchdog failure when recovery is off
   bool crash = false;  // node-crash scenario: detector verdict, no watchdog
 };
@@ -67,25 +67,25 @@ std::vector<Scenario> scenarios() {
   std::vector<Scenario> out;
   {
     Scenario s{"link_cut", {}, true};
-    s.faults.events = {fabric::FaultEvent::link_down(kMidBcast, 8, 10)};
+    s.wire.faults.events = {fabric::FaultEvent::link_down(kMidBcast, 8, 10)};
     out.push_back(std::move(s));
   }
   {
     Scenario s{"switch", {}, true};
-    s.faults.events = {fabric::FaultEvent::switch_down(kMidBcast, 10)};
+    s.wire.faults.events = {fabric::FaultEvent::switch_down(kMidBcast, 10)};
     out.push_back(std::move(s));
   }
   {
     Scenario s{"burst", {}, true};
-    s.faults.burst.p_enter_bad = 0.002;
-    s.faults.burst.p_exit_bad = 0.05;
-    s.faults.burst.drop_bad = 0.5;
-    s.faults.seed = 7;
+    s.wire.faults.burst.p_enter_bad = 0.002;
+    s.wire.faults.burst.p_exit_bad = 0.05;
+    s.wire.faults.burst.drop_bad = 0.5;
+    s.wire.seed = 7;
     out.push_back(std::move(s));
   }
   {
     Scenario s{"straggler", {}, false};  // slow, but nothing is lost
-    s.faults.events = {
+    s.wire.faults.events = {
         fabric::FaultEvent::straggler_begin(0, 3, 10.0),
         fabric::FaultEvent::straggler_end(200 * kMicrosecond, 3)};
     out.push_back(std::move(s));
@@ -94,23 +94,24 @@ std::vector<Scenario> scenarios() {
     // A non-root leaf dies mid-broadcast: no data is lost, but the barrier,
     // fetch ring and final handshake all had the dead rank as a neighbor.
     Scenario s{"crash_leaf", {}, false, true};
-    s.faults.events = {fabric::FaultEvent::node_crash(kMidBcast, 5)};
+    s.wire.faults.events = {fabric::FaultEvent::node_crash(kMidBcast, 5)};
     out.push_back(std::move(s));
   }
   {
     // The block root dies mid-transfer: survivors either re-root at a full
     // holder or complete degraded with the block named missing.
     Scenario s{"crash_root", {}, false, true};
-    s.faults.events = {fabric::FaultEvent::node_crash(kMidBcast, 0)};
+    s.wire.faults.events = {fabric::FaultEvent::node_crash(kMidBcast, 0)};
     out.push_back(std::move(s));
   }
   {
     // Correlated failure: leaf switch 9 and every host behind it die
     // together. Survivors under leaf 8 (including the root) finish clean.
     Scenario s{"rack_crash", {}, false, true};
-    s.faults.events = {fabric::FaultEvent::switch_down(kMidBcast, 9)};
+    s.wire.faults.events = {fabric::FaultEvent::switch_down(kMidBcast, 9)};
     for (fabric::NodeId h = 4; h < 8; ++h)
-      s.faults.events.push_back(fabric::FaultEvent::node_crash(kMidBcast, h));
+      s.wire.faults.events.push_back(
+          fabric::FaultEvent::node_crash(kMidBcast, h));
     out.push_back(std::move(s));
   }
   return out;
@@ -118,7 +119,7 @@ std::vector<Scenario> scenarios() {
 
 int run_case(const Scenario& sc, coll::Transport transport, bool recovery) {
   coll::ClusterConfig kcfg;
-  kcfg.fabric.faults = sc.faults;
+  kcfg.fabric = sc.wire;
   coll::Cluster cluster(
       fabric::make_fat_tree(2, 4, 2, 1, {}, {}), kcfg);
   coll::CommConfig cfg;

@@ -217,8 +217,8 @@ bool run_case(std::uint64_t seed, bool chaos, RunOut* out) {
     fc.burst.p_enter_bad = 0.0005;
     fc.burst.p_exit_bad = 0.25;
     fc.burst.drop_bad = 0.25;
-    fc.seed = seed ^ 0xc4a05ull;
     kcfg.fabric.faults = fc;
+    kcfg.fabric.seed = seed ^ 0xc4a05ull;
   }
   kcfg.nic.rc_rto = 20 * kMicrosecond;  // retry, don't wait an era
   coll::Cluster cluster(

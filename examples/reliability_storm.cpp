@@ -34,7 +34,7 @@ Sample run_once(double drop, std::uint64_t seed) {
   constexpr std::size_t kRanks = 8;
   constexpr std::uint64_t kBytes = 128 * KiB;
   coll::ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = drop;
+  kcfg.fabric.faults.burst.drop_good = drop;  // uniform loss
   kcfg.fabric.seed = seed;
   coll::Cluster cluster(fabric::make_fat_tree_for_hosts(kRanks, 16, {}),
                         kcfg);

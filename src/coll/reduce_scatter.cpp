@@ -18,7 +18,7 @@ IncReduceScatter::IncReduceScatter(Communicator& comm,
       chunk_bytes_(comm.config().chunk_bytes) {
   const std::size_t P = comm.size();
   MCCL_CHECK(P >= 2 && bytes_ > 0 && bytes_ % sizeof(float) == 0);
-  MCCL_CHECK_MSG(comm_.cluster().config().fabric.drop_prob == 0,
+  MCCL_CHECK_MSG(!comm_.cluster().config().fabric.faults.burst.enabled(),
                  "the INC substrate assumes a lossless fabric");
   chunks_per_block_ = static_cast<std::size_t>(
       (bytes_ + chunk_bytes_ - 1) / chunk_bytes_);

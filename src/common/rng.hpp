@@ -1,6 +1,6 @@
-// Deterministic, seedable RNG (xoshiro256**) for drop injection, adaptive
-// routing and workload generation. Simulation runs must be reproducible from
-// a seed, so no global std::random_device anywhere.
+// Deterministic, seedable RNG (xoshiro256**) for the fault plane, the
+// control planes and workload generation. Simulation runs must be
+// reproducible from a seed, so no global std::random_device anywhere.
 #pragma once
 
 #include <cstdint>

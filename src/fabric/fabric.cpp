@@ -13,8 +13,7 @@ Fabric::Fabric(sim::Engine& engine, Topology topology, Config config)
     : engine_(engine),
       topo_(std::move(topology)),
       config_(config),
-      rng_(config.seed),
-      faults_(engine, topo_, config.faults) {
+      faults_(engine, topo_, config.faults, config.seed) {
   MCCL_CHECK_MSG(topo_.routes_ready(), "topology routes not computed");
   delivery_.resize(topo_.num_nodes());
   serializers_.resize(topo_.num_dirs());
@@ -188,13 +187,9 @@ void Fabric::put_on_wire(NodeId node, int /*port_idx*/, const Port& port,
   ctr.packets += 1;
   ctr.bytes += packet->wire_size;
 
-  // Decide link-layer corruption up front; a corrupted packet still
-  // occupies the wire (it is dropped at the receiver's CRC check). The
-  // burst model is consulted per packet even when uniform BER already
-  // condemned it, so the Gilbert-Elliott chain advances identically
-  // regardless of the other loss sources (determinism across configs).
+  // Decide link-layer loss up front; a lost packet still occupies the wire
+  // (a bit error is caught at the receiver's CRC check).
   bool drop = quiet_ ? false : faults_.burst_drop(port.dir_index);
-  if (config_.drop_prob > 0.0 && rng_.chance(config_.drop_prob)) drop = true;
   if (!drop && drop_filter_ && drop_filter_(node, port.peer, *packet))
     drop = true;
   if (drop) {
@@ -246,9 +241,6 @@ void Fabric::put_on_wire(NodeId node, int /*port_idx*/, const Port& port,
 
   Time arrival = wire_done + port.params.latency;
   if (!quiet_) arrival += faults_.extra_latency(port.dir_index);
-  if (config_.latency_jitter > 0)
-    arrival += static_cast<Time>(
-        rng_.below(static_cast<std::uint64_t>(config_.latency_jitter) + 1));
 
   const NodeId peer = port.peer;
   const int peer_port = port.peer_port;
@@ -377,13 +369,6 @@ int Fabric::pick_next_hop(NodeId node, const Packet& packet) {
                                   static_cast<std::uint32_t>(alive.size())}
                : all;
   if (cand.size() == 1) return cand.front();
-  if (config_.routing == RoutingMode::kAdaptive) {
-    if (weighted_) {
-      const int c = pick_weighted(node, cand, ~0ULL, /*adaptive=*/true);
-      if (c >= 0) return c;
-    }
-    return cand[rng_.below(cand.size())];
-  }
   // Deterministic ECMP: mix flow id, node and destination so distinct flows
   // spread while one flow stays on one path (in-order delivery).
   std::uint64_t h = packet.flow_id * 0x9e3779b97f4a7c15ULL;
@@ -392,7 +377,7 @@ int Fabric::pick_next_hop(NodeId node, const Packet& packet) {
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 29;
   if (weighted_) {
-    const int c = pick_weighted(node, cand, h, /*adaptive=*/false);
+    const int c = pick_weighted(node, cand, h);
     if (c >= 0) return c;
   }
   // Fat-tree uplink counts are powers of two in practice; mask instead of a
@@ -402,7 +387,7 @@ int Fabric::pick_next_hop(NodeId node, const Packet& packet) {
 }
 
 int Fabric::pick_weighted(NodeId node, const Topology::HopSet& cand,
-                          std::uint64_t hash, bool adaptive) {
+                          std::uint64_t hash) {
   // Weighted ECMP: flows land on a candidate with probability proportional
   // to its direction weight. Falls back to uniform selection (-1) when the
   // candidates' weights sum to zero — a zero-weight path is still usable,
@@ -411,7 +396,7 @@ int Fabric::pick_weighted(NodeId node, const Topology::HopSet& cand,
   const auto& ports = topo_.ports(node);
   for (int c : cand) total += dir_weight_[ports[static_cast<size_t>(c)].dir_index];
   if (total == 0) return -1;
-  std::uint64_t pick = adaptive ? rng_.below(total) : hash % total;
+  std::uint64_t pick = hash % total;
   for (int c : cand) {
     const std::uint32_t w =
         dir_weight_[ports[static_cast<size_t>(c)].dir_index];

@@ -2,14 +2,15 @@
 //
 // Models a lossless-by-default RDMA fabric: per-link-direction FIFO
 // serialization at link bandwidth, fixed per-hop latency, switch forwarding
-// (deterministic ECMP or adaptive per-packet), hardware multicast via
-// spanning trees over group members, per-port TX byte counters (the Fig 12
-// methodology), and configurable fault injection: uniform BER-style drops,
-// arbitrary drop filters for tests, and a scheduled fault timeline
-// (link/switch outages, Gilbert-Elliott burst loss, degradation windows,
-// stragglers — see faults.hpp). Deterministic ECMP routes around dead links
-// when an equal-cost alternate exists; packets with no usable path are
-// black-holed and counted.
+// (deterministic ECMP by flow hash), hardware multicast via spanning trees
+// over group members, per-port TX byte counters (the Fig 12 methodology),
+// and fault injection: arbitrary drop filters for tests, and the FaultPlane
+// (faults.hpp) — the one seeded source of perturbation on the wire: uniform
+// and Gilbert-Elliott burst loss, link/switch outages, degradation windows
+// (whose extra latency reorders packets across the window's end),
+// corruption, stragglers and crashes. Deterministic ECMP routes around dead
+// links when an equal-cost alternate exists; packets with no usable path
+// are black-holed and counted.
 #pragma once
 
 #include <array>
@@ -18,7 +19,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/common/rng.hpp"
 #include "src/common/units.hpp"
 #include "src/fabric/faults.hpp"
 #include "src/fabric/packet.hpp"
@@ -33,29 +33,23 @@ class MetricsRegistry;
 
 namespace mccl::fabric {
 
-enum class RoutingMode : std::uint8_t {
-  kDeterministic,  // ECMP by flow hash: per-flow in-order delivery
-  kAdaptive,       // per-packet random ECMP: can reorder across paths
-};
-
 class Fabric {
  public:
   struct Config {
-    RoutingMode routing = RoutingMode::kDeterministic;
     Time switch_latency = 150 * kNanosecond;  // per-hop forwarding delay
-    double drop_prob = 0.0;   // per-packet per-link drop probability
-    Time latency_jitter = 0;  // uniform extra latency in [0, jitter]
+    /// The one seed of the wire: seeds the fault plane's RNG.
     std::uint64_t seed = 1;
     /// Virtual-lane QoS at switch egress ports (paper Section VII): the
     /// control lane is served with strict priority over bulk data, so
     /// chain tokens / ACKs never queue behind megabytes of payload.
     bool virtual_lanes = true;
-    /// Scheduled fault timeline + burst-loss model (see faults.hpp).
+    /// Scheduled fault timeline + loss model (see faults.hpp); uniform
+    /// loss at rate p is `faults.burst.drop_good = p`.
     FaultConfig faults;
   };
 
   /// Per-link-direction traffic counters (switch-port-counter equivalent).
-  /// Note that `drop_prob` and the burst model apply to control-lane packets
+  /// Note that the fault plane's loss model applies to control-lane packets
   /// just like bulk packets (corruption does not respect QoS); the per-lane
   /// split lets recovery analysis distinguish lost data from lost ACKs.
   struct DirCounters {
@@ -261,7 +255,7 @@ class Fabric {
   int pick_next_hop(NodeId node, const Packet& packet);
   /// Weight-proportional candidate selection; -1 = fall back to uniform.
   int pick_weighted(NodeId node, const Topology::HopSet& cand,
-                    std::uint64_t hash, bool adaptive);
+                    std::uint64_t hash);
   /// Rebuilds the per-(host, node) reachability table consulted by ECMP
   /// when the fault plane has taken links or switches down.
   void recompute_viability();
@@ -271,7 +265,6 @@ class Fabric {
   PacketPool pool_;
   Topology topo_;
   Config config_;
-  Rng rng_;
   FaultPlane faults_;
   telemetry::Telemetry* telem_ = nullptr;
   std::vector<DeliveryFn> delivery_;        // per host node id

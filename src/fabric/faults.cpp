@@ -39,8 +39,8 @@ const char* kind_name(FaultEvent::Kind k) {
 }  // namespace
 
 FaultPlane::FaultPlane(sim::Engine& engine, const Topology& topo,
-                       FaultConfig config)
-    : engine_(engine), config_(std::move(config)), rng_(config_.seed) {
+                       FaultConfig config, std::uint64_t seed)
+    : engine_(engine), config_(std::move(config)), rng_(seed) {
   state_.resize(topo.num_dirs());
   for (std::size_t i = 0; i < topo.num_dirs(); ++i) {
     state_[i].from = topo.dirs()[i].from;
@@ -80,31 +80,6 @@ void FaultPlane::note_transition(const FaultEvent& ev) {
                               : static_cast<std::uint64_t>(ev.b));
   if (telem_->tracer.enabled())
     telem_->tracer.instant(trace_track_, name, engine_.now(), "fault");
-}
-
-void FaultPlane::set_straggler_handler(StragglerHandler fn) {
-  straggler_ = std::move(fn);
-  if (straggler_) {
-    for (const auto& [host, factor] : pending_straggles_)
-      straggler_(host, factor);
-    pending_straggles_.clear();
-  }
-}
-
-void FaultPlane::set_quiescence_handler(QuiescenceHandler fn) {
-  quiescence_ = std::move(fn);
-  // The timeline may already have quiesced (all events at t=0, handler
-  // registered during construction afterwards).
-  if (quiescence_ && passthrough_ && armed_) quiescence_();
-}
-
-void FaultPlane::set_crash_handler(CrashHandler fn) {
-  crash_ = std::move(fn);
-  if (crash_) {
-    for (const auto& [host, crashed] : pending_crashes_)
-      crash_(host, crashed);
-    pending_crashes_.clear();
-  }
 }
 
 void FaultPlane::for_link_dirs(NodeId a, NodeId b,
@@ -154,26 +129,17 @@ void FaultPlane::apply(const FaultEvent& ev) {
       break;
     case FaultEvent::Kind::kStragglerBegin:
       MCCL_CHECK_MSG(ev.factor >= 1.0, "straggler factor must be >= 1");
-      if (straggler_)
-        straggler_(ev.a, ev.factor);
-      else
-        pending_straggles_.emplace_back(ev.a, ev.factor);
+      if (straggler_) straggler_(ev.a, ev.factor);
       break;
     case FaultEvent::Kind::kStragglerEnd:
-      if (straggler_)
-        straggler_(ev.a, 1.0);
-      else
-        pending_straggles_.emplace_back(ev.a, 1.0);
+      if (straggler_) straggler_(ev.a, 1.0);
       break;
     case FaultEvent::Kind::kNodeCrash:
     case FaultEvent::Kind::kNodeRecover: {
       const bool crashed = ev.kind == FaultEvent::Kind::kNodeCrash;
       host_crashed_[static_cast<std::size_t>(ev.a)] = crashed;
       ++topo_version_;
-      if (crash_)
-        crash_(ev.a, crashed);
-      else
-        pending_crashes_.emplace_back(ev.a, crashed);
+      if (crash_) crash_(ev.a, crashed);
       break;
     }
     case FaultEvent::Kind::kCorruptBegin:
@@ -216,9 +182,11 @@ bool FaultPlane::burst_drop(std::size_t dir) {
   if (!ge.enabled()) return false;
   DirState& d = state_[dir];
   // Advance the chain first, then sample loss in the resulting state: a
-  // burst affects the packet that triggered it.
+  // burst affects the packet that triggered it. Uniform loss (p_enter_bad
+  // == 0) never leaves `good` and skips the transition draw, so it costs
+  // one draw per packet.
   if (!d.bad) {
-    if (rng_.chance(ge.p_enter_bad)) {
+    if (ge.p_enter_bad > 0.0 && rng_.chance(ge.p_enter_bad)) {
       d.bad = true;
       ++bursts_entered_;
     }

@@ -16,9 +16,11 @@
 //  - switch_down / switch_up: every direction touching the switch goes dark.
 //  - degrade / restore:       a bandwidth factor and extra latency window on
 //                             one link (flaky cable / congested port).
-//  - Gilbert-Elliott burst loss: per-direction two-state Markov chain
-//                             (good/bad) advanced per packet, replacing the
-//                             uniform-BER model's independence assumption.
+//  - Gilbert-Elliott loss:    per-direction two-state Markov chain
+//                             (good/bad) advanced per packet. With
+//                             p_enter_bad = 0 the chain never leaves `good`
+//                             and drop_good is the paper's uniform i.i.d.
+//                             per-packet, per-link loss.
 //  - straggler_begin / _end:  a host whose progress-engine datapath costs are
 //                             scaled xK for a window (paused / oversubscribed
 //                             node). The fabric owns the timeline; the
@@ -38,13 +40,17 @@
 //                             packets are delivered — detection is the
 //                             receiver's job (CRC32C on the staging path).
 //
-// All state transitions are driven by engine events at fixed simulated times
-// with a dedicated seeded RNG, so identical configurations replay
-// bit-identically (tests/test_determinism.cpp).
+// All state transitions are driven by engine events at fixed simulated times.
+// The plane's RNG, seeded from Fabric::Config::seed, is the only random
+// source on the wire, so identical configurations replay bit-identically
+// (tests/test_determinism.cpp). Reordering is not a separate knob: a
+// degrade window's extra latency that ends mid-transfer lets packets sent
+// after the restore overtake packets still in flight.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -60,8 +66,11 @@ class Telemetry;
 namespace mccl::fabric {
 
 /// Two-state Markov loss model: a link is in the `good` state (loss
-/// `drop_good`, usually 0) until a per-packet coin flip moves it to `bad`
-/// (loss `drop_bad`), where it stays for a geometrically distributed burst.
+/// `drop_good`) until a per-packet coin flip moves it to `bad` (loss
+/// `drop_bad`), where it stays for a geometrically distributed burst.
+/// `p_enter_bad = 0` with `drop_good = p` is uniform loss at rate p (the
+/// paper's loss model): the chain is never advanced, so each packet costs
+/// exactly one draw.
 struct GilbertElliott {
   double p_enter_bad = 0.0;  // per-packet good -> bad transition probability
   double p_exit_bad = 0.05;  // per-packet bad -> good transition probability
@@ -137,8 +146,7 @@ struct FaultEvent {
 
 struct FaultConfig {
   std::vector<FaultEvent> events;
-  GilbertElliott burst;     // applied to every link direction independently
-  std::uint64_t seed = 1;   // burst-model RNG (separate from Fabric's)
+  GilbertElliott burst;  // applied to every link direction independently
   bool any() const { return !events.empty() || burst.enabled(); }
   /// True if the timeline contains any corruption window. NICs consult this
   /// once to decide whether CRC32C stamping/verification is worth paying
@@ -164,15 +172,23 @@ class FaultPlane {
   /// fast path here.
   using QuiescenceHandler = std::function<void()>;
 
-  FaultPlane(sim::Engine& engine, const Topology& topo, FaultConfig config);
+  /// `seed` seeds the plane's RNG (Fabric::Config::seed).
+  FaultPlane(sim::Engine& engine, const Topology& topo, FaultConfig config,
+             std::uint64_t seed);
 
   /// Schedules every configured event on the engine. Idempotent per event
   /// list; called once by the Fabric constructor.
   void arm();
 
-  void set_straggler_handler(StragglerHandler fn);
-  void set_crash_handler(CrashHandler fn);
-  void set_quiescence_handler(QuiescenceHandler fn);
+  /// Without a handler, straggler and crash events change no host state
+  /// (the Cluster registers both before the engine first runs).
+  void set_straggler_handler(StragglerHandler fn) {
+    straggler_ = std::move(fn);
+  }
+  void set_crash_handler(CrashHandler fn) { crash_ = std::move(fn); }
+  void set_quiescence_handler(QuiescenceHandler fn) {
+    quiescence_ = std::move(fn);
+  }
 
   /// Fault-timeline transitions become trace instant events (on the sim
   /// "faults" row) and flight-recorder entries.
@@ -211,7 +227,7 @@ class FaultPlane {
   /// moves; 0 means the fault timeline has never touched connectivity.
   std::uint64_t topo_version() const { return topo_version_; }
   /// Advances the direction's Gilbert-Elliott chain by one packet and
-  /// returns true if that packet is lost to a burst.
+  /// returns true if that packet is lost (uniform or burst loss).
   bool burst_drop(std::size_t dir);
   /// Samples the direction's corruption window: true if this packet gets a
   /// bit flipped. Draws from the fault-plane RNG only while a window is
@@ -232,6 +248,8 @@ class FaultPlane {
   /// Packets that had no usable path (dead egress and no ECMP alternate).
   std::uint64_t black_holed() const { return black_holed_; }
   void count_black_hole() { ++black_holed_; }
+  /// Packets lost to the Gilbert-Elliott model, in either state (so
+  /// uniform drop_good losses count here too).
   std::uint64_t burst_drops() const { return burst_drops_; }
   std::uint64_t bursts_entered() const { return bursts_entered_; }
   /// Packets whose payload was bit-flipped by a corruption window.
@@ -273,11 +291,6 @@ class FaultPlane {
   StragglerHandler straggler_;
   CrashHandler crash_;
   QuiescenceHandler quiescence_;
-  // Straggler/crash events that fired before the Cluster registered its
-  // handlers (both happen at t=0 during construction; replay on
-  // registration).
-  std::vector<std::pair<NodeId, double>> pending_straggles_;
-  std::vector<std::pair<NodeId, bool>> pending_crashes_;
   bool armed_ = false;
   bool corruption_possible_ = false;
   bool passthrough_ = false;

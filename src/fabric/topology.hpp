@@ -2,9 +2,9 @@
 //
 // Routing tables are computed with BFS from every host; a node's candidate
 // next hops toward a host are all ports whose peer is strictly closer
-// (shortest-path ECMP). Deterministic routing picks one candidate by flow
-// hash; adaptive routing picks per-packet at random (paper Section III-B
-// discusses the resulting out-of-order delivery the protocol must tolerate).
+// (shortest-path ECMP). The fabric picks one candidate by flow hash, so a
+// flow stays on one path; out-of-order delivery (paper Section III-B) comes
+// from the fault plane's degrade windows, not from routing.
 #pragma once
 
 #include <cstdint>

@@ -33,6 +33,22 @@ TEST(IncReduceScatter, Correctness) {
   }
 }
 
+TEST(IncReduceScatter, LossyFabricIsRefused) {
+  // The INC substrate has no reliability layer: a lost contribution never
+  // settles the op, so uniform and burst loss are both refused up front.
+  fabric::GilbertElliott uniform;
+  uniform.drop_good = 0.01;
+  fabric::GilbertElliott burst;
+  burst.p_enter_bad = 0.002;
+  for (const fabric::GilbertElliott& loss : {uniform, burst}) {
+    ClusterConfig kcfg;
+    kcfg.fabric.faults.burst = loss;
+    World w(4, {}, kcfg);
+    EXPECT_DEATH(w.comm->reduce_scatter(16 * 1024, ReduceScatterAlgo::kInc),
+                 "assumes a lossless fabric");
+  }
+}
+
 TEST(IncReduceScatter, FatTreeAggregationAcrossSwitches) {
   World w(8, {}, {}, /*fat_tree=*/true);
   EXPECT_TRUE(w.comm->reduce_scatter(32 * 1024, ReduceScatterAlgo::kInc)

@@ -50,7 +50,7 @@ TEST(Reliability, BroadcastRecoversFromBurstLoss) {
 TEST(Reliability, AllgatherRecoversFromRandomLoss) {
   CommConfig cfg = quick_recovery();
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.01;
+  kcfg.fabric.faults.burst.drop_good = 0.01;
   kcfg.fabric.seed = 77;
   World w(4, cfg, kcfg);
   const OpResult res = w.comm->allgather(64 * 1024, AllgatherAlgo::kMcast);
@@ -60,7 +60,8 @@ TEST(Reliability, AllgatherRecoversFromRandomLoss) {
 TEST(Reliability, HeavyLossStillCorrect) {
   CommConfig cfg = quick_recovery();
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.05;  // 5% loss: far beyond lossless assumptions
+  // 5% loss: far beyond lossless assumptions
+  kcfg.fabric.faults.burst.drop_good = 0.05;
   kcfg.fabric.seed = 13;
   World w(4, cfg, kcfg);
   const OpResult res = w.comm->allgather(32 * 1024, AllgatherAlgo::kMcast);
@@ -115,16 +116,37 @@ TEST(Reliability, UcBrokenMessageRecovered) {
 }
 
 TEST(Reliability, OutOfOrderDeliveryHandledByStaging) {
-  // Adaptive routing + jitter reorders datagrams across spines; the PSN in
-  // the immediate places every chunk correctly (Section III-B).
-  CommConfig cfg;
-  ClusterConfig kcfg;
-  kcfg.fabric.routing = fabric::RoutingMode::kAdaptive;
-  kcfg.fabric.latency_jitter = 2 * kMicrosecond;
-  kcfg.fabric.seed = 3;
-  World w(8, cfg, kcfg, /*fat_tree=*/true);
-  const OpResult res = w.comm->broadcast(0, 256 * 1024, BcastAlgo::kMcast);
-  EXPECT_TRUE(res.data_verified);
+  // The root's access link carries 4 us of extra latency until mid-transfer;
+  // datagrams sent after the restore overtake those still in flight. The
+  // PSN in the immediate places every chunk correctly (Section III-B); a UC
+  // message with a reordered segment is dropped and fetched.
+  constexpr Time kRestore = 14 * kMicrosecond;
+  constexpr Time kExtra = 4 * kMicrosecond;
+  for (const Transport transport : {Transport::kUd, Transport::kUcMcast}) {
+    CommConfig cfg;
+    cfg.transport = transport;
+    ClusterConfig kcfg;
+    kcfg.fabric.faults.events = {
+        fabric::FaultEvent::degrade(0, 0, 8, 1.0, kExtra),
+        fabric::FaultEvent::restore(kRestore, 0, 8)};
+    World w(8, cfg, kcfg, /*fat_tree=*/true);  // hosts 0-7 on leaf 8
+    // Multicast sends from the root just before and just after the restore
+    // (both within half the extra latency) guarantee an overtake.
+    bool before = false, after = false;
+    sim::Engine& engine = w.cluster->engine();
+    w.cluster->fabric().set_drop_filter(
+        [&](fabric::NodeId from, fabric::NodeId, const fabric::Packet& p) {
+          const Time now = engine.now();
+          if (from == 0 && p.is_mcast()) {
+            before |= now < kRestore && now >= kRestore - kExtra / 2;
+            after |= now > kRestore && now < kRestore + kExtra / 2;
+          }
+          return false;
+        });
+    const OpResult res = w.comm->broadcast(0, 256 * 1024, BcastAlgo::kMcast);
+    EXPECT_TRUE(res.data_verified) << static_cast<int>(transport);
+    EXPECT_TRUE(before && after) << static_cast<int>(transport);
+  }
 }
 
 TEST(Reliability, RnrDropsRecovered) {
@@ -184,7 +206,7 @@ TEST(Reliability, DropsOnControlPlaneAreAbsorbedByRc) {
   // Control packets (barrier, final) ride RC: random loss there must only
   // delay, never corrupt.
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.02;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
   kcfg.fabric.seed = 5;
   CommConfig cfg = quick_recovery();
   World w(4, cfg, kcfg);
@@ -264,7 +286,7 @@ TEST(Reliability, AdaptiveCutoffTightensAfterLossyOps) {
   CommConfig cfg = quick_recovery();  // alpha = 50us
   cfg.cutoff_alpha_min = 10 * kMicrosecond;
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.02;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
   kcfg.fabric.seed = 7;
   World w(4, cfg, kcfg);
   EXPECT_EQ(w.comm->effective_cutoff_alpha(), 50 * kMicrosecond);
@@ -277,7 +299,7 @@ TEST(Reliability, AdaptiveCutoffTightensAfterLossyOps) {
 
 TEST(Reliability, BaselinesSurviveLossViaRc) {
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.01;
+  kcfg.fabric.faults.burst.drop_good = 0.01;
   kcfg.fabric.seed = 21;
   World w(4, {}, kcfg);
   EXPECT_TRUE(

@@ -57,7 +57,7 @@ TEST(ScatterAllgatherBcast, McastStillWins) {
 
 TEST(ScatterAllgatherBcast, SurvivesPacketLoss) {
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.005;
+  kcfg.fabric.faults.burst.drop_good = 0.005;
   kcfg.fabric.seed = 11;
   World w(6, {}, kcfg);
   EXPECT_TRUE(w.comm->broadcast(0, 256 * 1024,
@@ -92,7 +92,7 @@ TEST(RecDoublingAllgather, FewerRoundsThanRing) {
 
 TEST(RecDoublingAllgather, SurvivesPacketLoss) {
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.01;
+  kcfg.fabric.faults.burst.drop_good = 0.01;
   kcfg.fabric.seed = 3;
   World w(8, {}, kcfg);
   EXPECT_TRUE(w.comm->allgather(64 * 1024, AllgatherAlgo::kRecDoubling)

@@ -243,7 +243,7 @@ TEST(Fabric, UnicastVsMcastTrafficRatio) {
 TEST(Fabric, DropProbabilityDropsRoughlyProportionally) {
   sim::Engine e;
   Fabric::Config cfg;
-  cfg.drop_prob = 0.2;
+  cfg.faults.burst.drop_good = 0.2;
   cfg.seed = 99;
   Fabric f(e, make_back_to_back({}), cfg);
   int delivered = 0;
@@ -302,24 +302,30 @@ TEST(Fabric, DeterministicRoutingIsStablePerFlow) {
   for (std::uint32_t i = 0; i < 20; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(Fabric, AdaptiveRoutingWithJitterReorders) {
+TEST(Fabric, DegradeWindowEndReorders) {
+  // Reordering comes from the fault plane: host 0's access link carries
+  // 2 us of extra latency until 10 us. One flow injected every 100 ns keeps
+  // one ECMP path, yet packets sent after the restore skip the added
+  // latency and overtake packets still in flight (paper Section III-B).
   sim::Engine e;
   Fabric::Config cfg;
-  cfg.routing = RoutingMode::kAdaptive;
-  cfg.latency_jitter = 2 * kMicrosecond;
-  cfg.seed = 5;
+  cfg.faults.events = {
+      FaultEvent::degrade(0, 0, 4, 1.0, 2 * kMicrosecond),
+      FaultEvent::restore(10 * kMicrosecond, 0, 4)};
   Fabric f(e, make_fat_tree(2, 2, 4, 1, {}, {}), cfg);
   std::vector<std::uint32_t> order;
   f.set_delivery(3, [&](const PacketPtr& p) { order.push_back(p->th.psn); });
   for (std::uint32_t i = 0; i < 200; ++i) {
-    PacketRef p = make_unpooled_packet();
-    Packet& m = p.mut();
-    m.src_host = 0;
-    m.dst_host = 3;
-    m.wire_size = 64;
-    m.flow_id = 7;
-    m.th.psn = i;
-    f.inject(p);
+    e.schedule_at(static_cast<Time>(i) * 100 * kNanosecond, [&f, i] {
+      PacketRef p = make_unpooled_packet();
+      Packet& m = p.mut();
+      m.src_host = 0;
+      m.dst_host = 3;
+      m.wire_size = 64;
+      m.flow_id = 7;
+      m.th.psn = i;
+      f.inject(p);
+    });
   }
   e.run();
   ASSERT_EQ(order.size(), 200u);

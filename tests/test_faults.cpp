@@ -138,7 +138,7 @@ TEST(Faults, GilbertElliottBurstLossRecoversVerified) {
   kcfg.fabric.faults.burst.p_enter_bad = 0.002;
   kcfg.fabric.faults.burst.p_exit_bad = 0.05;
   kcfg.fabric.faults.burst.drop_bad = 0.5;
-  kcfg.fabric.faults.seed = 11;
+  kcfg.fabric.seed = 11;
   World w(4, cfg, kcfg);
   const OpResult res = w.comm->allgather(128 * 1024, AllgatherAlgo::kMcast);
   EXPECT_TRUE(res.data_verified);
@@ -154,7 +154,7 @@ TEST(Faults, GilbertElliottIsDeterministicAcrossIdenticalSeeds) {
     kcfg.fabric.faults.burst.p_enter_bad = 0.002;
     kcfg.fabric.faults.burst.p_exit_bad = 0.05;
     kcfg.fabric.faults.burst.drop_bad = 0.5;
-    kcfg.fabric.faults.seed = seed;
+    kcfg.fabric.seed = seed;
     World w(4, cfg, kcfg);
     const OpResult res = w.comm->allgather(128 * 1024, AllgatherAlgo::kMcast);
     EXPECT_TRUE(res.data_verified);
@@ -231,7 +231,7 @@ TEST(Faults, PerLaneDropCountersSplitControlFromBulk) {
   // Uniform loss hits both lanes; the per-lane counters must partition the
   // total drop count.
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.02;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
   kcfg.fabric.seed = 5;
   World w(4, quick_recovery(), kcfg);
   const OpResult res = w.comm->allgather(128 * 1024, AllgatherAlgo::kMcast);
@@ -440,6 +440,21 @@ TEST(Faults, NextOpAfterCrashRunsOnSurvivors) {
   EXPECT_TRUE(second.missing_blocks.empty());
 }
 
+TEST(Faults, CrashAtTimeZeroReachesNicAndCommunicator) {
+  // A crash scheduled at t=0 fires on the engine's first run, after the
+  // Cluster registered its crash handler: the NIC goes silent and the
+  // op settles with the dead rank reported.
+  constexpr fabric::NodeId kVictim = 5;
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {fabric::FaultEvent::node_crash(0, kVictim)};
+  FtWorld w(quick_recovery(), kcfg);
+  const OpResult res = w.comm->broadcast(0, 128 * 1024, BcastAlgo::kMcast);
+  EXPECT_FALSE(res.failed);
+  EXPECT_FALSE(res.watchdog_fired);
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{kVictim}));
+  EXPECT_TRUE(w.cluster->nic(kVictim).crashed());
+}
+
 TEST(Faults, CrashTimelineIsDeterministicAcrossReplays) {
   // Identical seeds + identical crash timelines must replay bit-identically:
   // same finish times, same verdicts, same repair counters. Checked across
@@ -477,7 +492,7 @@ TEST(Faults, CrashTimelineIsDeterministicAcrossReplays) {
 
 TEST(Faults, CorruptedChunksAreDroppedAndRefetched) {
   ClusterConfig kcfg;
-  kcfg.fabric.faults.seed = 3;
+  kcfg.fabric.seed = 3;
   // Corrupt the root's uplink hard during the transfer window.
   kcfg.fabric.faults.events = {
       fabric::FaultEvent::corrupt_begin(10 * kMicrosecond, 0, 8, 0.2),
@@ -497,7 +512,7 @@ TEST(Faults, CorruptedChunksAreDroppedAndRefetched) {
 
 TEST(Faults, CorruptionWindowCloseRestoresCleanRuns) {
   ClusterConfig kcfg;
-  kcfg.fabric.faults.seed = 3;
+  kcfg.fabric.seed = 3;
   kcfg.fabric.faults.events = {
       fabric::FaultEvent::corrupt_begin(10 * kMicrosecond, 0, 8, 0.2),
       fabric::FaultEvent::corrupt_end(200 * kMicrosecond, 0, 8)};

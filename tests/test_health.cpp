@@ -422,7 +422,7 @@ TEST(Health, AdaptiveTimelineReplaysIdentically) {
     kcfg.fabric.faults.burst.p_enter_bad = 0.0005;
     kcfg.fabric.faults.burst.p_exit_bad = 0.25;
     kcfg.fabric.faults.burst.drop_bad = 0.25;
-    kcfg.fabric.faults.seed = 99;
+    kcfg.fabric.seed = 99;
     kcfg.nic.rc_rto = 20 * kMicrosecond;
     CommConfig ccfg = adapt_on();
     ccfg.transport = Transport::kUcMcast;

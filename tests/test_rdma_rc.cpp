@@ -183,7 +183,7 @@ TEST(RcQp, RecoversFromBurstLoss) {
 
 TEST(RcQp, RecoversUnderRandomLoss) {
   fabric::Fabric::Config fcfg;
-  fcfg.drop_prob = 0.01;
+  fcfg.faults.burst.drop_good = 0.01;
   fcfg.seed = 1234;
   RcWorld w(fcfg);
   const std::size_t len = 128 * 4096;  // 128 packets at 1% loss

@@ -388,7 +388,7 @@ TEST(TelemetryIntegration, PhaseSpansMatchPhaseTimersExactly) {
 
 TEST(TelemetryIntegration, LossyPhaseSpansStillMatch) {
   ClusterConfig kcfg = traced_cluster();
-  kcfg.fabric.drop_prob = 0.02;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
   kcfg.fabric.seed = 77;
   World w(4, quick_recovery(), kcfg);
   OpBase& op = w.comm->start_allgather(64 * 1024, AllgatherAlgo::kMcast);
@@ -413,7 +413,7 @@ struct GoldenRun {
 
 GoldenRun golden_run() {
   ClusterConfig kcfg = traced_cluster();
-  kcfg.fabric.drop_prob = 0.02;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
   kcfg.fabric.seed = 42;
   CommConfig cfg = quick_recovery();
   cfg.subgroups = 2;
@@ -484,7 +484,7 @@ TEST(TelemetryIntegration, WatchdogFailureLandsInFlightRecorder) {
 
 TEST(TelemetryIntegration, SlowPathCountersReachTheRegistry) {
   ClusterConfig kcfg;
-  kcfg.fabric.drop_prob = 0.02;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
   kcfg.fabric.seed = 77;
   World w(4, quick_recovery(), kcfg);
   const OpResult res = w.comm->allgather(64 * 1024, AllgatherAlgo::kMcast);

@@ -415,7 +415,7 @@ std::uint64_t run_hash(std::uint64_t seed, double drop) {
   cfg.subgroups = 2;
   coll::ClusterConfig kcfg;
   kcfg.fabric.seed = seed;
-  kcfg.fabric.drop_prob = drop;
+  kcfg.fabric.faults.burst.drop_good = drop;
   World w(5, cfg, kcfg);
   const coll::OpResult res =
       w.comm->allgather(32 * 1024, coll::AllgatherAlgo::kMcast);
