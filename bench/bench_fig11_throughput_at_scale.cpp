@@ -15,6 +15,16 @@ using namespace mccl;
 
 constexpr std::size_t kRanks = 188;
 
+// Row names carry the algorithm's integer value
+// (Fig11/bcast_scatter_allgather/4/...), and BENCH_figures.json and the
+// figure-drift gate key on those names: renumbering an enum fails here.
+static_assert(static_cast<int>(coll::BcastAlgo::kMcast) == 0);
+static_assert(static_cast<int>(coll::BcastAlgo::kBinomial) == 1);
+static_assert(static_cast<int>(coll::BcastAlgo::kBinaryTree) == 2);
+static_assert(static_cast<int>(coll::BcastAlgo::kScatterAllgather) == 4);
+static_assert(static_cast<int>(coll::AllgatherAlgo::kMcast) == 0);
+static_assert(static_cast<int>(coll::AllgatherAlgo::kRing) == 1);
+
 void BM_Bcast(benchmark::State& state) {
   const auto algo = static_cast<coll::BcastAlgo>(state.range(0));
   const std::uint64_t bytes = static_cast<std::uint64_t>(state.range(1));

@@ -359,13 +359,8 @@ OpBase& Communicator::start_allgather(std::uint64_t bytes,
       break;
     }
     case AllgatherAlgo::kRing:
-    case AllgatherAlgo::kLinear:
-    case AllgatherAlgo::kRecDoubling:
-      ops_.push_back(std::make_unique<ScheduleOp>(
-          *this, algo == AllgatherAlgo::kRing ? ring_allgather(size(), bytes)
-                 : algo == AllgatherAlgo::kLinear
-                     ? linear_allgather(size(), bytes)
-                     : recdoubling_allgather(size(), bytes)));
+      ops_.push_back(
+          std::make_unique<ScheduleOp>(*this, ring_allgather(size(), bytes)));
       break;
   }
   ops_.back()->start();
@@ -380,14 +375,6 @@ OpBase& Communicator::start_reduce_scatter(std::uint64_t block_bytes,
         *this, ring_reduce_scatter(size(), block_bytes)));
   else
     ops_.push_back(std::make_unique<IncReduceScatter>(*this, block_bytes));
-  ops_.back()->start();
-  return *ops_.back();
-}
-
-OpBase& Communicator::start_barrier() {
-  align_symmetric_heap();
-  ops_.push_back(
-      std::make_unique<ScheduleOp>(*this, dissemination_barrier(size())));
   ops_.back()->start();
   return *ops_.back();
 }
@@ -418,7 +405,5 @@ OpResult Communicator::reduce_scatter(std::uint64_t block_bytes,
                                       ReduceScatterAlgo algo) {
   return finish(start_reduce_scatter(block_bytes, algo));
 }
-
-OpResult Communicator::barrier() { return finish(start_barrier()); }
 
 }  // namespace mccl::coll

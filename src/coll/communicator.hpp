@@ -166,19 +166,18 @@ struct OpResult {
   std::uint64_t fetch_detours = 0;
 };
 
+// Benches name their result rows by these integer values, so they are
+// written out: a removed algorithm leaves a gap, never a renumbering.
 enum class BcastAlgo : std::uint8_t {
-  kMcast,       // the paper's multicast Broadcast
-  kBinomial,    // k-nomial tree (radix 2), whole-message forwarding
-  kBinaryTree,  // balanced binary tree
-  kLinear,      // root unicasts to every peer
-  kScatterAllgather,  // van de Geijn: binomial scatter + ring allgather —
-                      // the production large-message algorithm
+  kMcast = 0,       // the paper's multicast Broadcast
+  kBinomial = 1,    // k-nomial tree (radix 2), whole-message forwarding
+  kBinaryTree = 2,  // balanced binary tree
+  kScatterAllgather = 4,  // van de Geijn: binomial scatter + ring allgather
+                          // — the production large-message algorithm
 };
 enum class AllgatherAlgo : std::uint8_t {
-  kMcast,        // the paper's bandwidth-optimal composition of Broadcasts
-  kRing,         // NCCL-style ring
-  kLinear,       // all-to-all writes
-  kRecDoubling,  // recursive doubling (power-of-two rank counts)
+  kMcast = 0,  // the paper's bandwidth-optimal composition of Broadcasts
+  kRing = 1,   // NCCL-style ring
 };
 enum class ReduceScatterAlgo : std::uint8_t { kRing, kInc };
 
@@ -467,13 +466,11 @@ class Communicator {
   OpBase& start_allgather(std::uint64_t bytes, AllgatherAlgo algo);
   OpBase& start_reduce_scatter(std::uint64_t block_bytes,
                                ReduceScatterAlgo algo);
-  OpBase& start_barrier();
 
   // --- blocking API ----------------------------------------------------------
   OpResult broadcast(std::size_t root, std::uint64_t bytes, BcastAlgo algo);
   OpResult allgather(std::uint64_t bytes, AllgatherAlgo algo);
   OpResult reduce_scatter(std::uint64_t block_bytes, ReduceScatterAlgo algo);
-  OpResult barrier();
 
   /// Runs the simulation until `op` completes and returns its result.
   OpResult finish(OpBase& op);

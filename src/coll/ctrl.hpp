@@ -16,7 +16,7 @@
 namespace mccl::coll {
 
 enum class CtrlType : std::uint8_t {
-  kBarrier = 1,     // barrier token (arg = round; P2P: the receive step)
+  kBarrier = 1,     // RNR barrier token (arg = round)
   kChainToken = 2,  // multicast sequencer activation (arg unused)
   kFinal = 3,       // final-handshake packet (arg unused)
   // Reliability slow path (arg = block index). A request may arrive from

@@ -35,8 +35,7 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
   MCCL_CHECK(P >= 2);
   MCCL_CHECK(!p_.roots.empty());
   if (comm_.config().transport == Transport::kUd) {
-    MCCL_CHECK_MSG(comm_.config().chunk_bytes <=
-                       comm_.cluster().config().nic.mtu,
+    MCCL_CHECK_MSG(comm_.config().chunk_bytes <= rdma::Nic::kMtu,
                    "UD chunks must fit in the MTU");
   }
   MCCL_CHECK_MSG(map_.total_chunks() < (1u << kChunkBits),

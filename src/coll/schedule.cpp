@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
-#include <map>
 #include <queue>
 #include <type_traits>
 #include <utility>
@@ -27,7 +26,7 @@ struct Steps {
                     std::uint64_t len, Range src, Range dst, Deps deps = {}) {
     v.push_back({kind, static_cast<std::uint32_t>(peer),
                  static_cast<std::uint32_t>(link), len, src, dst, false,
-                 std::move(deps), kNone});
+                 std::move(deps)});
     return static_cast<std::uint32_t>(v.size() - 1);
   }
   std::uint32_t send(std::size_t peer, std::size_t link, Range src,
@@ -55,9 +54,7 @@ std::uint32_t add_link(Schedule& s, std::size_t a, std::size_t b) {
 }
 
 /// Receives, reduces and copies gate a rank's completion; sends do not.
-bool gates_done(Kind k) {
-  return k == Kind::kRecv || k == Kind::kReduce || k == Kind::kCopy;
-}
+bool gates_done(Kind k) { return k != Kind::kSend; }
 
 /// Children of shifted rank `v` among P ranks, in serving order.
 std::vector<std::size_t> tree_children(std::size_t v, std::size_t P,
@@ -75,9 +72,6 @@ std::vector<std::size_t> tree_children(std::size_t v, std::size_t P,
     case BcastAlgo::kBinaryTree:
       for (std::size_t c = 2 * v + 1; c <= 2 * v + 2 && c < P; ++c)
         out.push_back(c);
-      break;
-    case BcastAlgo::kLinear:
-      for (std::size_t c = 1; v == 0 && c < P; ++c) out.push_back(c);
       break;
     default:
       MCCL_CHECK_MSG(false, "not a tree broadcast shape");
@@ -205,61 +199,6 @@ Schedule ring_allgather(std::size_t P, std::uint64_t bytes) {
   return s;
 }
 
-Schedule linear_allgather(std::size_t P, std::uint64_t bytes) {
-  MCCL_CHECK(P >= 2 && bytes > 0);
-  Schedule s = base("linear_allgather", Coll::kAllgather, P, 0, bytes,
-                    {bytes, bytes * P, 0});
-  std::vector<std::vector<std::uint32_t>> link(
-      P, std::vector<std::uint32_t>(P, kNone));
-  for (std::size_t r = 0; r < P; ++r)
-    for (std::size_t p = r + 1; p < P; ++p)
-      link[r][p] = link[p][r] = add_link(s, r, p);
-  for (std::size_t r = 0; r < P; ++r) {
-    Steps rank{s.ranks[r]};
-    const Range mine{Buf::kRecv, r * bytes};
-    rank.copy({Buf::kSend, 0}, mine, bytes);
-    for (std::size_t d = 1; d < P; ++d)
-      rank.add(Kind::kWrite, (r + d) % P, link[r][(r + d) % P], bytes,
-               {Buf::kSend, 0}, mine);
-    for (std::size_t p = 0; p < P; ++p)
-      if (p != r) rank.recv(p, link[r][p], {Buf::kRecv, p * bytes}, bytes);
-  }
-  return s;
-}
-
-Schedule recdoubling_allgather(std::size_t P, std::uint64_t bytes) {
-  MCCL_CHECK(P >= 2 && bytes > 0);
-  MCCL_CHECK_MSG((P & (P - 1)) == 0,
-                 "recursive doubling needs a power-of-two rank count");
-  Schedule s = base("recdoubling_allgather", Coll::kAllgather, P, 0, bytes,
-                    {bytes, bytes * P, 0});
-  std::vector<std::vector<std::uint32_t>> link;  // per round, per rank
-  for (std::size_t dist = 1; dist < P; dist <<= 1) {
-    link.emplace_back(P);
-    for (std::size_t r = 0; r < P; ++r)
-      if ((r ^ dist) > r)
-        link.back()[r] = link.back()[r ^ dist] = add_link(s, r, r ^ dist);
-  }
-  for (std::size_t r = 0; r < P; ++r) {
-    Steps rank{s.ranks[r]};
-    // Round k sends everything the rank holds after rounds 0..k-1 (round
-    // 0: its own block, once copied) and receives the partner's share.
-    std::uint32_t sent =
-        rank.copy({Buf::kSend, 0}, {Buf::kRecv, r * bytes}, bytes);
-    std::uint32_t got = kNone;
-    for (std::size_t k = 0, dist = 1; dist < P; ++k, dist <<= 1) {
-      const std::size_t partner = r ^ dist;
-      sent = rank.send(partner, link[k][r],
-                       {Buf::kRecv, (r & ~(dist - 1)) * bytes}, dist * bytes,
-                       k == 0 ? Deps{sent} : Deps{sent, got});
-      got = rank.recv(partner, link[k][r],
-                      {Buf::kRecv, (partner & ~(dist - 1)) * bytes},
-                      dist * bytes);
-    }
-  }
-  return s;
-}
-
 Schedule ring_reduce_scatter(std::size_t P, std::uint64_t block_bytes) {
   MCCL_CHECK(P >= 2 && block_bytes > 0 && block_bytes % sizeof(float) == 0);
   // Reduction and forwarding overlap the transfer per segment, as in
@@ -297,22 +236,6 @@ Schedule ring_reduce_scatter(std::size_t P, std::uint64_t block_bytes) {
   return s;
 }
 
-Schedule dissemination_barrier(std::size_t P) {
-  MCCL_CHECK(P >= 2);
-  Schedule s = base("barrier", Coll::kBarrier, P, 0, 0, {});
-  for (std::size_t r = 0; r < P; ++r) {
-    Steps rank{s.ranks[r]};
-    std::uint32_t sent = kNone, got = kNone;
-    for (std::size_t dist = 1; dist < P; dist <<= 1) {
-      sent = rank.add(Kind::kNotify, (r + dist) % P, kNone, 0, {}, {},
-                      dist == 1 ? Deps{} : Deps{sent, got});
-      got = rank.recv((r + P - dist) % P, kNone, {}, 0);
-      rank.v[sent].peer_step = got;  // every rank numbers its rounds alike
-    }
-  }
-  return s;
-}
-
 // ---------------------------------------------------------------------------
 // ScheduleOp
 // ---------------------------------------------------------------------------
@@ -331,10 +254,6 @@ ScheduleOp::ScheduleOp(Communicator& comm, Schedule plan)
     : OpBase(comm, plan.name), plan_(std::move(plan)) {
   const std::size_t P = comm.size();
   MCCL_CHECK(plan_.ranks.size() == P);
-  bool writes = false;
-  for (const auto& steps : plan_.ranks)
-    for (const Step& x : steps) writes |= x.kind == Kind::kWrite;
-  if (writes) rkey_ = comm_.cluster().next_shared_rkey();
 
   bufs_.resize(P);
   for (std::size_t r = 0; r < P; ++r) {
@@ -343,13 +262,6 @@ ScheduleOp::ScheduleOp(Communicator& comm, Schedule plan)
     for (std::size_t b = 0; b < bufs_[r].size(); ++b)
       if (plan_.buf_bytes[b] > 0) bufs_[r][b] = mem.alloc(plan_.buf_bytes[b]);
     const std::uint64_t send = addr(r, {Buf::kSend, 0});
-    const std::uint64_t recv = addr(r, {Buf::kRecv, 0});
-    if (writes) {
-      // Writes address the peer's receive buffer: symmetric offsets.
-      MCCL_CHECK(recv == addr(0, {Buf::kRecv, 0}));
-      ep.nic().mrs().register_with_rkey(
-          recv, plan_.buf_bytes[static_cast<std::size_t>(Buf::kRecv)], rkey_);
-    }
     // Test data (verify() checks the outcome).
     if (comm_.data_mode() && plan_.coll == Coll::kReduceScatter)
       for (std::size_t b = 0; b < P; ++b)
@@ -371,7 +283,7 @@ ScheduleOp::ScheduleOp(Communicator& comm, Schedule plan)
     s.unmet.assign(n, 0);
     s.dependents.resize(n);
     s.edge_next.assign(n, kNone);
-    std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last;
+    std::vector<std::uint32_t> last(plan_.links.size(), kNone);  // per QP
     for (std::uint32_t i = 0; i < n; ++i) {
       const Step& x = steps[i];
       s.unmet[i] = static_cast<std::uint32_t>(x.deps.size());
@@ -380,19 +292,18 @@ ScheduleOp::ScheduleOp(Communicator& comm, Schedule plan)
         s.dependents[d].push_back(i);
       }
       if (gates_done(x.kind)) ++s.open;
-      if (x.kind == Kind::kRecv && x.link != kNone) {
+      if (x.kind == Kind::kRecv) {
         qp(r, x).post_recv({.wr_id = i,
                             .laddr = addr(r, x.dst),
                             .len = static_cast<std::uint32_t>(x.len)});
-      } else if (!gates_done(x.kind)) {
-        // Per-edge order: the previous send on this QP (or to this control
-        // peer) must have been issued first.
-        const auto [it, fresh] = last.try_emplace({x.link, x.peer}, i);
-        if (!fresh) {
-          s.edge_next[it->second] = i;
+      } else if (x.kind == Kind::kSend) {
+        // Per-QP order: the previous send on this QP must have been issued
+        // first.
+        if (last[x.link] != kNone) {
+          s.edge_next[last[x.link]] = i;
           ++s.unmet[i];
-          it->second = i;
         }
+        last[x.link] = i;
       }
       if (x.kind != Kind::kRecv && s.unmet[i] == 0) s.ready.push(i);
     }
@@ -410,10 +321,8 @@ void ScheduleOp::start() {
 
 void ScheduleOp::on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t,
                          const rdma::Cqe& cqe) {
-  MCCL_CHECK(msg.type == CtrlType::kStep || msg.type == CtrlType::kBarrier);
-  advance(r, msg.type == CtrlType::kStep
-                 ? static_cast<std::uint32_t>(cqe.wr_id)
-                 : msg.arg);
+  MCCL_CHECK(msg.type == CtrlType::kStep);
+  advance(r, static_cast<std::uint32_t>(cqe.wr_id));
 }
 
 void ScheduleOp::on_send_done(std::size_t r, const rdma::Cqe& cqe) {
@@ -429,9 +338,7 @@ void ScheduleOp::advance(std::size_t r, std::uint32_t i) {
   pump(r);
   // Busy, done or crashed.
   if (s.open > 0 || res_.rank_finish[r] != 0) return;
-  Phases& ph = phases_[r];
-  (plan_.coll == Coll::kBarrier ? ph.barrier : ph.transfer) =
-      comm_.cluster().engine().now() - res_.start;
+  phases_[r].transfer = comm_.cluster().engine().now() - res_.start;
   rank_done(r);
   if (done()) release();
 }
@@ -460,25 +367,15 @@ void ScheduleOp::issue(std::size_t r, std::uint32_t i) {
     s.ready.push(s.edge_next[i]);
   switch (x.kind) {
     case Kind::kSend:
-    case Kind::kWrite:
       ep.app_worker().post(ep.costs().control, [this, r, i] {
         if (done()) return;  // only a send to a crashed rank is this late
         const Step& y = plan_.ranks[r][i];
-        const rdma::SendFlags flags{
-            (static_cast<std::uint64_t>(id()) << 32) | i,
-            encode_ctrl({CtrlType::kStep, id(), 0}), true, y.signaled};
-        if (y.kind == Kind::kSend)
-          qp(r, y).post_send(addr(r, y.src), y.len, flags);
-        else
-          qp(r, y).post_write(addr(r, y.src), y.len, addr(y.peer, y.dst),
-                              rkey_, flags);
+        qp(r, y).post_send(
+            addr(r, y.src), y.len,
+            {(static_cast<std::uint64_t>(id()) << 32) | i,
+             encode_ctrl({CtrlType::kStep, id(), 0}), true, y.signaled});
       });
       if (!x.signaled) complete(r, i);
-      break;
-    case Kind::kNotify:
-      ep.ctrl_send(x.peer, {CtrlType::kBarrier, id(),
-                            static_cast<std::uint16_t>(x.peer_step)});
-      complete(r, i);
       break;
     case Kind::kCopy:
       ep.nic().post_local_copy(addr(r, x.src), addr(r, x.dst), x.len,
@@ -523,7 +420,7 @@ bool ScheduleOp::verify() const {
   };
   if (plan_.coll == Coll::kReduceScatter)
     return verify_reduce_scatter(recvbuf, plan_.bytes);
-  if (plan_.coll == Coll::kBarrier || !comm_.data_mode()) return true;
+  if (!comm_.data_mode()) return true;
   // Broadcast: the root's pattern; Allgather: block b holds rank b's.
   const bool bcast = plan_.coll == Coll::kBroadcast;
   const std::size_t blocks = bcast ? 1 : comm_.size();

@@ -1,9 +1,11 @@
 // Point-to-point baselines as data: the algorithms the paper compares
-// against (Section VI-B). A geometry function builds a Schedule, saying who
-// sends which byte range to whom, over which QP and in which order; one
-// interpreter, ScheduleOp, runs any schedule over RC. RC segments and
-// retransmits in hardware, so the host pays per message, not per chunk:
-// cheap on CPU, but not bandwidth-optimal on the wire.
+// against (Section VI-B: binomial and binary-tree Broadcast, ring
+// Allgather), the scatter-allgather Broadcast of production stacks, and the
+// ring Reduce-Scatter of Appendix B. A geometry function builds a Schedule,
+// saying who sends which byte range to whom, over which QP and in which
+// order; one interpreter, ScheduleOp, runs any schedule as RC sends. RC
+// segments and retransmits in hardware, so the host pays per message, not
+// per chunk: cheap on CPU, but not bandwidth-optimal on the wire.
 #pragma once
 
 #include <array>
@@ -30,11 +32,9 @@ inline constexpr std::uint32_t kNone = ~0u;
 struct Step {
   enum class Kind : std::uint8_t {
     kSend,    // RC send of src[0, len) into `peer`'s matching kRecv
-    kWrite,   // RC write-with-imm of src[0, len) into `peer`'s dst
-    kRecv,    // from `peer` into dst (no link: a kNotify's token)
+    kRecv,    // from `peer` into dst
     kReduce,  // dst += src over len bytes of float32, on the app worker
     kCopy,    // local DMA copy of src[0, len) to dst
-    kNotify,  // zero-byte control message to `peer`
   };
   Kind kind = Kind::kSend;
   std::uint32_t peer = 0;
@@ -44,7 +44,6 @@ struct Step {
   Range dst;
   bool signaled = false;  // send: dependents wait for its completion
   std::vector<std::uint32_t> deps;  // earlier steps of the same rank
-  std::uint32_t peer_step = kNone;  // kNotify: the receive it completes
 };
 
 struct Schedule {
@@ -53,10 +52,9 @@ struct Schedule {
     kBroadcast,      // the root's send buffer lands in every recv buffer
     kAllgather,      // rank b's send buffer lands in block b everywhere
     kReduceScatter,  // rank r ends with the sum of everyone's block r
-    kBarrier,        // no data; timed as the barrier phase
   };
   std::string name;  // op name, the metrics label
-  Coll coll = Coll::kBarrier;
+  Coll coll = Coll::kBroadcast;
   std::size_t root = 0;     // kBroadcast
   std::uint64_t bytes = 0;  // message (kBroadcast) or block bytes
   std::array<std::uint64_t, 3> buf_bytes{};  // per rank, indexed by Buf
@@ -67,30 +65,23 @@ struct Schedule {
 
 // --- geometry (P >= 2 ranks) --------------------------------------------
 
-/// Whole-message trees in root-shifted rank space, `shape` one of
-/// kBinomial, kBinaryTree, kLinear; children are served one at a time.
+/// Whole-message trees in root-shifted rank space, `shape` kBinomial or
+/// kBinaryTree; children are served one at a time.
 Schedule tree_broadcast(std::size_t P, std::size_t root, std::uint64_t bytes,
                         BcastAlgo shape);
 /// van de Geijn: halving scatter, then a ring allgather of the P pieces.
 Schedule scatter_ring_broadcast(std::size_t P, std::size_t root,
                                 std::uint64_t bytes);
 Schedule ring_allgather(std::size_t P, std::uint64_t bytes);
-/// All-to-all: every rank RDMA-writes its block into every peer.
-Schedule linear_allgather(std::size_t P, std::uint64_t bytes);
-/// log2(P) pairwise exchanges of doubling ranges (P a power of two).
-Schedule recdoubling_allgather(std::size_t P, std::uint64_t bytes);
 /// Ring pipelined in 128 KiB segments, each reduced before it is forwarded.
 Schedule ring_reduce_scatter(std::size_t P, std::uint64_t block_bytes);
-/// ceil(log2 P) rounds; in round k rank r notifies r + 2^k.
-Schedule dissemination_barrier(std::size_t P);
 
 // --- interpreter --------------------------------------------------------
 
 /// Runs one schedule (DESIGN.md §5). Receives are pre-posted in step order;
 /// a step is issued once its dependencies completed and, for a send, every
-/// earlier send on its edge (QP, or control peer) was issued. Ready steps
-/// leave a rank lowest index first. A rank is done once its receives,
-/// reduces and copies completed.
+/// earlier send on its QP was issued. Ready steps leave a rank lowest index
+/// first. A rank is done once its receives, reduces and copies completed.
 class ScheduleOp : public OpBase {
  public:
   ScheduleOp(Communicator& comm, Schedule plan);
@@ -101,8 +92,7 @@ class ScheduleOp : public OpBase {
   /// Fails the op once a survivor is left waiting on the dead peer.
   void on_peer_confirmed_dead(std::size_t observer,
                               std::size_t peer) override;
-  /// Data lands in the pre-posted receive its wr_id names; a control
-  /// notify names its receive step itself.
+  /// Data lands in the pre-posted receive its wr_id names.
   void on_ctrl(std::size_t r, const CtrlMsg& msg, std::size_t src,
                const rdma::Cqe& cqe) override;
   /// Completion of a signaled send (wr_id low half: the step).
@@ -126,7 +116,6 @@ class ScheduleOp : public OpBase {
   void release();  // frees all but the buffer addresses verify() reads
 
   Schedule plan_;
-  std::uint32_t rkey_ = 0;  // shared recv-buffer registration (writes)
   std::vector<std::pair<rdma::RcQp*, rdma::RcQp*>> qps_;  // per link
   std::vector<std::array<std::uint64_t, 3>> bufs_;  // per rank, by Buf
   std::vector<RankState> st_;

@@ -27,10 +27,6 @@ constexpr double to_microseconds(Time t) {
   return static_cast<double>(t) / kMicrosecond;
 }
 
-constexpr Time from_seconds(double s) {
-  return static_cast<Time>(s * static_cast<double>(kSecond));
-}
-
 /// Serialization time of `bytes` at `gbps` Gbit/s (10^9 bits per second).
 constexpr Time serialization_time(std::uint64_t bytes, double gbps) {
   // bits / (gbps * 1e9 bit/s) seconds -> picoseconds: bits * 1000 / gbps ps.

@@ -70,7 +70,6 @@ class Complex {
 
   sim::Engine& engine() { return engine_; }
   double ghz() const { return config_.ghz; }
-  std::size_t num_cores() const { return cores_.size(); }
 
   /// Straggler injection (fault plane): every task executed while the scale
   /// is s takes s times as long (instruction and stall components alike),
@@ -79,7 +78,6 @@ class Complex {
   /// recorder) when a hook is attached, so detectors and tests can observe
   /// the window instead of inferring it from slowed completions.
   void set_cost_scale(double scale);
-  double cost_scale() const { return cost_scale_; }
   /// Attaches the telemetry hook for cost-scale transitions. `node` is the
   /// owning host id (gauge label / recorder ring); `engine_name` must point
   /// at static storage (e.g. "cpu", "dpa").

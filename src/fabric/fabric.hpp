@@ -165,19 +165,14 @@ class Fabric {
   /// Directions currently flagged at-risk across all monitors.
   std::size_t at_risk_dirs() const { return at_risk_dirs_; }
 
-  /// Sim-time this direction's serializer is booked past `now` — the
+  /// Peak backlog booked on this direction since the last call: wire time
+  /// booked past `now` plus the drain time of its virtual lanes
+  /// (read-and-reset, like a switch's max-queue-depth register). It is the
   /// queue-depth/ECN analog the health monitor samples to spot degraded
-  /// (slow but not dropping) links.
-  Time serializer_backlog(std::size_t dir_index) const {
-    const Time free_at = serializers_[dir_index].free_at();
-    const Time now = engine_.now();
-    return free_at > now ? free_at - now : 0;
-  }
-  /// Peak serializer backlog booked on this direction since the last call
-  /// (read-and-reset, like a switch's max-queue-depth register). A periodic
-  /// point sample of `serializer_backlog` aliases over short bursts — a
-  /// degraded trunk can book tens of µs and drain entirely between two
-  /// sampler ticks; the peak-hold register cannot miss it.
+  /// (slow but not dropping) links. A periodic point sample of the backlog
+  /// aliases over short bursts — a degraded trunk can book tens of µs and
+  /// drain entirely between two sampler ticks; the peak-hold register
+  /// cannot miss it.
   Time take_peak_backlog(std::size_t dir_index) {
     const Time peak = peak_backlog_[dir_index];
     peak_backlog_[dir_index] = 0;

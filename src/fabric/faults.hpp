@@ -210,9 +210,6 @@ class FaultPlane {
     const DirState& d = state_[dir];
     return !d.down && !node_silent(d.to) && !node_silent(d.from);
   }
-  bool node_down(NodeId n) const {
-    return node_down_[static_cast<std::size_t>(n)];
-  }
   bool host_crashed(NodeId n) const {
     return host_crashed_[static_cast<std::size_t>(n)];
   }

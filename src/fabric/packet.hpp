@@ -31,7 +31,6 @@ enum class TransportOp : std::uint8_t {
   kUdSend,      // unreliable datagram (unicast or multicast)
   kUcWriteSeg,  // one MTU segment of a UC RDMA Write message
   kRcSendSeg,   // one MTU segment of an RC two-sided message
-  kRcWriteSeg,  // one MTU segment of an RC RDMA Write message
   kRcAck,       // RC acknowledgement
   kRcReadReq,   // RC RDMA Read request
   kRcReadResp,  // one MTU segment of an RC RDMA Read response
@@ -51,7 +50,7 @@ struct TransportHeader {
   std::uint64_t msg_len = 0;     // total message length
   std::uint32_t seg_len = 0;     // data bytes this packet represents; the
                                  // payload may be omitted (synthetic mode)
-  std::uint64_t raddr = 0;    // one-sided target address (UC/RC Write, Read)
+  std::uint64_t raddr = 0;    // one-sided target address (UC Write, RC Read)
   std::uint32_t rkey = 0;
   bool nak = false;           // kRcAck only: negative acknowledgement
   std::uint32_t crc = 0;      // CRC32C over this segment's payload bytes,

@@ -185,81 +185,6 @@ Topology make_multi_rail_fat_tree(std::size_t rails, std::size_t leaves,
   return t;
 }
 
-namespace {
-
-/// Builds one k-ary switch plane (edge/agg/core) over `hs` and tags every
-/// switch with `rail` when >= 0. Shared by the single- and multi-rail
-/// three-level builders.
-void build_fat_tree3_plane(Topology& t, const std::vector<NodeId>& hs,
-                           std::size_t k, std::size_t hosts_per_edge,
-                           const FatTree3Params& p, int rail) {
-  const std::size_t half = k / 2;
-  const std::size_t pods = k;
-  std::vector<NodeId> edge(pods * half), agg(pods * half), core(half * half);
-  for (auto& s : edge) {
-    s = t.add_switch();
-    if (rail >= 0) t.tag_rail(s, rail);
-  }
-  for (auto& s : agg) {
-    s = t.add_switch();
-    if (rail >= 0) t.tag_rail(s, rail);
-  }
-  for (auto& s : core) {
-    s = t.add_switch();
-    if (rail >= 0) t.tag_rail(s, rail);
-  }
-  for (std::size_t pod = 0; pod < pods; ++pod) {
-    for (std::size_t e = 0; e < half; ++e) {
-      const NodeId esw = edge[pod * half + e];
-      for (std::size_t h = 0; h < hosts_per_edge; ++h)
-        t.connect(hs[(pod * half + e) * hosts_per_edge + h], esw, p.host_link);
-      for (std::size_t a = 0; a < half; ++a)
-        t.connect(esw, agg[pod * half + a], p.fabric_link);
-    }
-    // Agg switch a of every pod connects to core group a (k/2 cores).
-    for (std::size_t a = 0; a < half; ++a)
-      for (std::size_t c = 0; c < half; ++c)
-        t.connect(agg[pod * half + a], core[a * half + c], p.fabric_link);
-  }
-}
-
-}  // namespace
-
-Topology make_fat_tree(std::size_t k, FatTree3Params p) {
-  MCCL_CHECK_MSG(k >= 2 && k % 2 == 0, "k-ary fat tree needs even k >= 2");
-  const std::size_t half = k / 2;
-  const std::size_t hosts_per_edge = p.hosts_per_edge == 0 ? half
-                                                           : p.hosts_per_edge;
-  Topology t;
-  std::vector<NodeId> hs;
-  hs.reserve(k * half * hosts_per_edge);
-  for (std::size_t i = 0; i < k * half * hosts_per_edge; ++i)
-    hs.push_back(t.add_host());
-  build_fat_tree3_plane(t, hs, k, hosts_per_edge, p, /*rail=*/-1);
-  if (p.compute_routes) t.compute_routes();
-  return t;
-}
-
-Topology make_multi_rail_fat_tree(std::size_t rails, std::size_t k,
-                                  FatTree3Params p) {
-  MCCL_CHECK(rails >= 1);
-  MCCL_CHECK_MSG(k >= 2 && k % 2 == 0, "k-ary fat tree needs even k >= 2");
-  const std::size_t half = k / 2;
-  const std::size_t hosts_per_edge = p.hosts_per_edge == 0 ? half
-                                                           : p.hosts_per_edge;
-  Topology t;
-  std::vector<NodeId> hs;
-  hs.reserve(k * half * hosts_per_edge);
-  for (std::size_t i = 0; i < k * half * hosts_per_edge; ++i)
-    hs.push_back(t.add_host());
-  // One full k-ary plane per rail, rails outermost so host port r lands on
-  // rail r's edge switch (the rail-striping invariant consumers rely on).
-  for (std::size_t r = 0; r < rails; ++r)
-    build_fat_tree3_plane(t, hs, k, hosts_per_edge, p, static_cast<int>(r));
-  if (p.compute_routes) t.compute_routes();
-  return t;
-}
-
 Topology make_fat_tree_for_hosts(std::size_t min_hosts, std::size_t radix,
                                  LinkParams params) {
   MCCL_CHECK(radix >= 2);

@@ -155,29 +155,6 @@ Topology make_fat_tree(std::size_t leaves, std::size_t hosts_per_leaf,
 Topology make_fat_tree_for_hosts(std::size_t min_hosts, std::size_t radix,
                                  LinkParams params);
 
-/// Parameters for the three-level k-ary fat tree (Al-Fares Clos): k pods of
-/// k/2 edge + k/2 agg switches, (k/2)^2 core switches, k^3/4 hosts at full
-/// population. `hosts_per_edge` scales the host tier down without touching
-/// the switch fabric (host-indexed routing tables are O(hosts * nodes);
-/// k=32 at full population is 8192 hosts — override to keep memory sane
-/// when only the fabric shape matters).
-struct FatTree3Params {
-  std::size_t hosts_per_edge = 0;  // 0 = k/2 (fully populated)
-  LinkParams host_link;
-  LinkParams fabric_link;
-  bool compute_routes = true;  // skip for shape-only tests at large k
-};
-
-/// Three-level k-ary fat tree (k even): k=8 -> 128 hosts, k=16 -> 1024,
-/// k=32 -> 8192. Hosts are numbered pod-major (pod, edge, host) so pods are
-/// contiguous host-id blocks.
-Topology make_fat_tree(std::size_t k, FatTree3Params p = {});
-
-/// Multi-rail three-level fat tree: `rails` independent k-ary switch planes
-/// (each rail-tagged) over one host set; host port r is its rail-r uplink.
-Topology make_multi_rail_fat_tree(std::size_t rails, std::size_t k,
-                                  FatTree3Params p = {});
-
 /// Multi-rail fat tree: `rails` independent two-level leaf/spine planes
 /// (each tagged with its rail id) sharing one set of hosts; every host has
 /// one port per rail (port r on rail r). Unicast ECMP spreads flows across

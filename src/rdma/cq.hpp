@@ -55,7 +55,6 @@ class Cq {
       return;
     }
     queue_.push_back(cqe);
-    ++total_pushed_;
     if (consumer_) consumer_->on_cqe(*this);
   }
 
@@ -64,11 +63,9 @@ class Cq {
   /// closed gate as a protocol bug (and drops the CQE either way).
   void close_gate() { gate_closed_ = true; }
   void open_gate() { gate_closed_ = false; }
-  bool gate_closed() const { return gate_closed_; }
 
   bool empty() const { return queue_.empty(); }
   std::size_t depth() const { return queue_.size(); }
-  std::uint64_t total_pushed() const { return total_pushed_; }
 
   Cqe pop() {
     MCCL_CHECK(!queue_.empty());
@@ -80,7 +77,6 @@ class Cq {
  private:
   std::deque<Cqe> queue_;
   Consumer* consumer_ = nullptr;
-  std::uint64_t total_pushed_ = 0;
   bool gate_closed_ = false;
 };
 

@@ -148,8 +148,8 @@ void Nic::pump_tx() {
 Time Nic::book_local_copy(std::uint64_t len) {
   ++dma_ops_;
   dma_bytes_ += len;
-  const Time xfer = serialization_time(len, config_.dma_gbps);
-  return dma_.acquire(engine_.now(), xfer) + config_.dma_latency;
+  const Time xfer = serialization_time(len, kDmaGbps);
+  return dma_.acquire(engine_.now(), xfer) + kDmaLatency;
 }
 
 void Nic::finish_local_copy(std::uint64_t src, std::uint64_t dst,

@@ -28,32 +28,35 @@ class Telemetry;
 namespace mccl::rdma {
 
 struct NicConfig {
-  std::uint32_t mtu = 4096;
-  std::uint32_t wire_overhead = 0;      // extra wire bytes per data packet
-  std::uint32_t control_wire_size = 64; // ACK / read-request wire size
   std::uint32_t max_recv_queue = 8192;  // BlueField-3 receive queue bound
   bool carry_payload = true;  // false: timing-only packets (large benches)
 
   // RC reliability.
-  std::uint32_t rc_window = 1024;       // max unacked packets in flight
-  std::uint32_t rc_ack_interval = 16;   // coalesced ACK frequency
-  Time rc_rto = 100 * kMicrosecond;     // retransmission timeout
-  Time rc_nak_backoff = 5 * kMicrosecond;  // min gap between go-back-N bursts
-  // Consecutive RTO-driven retransmission rounds without cumulative-ACK
-  // progress before the QP gives up and goes silent (a real HCA would raise
-  // IBV_WC_RETRY_EXC_ERR). Bounds the event load of talking to a crashed
-  // peer: without a limit, go-back-N retransmits into the void forever.
-  std::uint32_t rc_retry_limit = 64;
-
-  // On-NIC DMA engine (staging copies / loopback writes).
-  double dma_gbps = 400.0;
-  Time dma_latency = 2 * kMicrosecond;  // PCIe round trip (paper: 1-3 us)
+  std::uint32_t rc_window = 1024;    // max unacked packets in flight
+  Time rc_rto = 100 * kMicrosecond;  // retransmission timeout
 
   std::uint64_t memory_capacity = std::uint64_t{1} << 31;  // 2 GiB arena
 };
 
 class Nic {
  public:
+  static constexpr std::uint32_t kMtu = 4096;
+  static constexpr std::uint32_t kControlWireSize = 64;  // ACK / read request
+  // RC reliability.
+  static constexpr std::uint32_t kRcAckInterval = 16;  // coalesced ACKs
+  // Minimum gap between go-back-N retransmission bursts, and between RNR
+  // NAKs.
+  static constexpr Time kRcNakBackoff = 5 * kMicrosecond;
+  // Consecutive RTO-driven retransmission rounds without cumulative-ACK
+  // progress before the QP gives up and goes silent (a real HCA would raise
+  // IBV_WC_RETRY_EXC_ERR). Bounds the event load of talking to a crashed
+  // peer: without a limit, go-back-N retransmits into the void forever.
+  static constexpr std::uint32_t kRcRetryLimit = 64;
+  // On-NIC DMA engine (staging copies / loopback writes); its latency is a
+  // PCIe round trip (paper: 1-3 us).
+  static constexpr double kDmaGbps = 400.0;
+  static constexpr Time kDmaLatency = 2 * kMicrosecond;
+
   Nic(sim::Engine& engine, fabric::Fabric& fabric, fabric::NodeId host,
       NicConfig config = {});
 
@@ -114,8 +117,6 @@ class Nic {
     qos_arbiter_.set_policy(policy);
     qos_enabled_ = policy != sched::QosPolicy::kFifo;
   }
-  sched::QosPolicy qos_policy() const { return qos_arbiter_.policy(); }
-  const sched::QosArbiter& qos_arbiter() const { return qos_arbiter_; }
 
   /// Capture budget of a post_local_copy completion: the engine cell also
   /// holds the NIC's own 32-byte capture (this, src, dst, len).

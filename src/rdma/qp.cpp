@@ -79,7 +79,7 @@ void Qp::complete_recv(const Cqe& cqe) {
 
 void UdQp::post_send(const UdDest& dest, std::uint64_t laddr,
                      std::uint32_t len, const SendFlags& flags) {
-  MCCL_CHECK_MSG(len <= nic_.config().mtu, "UD datagram exceeds MTU");
+  MCCL_CHECK_MSG(len <= Nic::kMtu, "UD datagram exceeds MTU");
   fabric::PacketRef pref = new_packet();
   fabric::Packet* pkt = &pref.mut();
   pkt->src_host = nic_.host();
@@ -88,7 +88,7 @@ void UdQp::post_send(const UdDest& dest, std::uint64_t laddr,
   } else {
     pkt->dst_host = dest.host;
   }
-  pkt->wire_size = len + nic_.config().wire_overhead;
+  pkt->wire_size = len;
   pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
   pkt->th.op = fabric::TransportOp::kUdSend;
   pkt->th.src_qpn = qpn_;
@@ -176,7 +176,6 @@ void UcQp::post_write(std::uint64_t laddr, std::uint64_t len,
       mcast_group_ != fabric::kNoMcastGroup ||
           remote_host_ != fabric::kInvalidNode,
       "UC QP not connected");
-  const std::uint32_t mtu = nic_.config().mtu;
   const std::uint64_t msg_id = next_msg_id_++;
   // One snapshot of the source buffer, sliced zero-copy per segment.
   fabric::Payload whole;
@@ -185,8 +184,8 @@ void UcQp::post_write(std::uint64_t laddr, std::uint64_t len,
 
   std::uint64_t offset = 0;
   do {
-    const std::uint32_t seg =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(mtu, len - offset));
+    const std::uint32_t seg = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(Nic::kMtu, len - offset));
     const bool last = offset + seg >= len;
     fabric::PacketRef pref = new_packet();
     fabric::Packet* pkt = &pref.mut();
@@ -195,7 +194,7 @@ void UcQp::post_write(std::uint64_t laddr, std::uint64_t len,
       pkt->mcast_group = mcast_group_;
     else
       pkt->dst_host = remote_host_;
-    pkt->wire_size = seg + nic_.config().wire_overhead;
+    pkt->wire_size = seg;
     pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
     pkt->th.op = fabric::TransportOp::kUcWriteSeg;
     pkt->th.src_qpn = qpn_;

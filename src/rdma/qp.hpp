@@ -10,9 +10,9 @@
 //           whole. We also implement the paper's proposed *multicast UC
 //           Write* extension (Section V-B / Appendix C).
 //  - RcQp:  Reliable Connection. Go-back-N hardware reliability (ACK/NAK,
-//           retransmission timeout, bounded window), two-sided sends, RDMA
-//           Write and RDMA Read. The slow-path fetch ring and the barrier /
-//           handshake control traffic run here.
+//           retransmission timeout, bounded window), two-sided sends and
+//           RDMA Read. The point-to-point baselines, the slow-path fetch
+//           ring and the barrier / handshake control traffic run here.
 #pragma once
 
 #include <cstdint>
@@ -204,8 +204,6 @@ class RcQp : public Qp {
 
   void post_send(std::uint64_t laddr, std::uint64_t len,
                  const SendFlags& flags);
-  void post_write(std::uint64_t laddr, std::uint64_t len, std::uint64_t raddr,
-                  std::uint32_t rkey, const SendFlags& flags);
   /// RDMA Read: fetches [raddr, raddr+len) from the peer into laddr. The
   /// reliability slow path uses this for selective chunk fetches.
   void post_read(std::uint64_t laddr, std::uint64_t len, std::uint64_t raddr,
@@ -233,11 +231,11 @@ class RcQp : public Qp {
   void test_stuff_inflight() { inflight_.push(InflightPacket{}); }
 
  private:
-  enum class OpKind : std::uint8_t { kSend, kWrite, kReadReq, kReadResp };
+  enum class OpKind : std::uint8_t { kSend, kReadReq, kReadResp };
 
   struct TxOp {
     OpKind kind = OpKind::kSend;
-    std::uint64_t laddr = 0;  // local source (send/write/read-resp)
+    std::uint64_t laddr = 0;  // local source (send/read-resp)
     std::uint64_t len = 0;
     std::uint64_t raddr = 0;
     std::uint32_t rkey = 0;

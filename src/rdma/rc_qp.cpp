@@ -1,5 +1,5 @@
-// RC transport: go-back-N hardware reliability, two-sided sends, RDMA Write
-// and RDMA Read. Each connected QP pair forms two independent reliable
+// RC transport: go-back-N hardware reliability, two-sided sends and RDMA
+// Read. Each connected QP pair forms two independent reliable
 // streams (one per direction); read responses travel in the responder's
 // stream, so a single cumulative-ACK window per direction covers all ops.
 #include <algorithm>
@@ -25,20 +25,6 @@ void RcQp::post_send(std::uint64_t laddr, std::uint64_t len,
   op.kind = OpKind::kSend;
   op.laddr = laddr;
   op.len = len;
-  op.flags = flags;
-  op.msg_id = next_msg_id_++;
-  enqueue_op(std::move(op));
-}
-
-void RcQp::post_write(std::uint64_t laddr, std::uint64_t len,
-                      std::uint64_t raddr, std::uint32_t rkey,
-                      const SendFlags& flags) {
-  TxOp op;
-  op.kind = OpKind::kWrite;
-  op.laddr = laddr;
-  op.len = len;
-  op.raddr = raddr;
-  op.rkey = rkey;
   op.flags = flags;
   op.msg_id = next_msg_id_++;
   enqueue_op(std::move(op));
@@ -83,11 +69,6 @@ fabric::PacketPtr RcQp::make_packet(const TxOp& op, std::uint64_t offset,
     case OpKind::kSend:
       th.op = fabric::TransportOp::kRcSendSeg;
       break;
-    case OpKind::kWrite:
-      th.op = fabric::TransportOp::kRcWriteSeg;
-      th.raddr = op.raddr;
-      th.rkey = op.rkey;
-      break;
     case OpKind::kReadReq:
       th.op = fabric::TransportOp::kRcReadReq;
       th.raddr = op.raddr;
@@ -97,7 +78,7 @@ fabric::PacketPtr RcQp::make_packet(const TxOp& op, std::uint64_t offset,
       th.op = fabric::TransportOp::kRcReadResp;
       break;
   }
-  if (last && (op.kind == OpKind::kSend || op.kind == OpKind::kWrite)) {
+  if (last && op.kind == OpKind::kSend) {
     th.imm = op.flags.imm;
     th.has_imm = op.flags.has_imm;
   }
@@ -106,9 +87,9 @@ fabric::PacketPtr RcQp::make_packet(const TxOp& op, std::uint64_t offset,
   // requests ride the strict-priority control lane.
   if (op.len == 0 || op.kind == OpKind::kReadReq) pkt->vl = fabric::kCtrlLane;
   if (op.kind == OpKind::kReadReq) {
-    pkt->wire_size = nic_.config().control_wire_size;
+    pkt->wire_size = Nic::kControlWireSize;
   } else {
-    pkt->wire_size = seg_len + nic_.config().wire_overhead;
+    pkt->wire_size = seg_len;
     if (seg_len > 0 && nic_.config().carry_payload) {
       pkt->payload = nic_.memory().snapshot_slice(op.laddr + offset, seg_len);
       if (nic_.crc_enabled()) {
@@ -134,7 +115,6 @@ void RcQp::pump() {
       "rc.window_overflow",
       "qpn %u: inflight ring holds %zu but psn span is [%u, %u)", qpn_,
       inflight_.size(), acked_psn_, next_psn_);
-  const std::uint32_t mtu = nic_.config().mtu;
   while (!txq_.empty() && inflight_.size() < nic_.config().rc_window) {
     TxOp& op = txq_.front();
     bool last;
@@ -145,7 +125,7 @@ void RcQp::pump() {
       op.cursor = op.len;
     } else {
       seg = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(mtu, op.len - op.cursor));
+          std::min<std::uint64_t>(Nic::kMtu, op.len - op.cursor));
       last = op.cursor + seg >= op.len;
     }
     fabric::PacketPtr packet = make_packet(op, op.cursor, seg, last);
@@ -153,8 +133,7 @@ void RcQp::pump() {
 
     InflightPacket ip;
     ip.packet = packet;
-    ip.completes_op = last && (op.kind == OpKind::kSend ||
-                               op.kind == OpKind::kWrite);
+    ip.completes_op = last && op.kind == OpKind::kSend;
     ip.flags = op.flags;
     ip.op_len = static_cast<std::uint32_t>(op.len);
     transmit(ip);
@@ -185,7 +164,7 @@ void RcQp::on_rto(std::uint64_t generation) {
   rto_armed_ = false;
   if (nic_.crashed()) return;  // a dead host retransmits nothing
   if (inflight_.empty()) return;
-  if (++rto_rounds_ > nic_.config().rc_retry_limit) {
+  if (++rto_rounds_ > Nic::kRcRetryLimit) {
     // Retry limit exhausted: the peer is presumed dead. The QP enters a
     // silent error state — no more retransmissions, no more RTOs — so the
     // event queue stays bounded. The collective layer learns about the
@@ -206,7 +185,7 @@ void RcQp::retransmit_from(std::uint32_t psn, Time delay) {
   if (inflight_.empty() || dead_) return;
   const Time now = nic_.engine().now();
   Time when = std::max(now + delay, retrans_backoff_until_);
-  retrans_backoff_until_ = when + nic_.config().rc_nak_backoff;
+  retrans_backoff_until_ = when + Nic::kRcNakBackoff;
   MCCL_CHECK(psn >= acked_psn_);
   const std::size_t start = psn - acked_psn_;
   if (start >= inflight_.size()) return;
@@ -263,7 +242,7 @@ void RcQp::send_ack(bool nak) {
   fabric::Packet* pkt = &pref.mut();
   pkt->src_host = nic_.host();
   pkt->dst_host = remote_host_;
-  pkt->wire_size = nic_.config().control_wire_size;
+  pkt->wire_size = Nic::kControlWireSize;
   pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
   pkt->vl = fabric::kCtrlLane;
   pkt->th.op = fabric::TransportOp::kRcAck;
@@ -295,18 +274,15 @@ void RcQp::on_packet(const fabric::PacketPtr& packet) {
   }
   if (th.psn == expected_psn_) {
     // Receiver-not-ready check must precede PSN consumption: a two-sided
-    // first segment (or last write-with-imm segment) needs a posted WR.
-    const bool needs_wr =
-        (th.op == fabric::TransportOp::kRcSendSeg && th.seg_offset == 0) ||
-        (th.op == fabric::TransportOp::kRcWriteSeg && th.last_segment &&
-         th.has_imm);
-    if (needs_wr && rq_empty()) {
+    // first segment needs a posted WR.
+    if (th.op == fabric::TransportOp::kRcSendSeg && th.seg_offset == 0 &&
+        rq_empty()) {
       // Receiver-not-ready NAK, rate limited: the sender's go-back-N
       // retries until a WR is posted.
       if (nic_.engine().now() >= nak_rate_until_) {
         send_ack(/*nak=*/true);
         nak_outstanding_ = true;
-        nak_rate_until_ = nic_.engine().now() + nic_.config().rc_nak_backoff;
+        nak_rate_until_ = nic_.engine().now() + Nic::kRcNakBackoff;
       }
       return;
     }
@@ -314,7 +290,7 @@ void RcQp::on_packet(const fabric::PacketPtr& packet) {
     nak_outstanding_ = false;
     process_in_order(packet);
     ++unacked_count_;
-    if (th.last_segment || unacked_count_ >= nic_.config().rc_ack_interval)
+    if (th.last_segment || unacked_count_ >= Nic::kRcAckInterval)
       send_ack(/*nak=*/false);
   } else if (th.psn < expected_psn_) {
     // Duplicate from a go-back-N burst: refresh the sender's window.
@@ -366,28 +342,6 @@ void RcQp::process_in_order(const fabric::PacketPtr& packet) {
         cqe.has_imm = th.has_imm;
         cqe.src = packet->src_host;
         recv_active_ = false;
-        complete_recv(cqe);
-      }
-      break;
-    }
-    case fabric::TransportOp::kRcWriteSeg: {
-      if (len > 0) {
-        nic_.mrs().check_remote(th.rkey, th.raddr + th.seg_offset, len);
-        if (!packet->payload.empty())
-          nic_.memory().write(th.raddr + th.seg_offset,
-                              packet->payload.data(), len);
-      }
-      if (th.last_segment && th.has_imm) {
-        MCCL_CHECK(!rq_empty());
-        RecvWr wr = rq_pop();
-        Cqe cqe;
-        cqe.wr_id = wr.wr_id;
-        cqe.opcode = CqeOpcode::kRecvWriteImm;
-        cqe.qpn = qpn_;
-        cqe.byte_len = static_cast<std::uint32_t>(th.msg_len);
-        cqe.imm = th.imm;
-        cqe.has_imm = true;
-        cqe.src = packet->src_host;
         complete_recv(cqe);
       }
       break;

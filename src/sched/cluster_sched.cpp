@@ -226,8 +226,6 @@ void ClusterScheduler::on_op_done(std::size_t id, const coll::OpResult& res) {
   cluster_.telemetry()
       .metrics.histogram("sched.op_latency_us", {{"tenant", rec.spec.name}})
       .observe(lat_us);
-  if (rec.spec.slo_target != 0 && res.duration() > rec.spec.slo_target)
-    ++rec.slo_misses;
   if (rec.ops_done + rec.ops_degraded < rec.spec.num_ops) {
     if (rec.spec.gap == 0) {
       issue_next(id);
@@ -391,7 +389,6 @@ ClusterScheduler::TenantStats ClusterScheduler::tenant_stats(
     s.retries += rec.retries_used;
     s.requeues += rec.requeues_used;
     s.shrunk_ranks += rec.shrunk_ranks;
-    s.slo_misses += rec.slo_misses;
     s.bytes += rec.bytes_moved;
     lat.insert(lat.end(), rec.op_latency_us.begin(), rec.op_latency_us.end());
     if (rec.admit_time != 0 || rec.state == JobState::kCompleted ||
@@ -519,7 +516,6 @@ void ClusterScheduler::publish(telemetry::MetricsRegistry& reg) {
     reg.counter("sched.tenant.requeues", labels).set(s.requeues);
     reg.counter("sched.tenant.shrunk_ranks", labels).set(s.shrunk_ranks);
     reg.counter("sched.tenant.bytes", labels).set(s.bytes);
-    reg.counter("sched.tenant.slo_misses", labels).set(s.slo_misses);
     reg.gauge("sched.tenant.p50_us", labels).set(s.p50_us);
     reg.gauge("sched.tenant.p99_us", labels).set(s.p99_us);
     reg.gauge("sched.tenant.queue_delay_us", labels).set(s.mean_queue_us);

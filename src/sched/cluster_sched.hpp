@@ -64,7 +64,6 @@ struct JobRecord {
   std::size_t ops_degraded = 0;  // kPartial completions accepted by policy
   std::size_t ops_failed = 0;    // failed op attempts (each retried,
                                  // requeued, or terminal per the policy)
-  std::uint64_t slo_misses = 0;
   std::vector<double> op_latency_us;  // per completed (ok/degraded) op
   std::uint64_t bytes_moved = 0;  // per-rank payload delivered
   // --- failure-policy ledger (audited by sched.retry_conservation) --------
@@ -123,7 +122,6 @@ class ClusterScheduler {
     std::uint64_t retries = 0;
     std::uint64_t requeues = 0;
     std::size_t shrunk_ranks = 0;
-    std::uint64_t slo_misses = 0;
     double p50_us = 0, p99_us = 0, max_us = 0;  // per-op latency
     double mean_queue_us = 0;  // admission wait (admitted jobs only)
     double goodput_gbps = 0;   // payload delivered / time running

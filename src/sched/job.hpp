@@ -129,9 +129,6 @@ struct JobSpec {
   std::uint64_t bytes = 64 * KiB;  // per-rank block per op
   std::size_t num_ops = 1;  // sequential collectives; next starts on done
   Time gap = 0;  // think time between an op's completion and the next
-  /// Per-op latency SLO for accounting (0 = best effort; never gates
-  /// completion, only the sched.tenant.slo_misses counter).
-  Time slo_target = 0;
   /// What to do when an op settles kPartial or kFailed (default: fail).
   FailurePolicy on_failure;
   /// Transport configuration for the job's communicator. The scheduler

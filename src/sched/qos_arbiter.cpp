@@ -12,7 +12,6 @@ void QosArbiter::set_queue(std::size_t slot, std::uint8_t band,
   Slot& s = slot_row(slot);
   s.band = band;
   s.weight = weight == 0 ? 1 : weight;
-  if (band >= dequeues_.size()) dequeues_.resize(std::size_t{band} + 1, 0);
 }
 
 std::size_t QosArbiter::first_ready(const std::uint64_t* ready,
@@ -131,8 +130,6 @@ std::size_t QosArbiter::pick_wfq(const std::uint64_t* ready,
 void QosArbiter::on_dequeue(std::size_t slot, std::uint32_t bytes) {
   Slot& s = slot_row(slot);
   s.deficit -= static_cast<std::int64_t>(bytes);
-  if (s.band >= dequeues_.size()) dequeues_.resize(std::size_t{s.band} + 1, 0);
-  ++dequeues_[s.band];
 }
 
 }  // namespace mccl::sched

@@ -46,7 +46,6 @@ class QosArbiter {
   static constexpr std::int64_t kWfqQuantum = 4096;
 
   void set_policy(QosPolicy p) { policy_ = p; }
-  QosPolicy policy() const { return policy_; }
 
   /// Registers (or refreshes) a slot's arbitration attributes. `band` is
   /// the strict-priority class (0 = highest), `weight` the WFQ share.
@@ -59,14 +58,9 @@ class QosArbiter {
   std::size_t pick(const std::uint64_t* ready, std::size_t words,
                    std::size_t nslots, std::size_t& rr);
 
-  /// Charges the dequeued packet's wire bytes to `slot` (WFQ deficit) and
-  /// bumps the per-band service counter.
+  /// Charges the dequeued packet's wire bytes to `slot` (WFQ deficit).
   void on_dequeue(std::size_t slot, std::uint32_t bytes);
 
-  /// Packets served per priority band (telemetry / fairness tests).
-  std::uint64_t dequeues(std::uint8_t band) const {
-    return band < dequeues_.size() ? dequeues_[band] : 0;
-  }
   /// WFQ replenish rounds completed (diagnostic).
   std::uint64_t wfq_rounds() const { return wfq_rounds_; }
 
@@ -91,7 +85,6 @@ class QosArbiter {
 
   QosPolicy policy_ = QosPolicy::kFifo;
   std::vector<Slot> slots_;
-  std::vector<std::uint64_t> dequeues_;  // per band
   std::uint64_t wfq_rounds_ = 0;
 };
 

@@ -1,5 +1,5 @@
 // End-to-end Allgather tests: multicast composition (chains, subgroups,
-// worker splits), ring and linear baselines, traffic properties.
+// worker splits), the ring baseline, traffic properties.
 #include <gtest/gtest.h>
 
 #include "tests/coll_test_util.hpp"
@@ -137,13 +137,13 @@ TEST(RingAllgather, SendPathScalesWithP) {
   EXPECT_GE(egress0, 5 * 64 * 1024u);  // (P-1) * N on the send path
 }
 
-TEST(LinearAllgather, Correctness) {
-  for (const std::size_t P : {2u, 4u, 6u}) {
-    World w(P);
-    EXPECT_TRUE(w.comm->allgather(8 * 1024, AllgatherAlgo::kLinear)
-                    .data_verified)
-        << "P=" << P;
-  }
+TEST(RingAllgather, SurvivesPacketLoss) {
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.burst.drop_good = 0.01;
+  kcfg.fabric.seed = 3;
+  World w(8, {}, kcfg);
+  EXPECT_TRUE(
+      w.comm->allgather(64 * 1024, AllgatherAlgo::kRing).data_verified);
 }
 
 TEST(McastAllgather, HalvesFabricTrafficVsRing) {

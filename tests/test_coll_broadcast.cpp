@@ -153,25 +153,6 @@ TEST(P2PBroadcast, BinaryTreeDelivers) {
   }
 }
 
-TEST(P2PBroadcast, LinearDelivers) {
-  World w(6);
-  EXPECT_TRUE(
-      w.comm->broadcast(2, 32 * 1024, BcastAlgo::kLinear).data_verified);
-}
-
-TEST(P2PBroadcast, LinearRootInjectsPMinus1TimesTheBuffer) {
-  World w(6);
-  w.cluster->fabric().reset_counters();
-  ASSERT_TRUE(
-      w.comm->broadcast(0, 64 * 1024, BcastAlgo::kLinear).data_verified);
-  std::uint64_t root_egress = 0;
-  const auto& topo = w.cluster->fabric().topology();
-  for (std::size_t d = 0; d < topo.num_dirs(); ++d)
-    if (topo.dirs()[d].from == 0)
-      root_egress += w.cluster->fabric().dir_counters(d).bytes;
-  EXPECT_GE(root_egress, 5 * 64 * 1024u);  // Insight 1: Omega(N*(P-1))
-}
-
 TEST(McastBroadcast, FasterThanBinaryTreeForLargeMessages) {
   // The headline Fig 11 relation: multicast beats tree broadcasts.
   const std::uint64_t N = 1 * MiB;

@@ -134,28 +134,5 @@ TEST(Concurrent, AgRsRingRingSharesBothPaths) {
   EXPECT_LT(t_opt, t_ring);
 }
 
-TEST(Barrier, CompletesAndIsCheap) {
-  World w(8);
-  const OpResult res = w.comm->barrier();
-  EXPECT_TRUE(res.data_verified);
-  EXPECT_LT(res.duration(), 100 * kMicrosecond);
-}
-
-TEST(Barrier, NonPowerOfTwo) {
-  for (const std::size_t P : {3u, 5u, 6u, 7u, 11u}) {
-    World w(P);
-    EXPECT_TRUE(w.comm->barrier().data_verified) << "P=" << P;
-  }
-}
-
-TEST(Barrier, ScalesLogarithmically) {
-  World w4(4);
-  World w16(16);
-  const Time t4 = w4.comm->barrier().duration();
-  const Time t16 = w16.comm->barrier().duration();
-  // 16 ranks need 4 rounds vs 2 — clearly less than 4x the latency.
-  EXPECT_LT(t16, 4 * t4);
-}
-
 }  // namespace
 }  // namespace mccl::coll

@@ -1,5 +1,5 @@
-// Tests for the large-message P2P variants: van-de-Geijn broadcast and
-// recursive-doubling allgather.
+// Tests for the large-message P2P Broadcast: van de Geijn's scatter plus
+// ring allgather.
 #include <gtest/gtest.h>
 
 #include "tests/coll_test_util.hpp"
@@ -63,46 +63,6 @@ TEST(ScatterAllgatherBcast, SurvivesPacketLoss) {
   EXPECT_TRUE(w.comm->broadcast(0, 256 * 1024,
                                 BcastAlgo::kScatterAllgather)
                   .data_verified);
-}
-
-TEST(RecDoublingAllgather, Correctness) {
-  for (const std::size_t P : {2u, 4u, 8u, 16u}) {
-    World w(P);
-    EXPECT_TRUE(w.comm->allgather(32 * 1024, AllgatherAlgo::kRecDoubling)
-                    .data_verified)
-        << "P=" << P;
-  }
-}
-
-TEST(RecDoublingAllgather, RejectsNonPowerOfTwo) {
-  World w(6);
-  EXPECT_DEATH(w.comm->allgather(1024, AllgatherAlgo::kRecDoubling),
-               "power-of-two");
-}
-
-TEST(RecDoublingAllgather, FewerRoundsThanRing) {
-  // Latency-bound regime (small message): log2(P) rounds beat P-1 steps.
-  const std::uint64_t N = 512;
-  World a(16);
-  const Time rd = a.comm->allgather(N, AllgatherAlgo::kRecDoubling).duration();
-  World b(16);
-  const Time ring = b.comm->allgather(N, AllgatherAlgo::kRing).duration();
-  EXPECT_LT(rd, ring);
-}
-
-TEST(RecDoublingAllgather, SurvivesPacketLoss) {
-  ClusterConfig kcfg;
-  kcfg.fabric.faults.burst.drop_good = 0.01;
-  kcfg.fabric.seed = 3;
-  World w(8, {}, kcfg);
-  EXPECT_TRUE(w.comm->allgather(64 * 1024, AllgatherAlgo::kRecDoubling)
-                  .data_verified);
-}
-
-TEST(RecDoublingAllgather, RaggedBlockSize) {
-  World w(4);
-  EXPECT_TRUE(
-      w.comm->allgather(12345, AllgatherAlgo::kRecDoubling).data_verified);
 }
 
 }  // namespace

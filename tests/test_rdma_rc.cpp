@@ -1,5 +1,5 @@
 // RC transport tests: reliable delivery, ACK/NAK go-back-N recovery, RDMA
-// Write/Read, RNR NAK retry, window-limited pipelining.
+// Read, RNR NAK retry, window-limited pipelining.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -69,36 +69,6 @@ TEST(RcQp, TwoSidedSendDelivers) {
   // Send completion only after the ACK.
   ASSERT_EQ(w.send_cqs[0]->depth(), 1u);
   EXPECT_EQ(w.send_cqs[0]->pop().wr_id, 1u);
-}
-
-TEST(RcQp, WriteWithImmediate) {
-  RcWorld w;
-  const std::size_t len = 4096 * 2;
-  const auto src = w.nics[0]->memory().alloc(len);
-  const auto dst = w.nics[1]->memory().alloc(len);
-  const auto mr = w.nics[1]->mrs().register_region(dst, len);
-  const auto data = pattern(len, 7);
-  w.nics[0]->memory().write(src, data.data(), len);
-  w.qps[1]->post_recv({.wr_id = 9});
-  w.qps[0]->post_write(src, len, dst, mr.rkey, {.imm = 42, .has_imm = true});
-  w.engine.run();
-  ASSERT_EQ(w.recv_cqs[1]->depth(), 1u);
-  const Cqe cqe = w.recv_cqs[1]->pop();
-  EXPECT_EQ(cqe.opcode, CqeOpcode::kRecvWriteImm);
-  EXPECT_EQ(cqe.imm, 42u);
-  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, len), data);
-}
-
-TEST(RcQp, PureWriteIsSilentAtResponder) {
-  RcWorld w;
-  const auto src = w.nics[0]->memory().alloc(512);
-  const auto dst = w.nics[1]->memory().alloc(512);
-  const auto mr = w.nics[1]->mrs().register_region(dst, 512);
-  w.qps[0]->post_write(src, 512, dst, mr.rkey, {.wr_id = 2});
-  w.engine.run();
-  EXPECT_EQ(w.recv_cqs[1]->depth(), 0u);
-  ASSERT_EQ(w.send_cqs[0]->depth(), 1u);
-  EXPECT_EQ(w.send_cqs[0]->pop().wr_id, 2u);
 }
 
 TEST(RcQp, RdmaReadFetchesRemoteBytes) {
@@ -293,22 +263,22 @@ TEST(RcQp, MixedOpsShareOneReliableStream) {
   RcWorld w;
   const auto src = w.nics[0]->memory().alloc(4096);
   const auto dst = w.nics[1]->memory().alloc(4096);
-  const auto wdst = w.nics[1]->memory().alloc(4096);
   const auto rsrc = w.nics[1]->memory().alloc(4096);
   const auto rdst = w.nics[0]->memory().alloc(4096);
-  const auto wmr = w.nics[1]->mrs().register_region(wdst, 4096);
   const auto rmr = w.nics[1]->mrs().register_region(rsrc, 4096);
+  const auto sent = pattern(4096, 59);
   const auto data = pattern(4096, 60);
+  w.nics[0]->memory().write(src, sent.data(), 4096);
   w.nics[1]->memory().write(rsrc, data.data(), 4096);
 
   w.qps[1]->post_recv({.laddr = dst, .len = 4096});
   w.qps[0]->post_send(src, 4096, {.wr_id = 1});
-  w.qps[0]->post_write(src, 4096, wdst, wmr.rkey, {.wr_id = 2});
   w.qps[0]->post_read(rdst, 4096, rsrc, rmr.rkey, {.wr_id = 3});
   w.engine.run();
 
-  // Two op completions (send, write) + one read completion.
-  EXPECT_EQ(w.send_cqs[0]->depth(), 3u);
+  // One send completion + one read completion.
+  EXPECT_EQ(w.send_cqs[0]->depth(), 2u);
+  EXPECT_EQ(bytes_at(w.nics[1]->memory(), dst, 4096), sent);
   EXPECT_EQ(bytes_at(w.nics[0]->memory(), rdst, 4096), data);
 }
 

@@ -755,37 +755,6 @@ TEST(Workload, StampsPerClassFailurePolicyAndDetector) {
   EXPECT_EQ(bulk.on_failure.max_retries, 2u);
 }
 
-// --- Scale smoke: k=16 three-level fat tree (1024 hosts) ------------------
-
-TEST(ClusterSched, FatTree3K16ClusterSmoke) {
-  // The full coll/rdma/exec stack over the 1024-host three-level Clos —
-  // well past the paper testbed's 188-node ceiling. A few pod-spanning
-  // jobs, each a multicast allgather; this exercises Cluster construction,
-  // admission and mcast-tree building at k=16 scale.
-  coll::Cluster cluster(
-      fabric::make_fat_tree(16, fabric::FatTree3Params{}), {});
-  ASSERT_EQ(cluster.fabric().topology().num_hosts(), 1024u);
-  ClusterScheduler sched(cluster);
-  // Job 1: 32 ranks striped across pods (hosts 0, 32, 64, ...).
-  std::vector<fabric::NodeId> striped;
-  for (std::size_t i = 0; i < 32; ++i)
-    striped.push_back(static_cast<fabric::NodeId>(i * 32));
-  // Job 2: 64 ranks packed into pod 2 (hosts 128..191).
-  std::vector<fabric::NodeId> packed;
-  for (std::size_t i = 0; i < 64; ++i)
-    packed.push_back(static_cast<fabric::NodeId>(128 + i));
-  const std::size_t a =
-      sched.submit(make_job(1, striped, CollKind::kAllgather, 16 * KiB, 1));
-  const std::size_t b =
-      sched.submit(make_job(2, packed, CollKind::kAllgather, 16 * KiB, 1));
-  sched.run();
-  EXPECT_EQ(sched.job(a).state, JobState::kCompleted);
-  EXPECT_EQ(sched.job(b).state, JobState::kCompleted);
-  EXPECT_EQ(sched.job(a).ops_done, 1u);
-  EXPECT_EQ(sched.job(b).ops_done, 1u);
-  EXPECT_TRUE(sched.conservation_ok());
-}
-
 // --- One settle path: scheduler ops settle like blocking ones ------------
 
 TEST(ClusterSched, OnDoneSeesTheSettledResult) {
