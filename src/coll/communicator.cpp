@@ -174,10 +174,6 @@ Communicator::Communicator(Cluster& cluster,
     ep->setup_workers();
     ep->setup_subgroups();
   }
-  host_crashed_.assign(size(), 0);
-  for (std::size_t r = 0; r < size(); ++r)
-    if (cluster_.host_crashed(static_cast<std::size_t>(hosts[r])))
-      host_crashed_[r] = 1;
   crash_listener_id_ = cluster_.add_crash_listener(
       [this](fabric::NodeId host, bool crashed) {
         on_host_crash(host, crashed);
@@ -204,15 +200,20 @@ void Communicator::on_detector_msg(std::size_t r, const CtrlMsg& msg,
   }
 }
 
+// The fan-outs below walk ops_ by index, up to the op count at entry: an op
+// that settles inside the loop runs its on_done callback, which may start a
+// new op and so grow (reallocate) ops_. Ops started inside the loop are not
+// notified; they read the detector, monitor and crash state live.
+
 void Communicator::notify_peer_dead(std::size_t observer, std::size_t peer) {
-  for (auto& op : ops_)
-    if (!op->done()) op->on_peer_confirmed_dead(observer, peer);
+  for (std::size_t i = 0, n = ops_.size(); i < n; ++i)
+    if (!ops_[i]->done()) ops_[i]->on_peer_confirmed_dead(observer, peer);
 }
 
 void Communicator::notify_peer_slow(std::size_t observer, std::size_t peer,
                                    bool slow) {
-  for (auto& op : ops_)
-    if (!op->done()) op->on_peer_slow(observer, peer, slow);
+  for (std::size_t i = 0, n = ops_.size(); i < n; ++i)
+    if (!ops_[i]->done()) ops_[i]->on_peer_slow(observer, peer, slow);
 }
 
 std::uint8_t Communicator::claim_mcast_tag(McastCollective* op) {
@@ -232,11 +233,10 @@ std::uint8_t Communicator::claim_mcast_tag(McastCollective* op) {
 void Communicator::on_host_crash(fabric::NodeId host, bool crashed) {
   auto it = rank_of_.find(host);
   if (it == rank_of_.end()) return;  // not one of ours
-  const std::size_t r = it->second;
-  host_crashed_[r] = crashed ? 1 : 0;
   if (!crashed) return;
-  for (auto& op : ops_)
-    if (!op->done()) op->note_rank_crashed(r);
+  const std::size_t r = it->second;
+  for (std::size_t i = 0, n = ops_.size(); i < n; ++i)
+    if (!ops_[i]->done()) ops_[i]->note_rank_crashed(r);
 }
 
 std::size_t Communicator::presumed_alive() const {

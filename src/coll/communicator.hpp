@@ -436,7 +436,7 @@ class Communicator {
   /// Used for op accounting and result reporting only — the protocol's own
   /// membership decisions go through the detector.
   bool rank_host_crashed(std::size_t rank) const {
-    return host_crashed_[rank] != 0;
+    return cluster_.host_crashed(static_cast<std::size_t>(eps_[rank]->host()));
   }
   /// Membership view for new ops: a rank is presumed dead once its host
   /// crashed or any survivor's detector confirmed it. start_allgather on a
@@ -450,10 +450,11 @@ class Communicator {
   void note_op_started();
   void note_op_finished();
   /// Detector notice: `observer` confirmed `peer` dead. Forwards to every
-  /// op still in flight (OpBase::on_peer_confirmed_dead).
+  /// op in flight when the notice arrives (OpBase::on_peer_confirmed_dead);
+  /// an op that an on_done callback starts during the fan-out is skipped.
   void notify_peer_dead(std::size_t observer, std::size_t peer);
   /// Health-monitor notice: `observer` marked `peer` slow (or cleared it).
-  /// Forwards to every op still in flight (OpBase::on_peer_slow).
+  /// Forwards like notify_peer_dead (OpBase::on_peer_slow).
   void notify_peer_slow(std::size_t observer, std::size_t peer, bool slow);
   /// Takes the next fast-path op tag (8 bits, 1..255, recycled) for `op`,
   /// which owns it until a later op claims it again. Validate builds report
@@ -526,7 +527,6 @@ class Communicator {
   std::unique_ptr<FailureDetector> detector_;
   std::unique_ptr<HealthMonitor> health_;
   std::uint64_t subgroup_repins_ = 0;
-  std::vector<char> host_crashed_;
   std::uint64_t crash_listener_id_ = 0;
   std::uint8_t next_tag_ = 1;
 };

@@ -82,29 +82,13 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     s.fetch_waiters.assign(p_.roots.size(), {});
     s.fetch.assign(p_.roots.size(), BlockFetch{});
     s.finals_from.assign(P, 0);
-    s.peer_dead.assign(P, 0);
     s.block_root = p_.roots;
     s.block_abandoned.assign(p_.roots.size(), 0);
     s.block_reports.assign(p_.roots.size() * P, 0);
     s.block_decision.assign(p_.roots.size(), 0);
     s.block_new_root.assign(p_.roots.size(), 0);
-    s.peer_lagging.assign(P, 0);
     s.slow_reported.assign(p_.roots.size(), 0);
     s.slow_decision.assign(p_.roots.size(), 0);
-    // Seed the membership view from this rank's detector: peers confirmed
-    // dead in earlier ops stay dead (crash-stop), so a new op never waits
-    // on them.
-    if (FailureDetector* det = comm.detector()) {
-      for (std::size_t p = 0; p < P; ++p)
-        if (p != r && det->dead(r, p)) s.peer_dead[p] = 1;
-    }
-    // Likewise the lagging view from the health monitor: a peer marked slow
-    // in an earlier op is avoided from the start of this one (it clears
-    // through the monitor's hysteresis, not per op).
-    if (HealthMonitor* hm = comm.health()) {
-      for (std::size_t p = 0; p < P; ++p)
-        if (p != r && hm->slow(r, p)) s.peer_lagging[p] = 1;
-    }
     s.bitmaps.reserve(map_.subgroups);
     for (std::size_t sg = 0; sg < map_.subgroups; ++sg)
       s.bitmaps.emplace_back(map_.total_chunks());
@@ -142,16 +126,25 @@ void McastCollective::start() {
   }
 }
 
-std::size_t McastCollective::left_alive_of(std::size_t r,
-                                           std::size_t from) const {
-  std::size_t x = left_of(from);
-  while (x != r && st_[r].peer_dead[x]) x = left_of(x);
-  return x;  // r itself when no other survivor exists
+bool McastCollective::peer_dead(std::size_t r, std::size_t p) const {
+  const FailureDetector* det = comm_.detector();
+  return det != nullptr && det->dead(r, p);
+}
+
+bool McastCollective::peer_lagging(std::size_t r, std::size_t p) const {
+  const HealthMonitor* hm = comm_.health();
+  return hm != nullptr && hm->slow(r, p);
+}
+
+std::size_t McastCollective::left_alive_of(std::size_t r) const {
+  std::size_t x = left_of(r);
+  while (x != r && peer_dead(r, x)) x = left_of(x);
+  return x;
 }
 
 std::size_t McastCollective::right_alive_of(std::size_t r) const {
   std::size_t x = right_of(r);
-  while (x != r && st_[r].peer_dead[x]) x = right_of(x);
+  while (x != r && peer_dead(r, x)) x = right_of(x);
   return x;
 }
 
@@ -174,7 +167,7 @@ void McastCollective::barrier_send_round(std::size_t r) {
   const std::size_t P = comm_.size();
   const std::size_t dist = std::size_t{1} << s.barrier_round;
   const std::size_t dst = (r + dist) % P;
-  if (!s.peer_dead[dst])
+  if (!peer_dead(r, dst))
     comm_.ep(r).ctrl_send(dst, {CtrlType::kBarrier, id(),
                                 static_cast<std::uint16_t>(s.barrier_round)});
   barrier_advance(r);
@@ -187,7 +180,7 @@ void McastCollective::credit_barrier(std::size_t r) {
     if (s.barrier_credited[k]) continue;
     const std::size_t dist = std::size_t{1} << k;
     const std::size_t sender = (r + P - dist) % P;
-    if (!s.peer_dead[sender]) continue;
+    if (!peer_dead(r, sender)) continue;
     // The round-k token sender is dead: grant the token it can no longer
     // send. Credited at most once per round; a token that did get out
     // before the crash leaves a harmless surplus in barrier_seen.
@@ -224,7 +217,7 @@ void McastCollective::on_barrier_done(std::size_t r) {
     const auto my = static_cast<std::size_t>(s.root_index);
     // Chain heads start immediately; a root whose chain predecessor died
     // will never see its activation token and self-activates.
-    if (schedule_.is_chain_head(my) || s.peer_dead[p_.roots[my - 1]])
+    if (schedule_.is_chain_head(my) || peer_dead(r, p_.roots[my - 1]))
       activate_send(r);
   }
   // Degenerate case: nothing to receive (single-root broadcast at the root).
@@ -310,12 +303,12 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
   int next = schedule_.successor(static_cast<std::size_t>(s.root_index));
   while (next >= 0) {
     const std::size_t root = p_.roots[static_cast<std::size_t>(next)];
-    if (s.peer_dead[root]) {
+    if (peer_dead(r, root)) {
       next = schedule_.successor(static_cast<std::size_t>(next));
       continue;
     }
     comm_.ep(r).ctrl_send(root, {CtrlType::kChainToken, id(), 0});
-    if (!s.peer_lagging[root]) break;
+    if (!peer_lagging(r, root)) break;
     ++res_.chain_demotions;
     telem().recorder.record(comm_.cluster().engine().now(),
                             static_cast<std::int32_t>(r),
@@ -435,7 +428,7 @@ void McastCollective::send_final(std::size_t r) {
   // Final handshake: tell the left-alive neighbor we are complete (the
   // static left neighbor pre-repair). A sole survivor has nobody to tell.
   RankState& s = st_[r];
-  const std::size_t dst = left_alive_of(r, r);
+  const std::size_t dst = left_alive_of(r);
   s.final_sent = true;
   if (dst == r) return;
   s.final_sent_to = dst;
@@ -495,7 +488,7 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
     for (std::size_t b = 0; b < p_.roots.size(); ++b) {
       if (static_cast<int>(b) == s.root_index) continue;
       if (s.block_received[b] * 2 < best && !s.block_abandoned[b] &&
-          !s.peer_dead[s.block_root[b]] && s.block_root[b] != r)
+          !peer_dead(r, s.block_root[b]) && s.block_root[b] != r)
         hm->note_block_late(r, s.block_root[b]);
     }
   }
@@ -504,7 +497,7 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
   // neighbor (the static left neighbor unless it already died), detoured
   // past lagging survivors when the health plane marked any.
   bool detoured = false;
-  const std::size_t tgt = fetch_target_of(r, r, &detoured);
+  const std::size_t tgt = fetch_target_of(r, r, r, &detoured);
   if (tgt == r) return;  // sole survivor: nothing to fetch from
   if (detoured)
     telem().recorder.record(comm_.cluster().engine().now(),
@@ -529,8 +522,8 @@ void McastCollective::on_block_complete(std::size_t r, std::size_t block) {
   // held full at mark time).
   if (comm_.health() != nullptr && static_cast<int>(block) != s.root_index &&
       !s.slow_reported[block] && !s.block_abandoned[block] &&
-      s.block_root[block] != r && s.peer_lagging[s.block_root[block]] &&
-      !s.peer_dead[s.block_root[block]])
+      s.block_root[block] != r && peer_lagging(r, s.block_root[block]) &&
+      !peer_dead(r, s.block_root[block]))
     report_slow_root(r, block);
   // Serve every rank whose fetch request was deferred until we held the
   // block (pre-hardening this could only be the right neighbor).
@@ -540,15 +533,12 @@ void McastCollective::on_block_complete(std::size_t r, std::size_t block) {
   s.fetch_waiters[block].clear();
   // Cancel our own outstanding fetch of this block (multicast raced the
   // slow path); a late ACK is ignored via the `acked` latch.
-  BlockFetch& f = s.fetch[block];
-  if (f.active && !f.acked) {
-    f.active = false;
-    ++f.gen;
-  }
+  const BlockFetch& f = s.fetch[block];
+  if (f.active && !f.acked) stop_fetch(r, block);
 }
 
 void McastCollective::start_fetch(std::size_t r, std::size_t block,
-                                  std::size_t target) {
+                                  std::size_t target, const char* event) {
   RankState& s = st_[r];
   MCCL_CHECK(target != r);
   BlockFetch& f = s.fetch[block];
@@ -561,8 +551,7 @@ void McastCollective::start_fetch(std::size_t r, std::size_t block,
   ++f.gen;
   telem().recorder.record(comm_.cluster().engine().now(),
                           static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kColl, "fetch_start", block,
-                          target);
+                          telemetry::EventCat::kColl, event, block, target);
   comm_.ep(r).ctrl_send(target, {CtrlType::kFetchReq, id(),
                                  static_cast<std::uint16_t>(block)});
   arm_fetch_retry(r, block);
@@ -617,53 +606,20 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
     return;
   }
   // Retries exhausted: the target is unreachable or stuck. Fail over one
-  // step further left, skipping ranks this rank knows are dead. The chain
-  // still terminates at the block root (which completes its block through
-  // the local copy); if even the root is unreachable the watchdog ends the
-  // op.
-  std::size_t next = left_of(f.target);
-  while ((next == r || s.peer_dead[next]) && next != f.target)
-    next = left_of(next);  // never fetch from ourselves or a dead rank
-  if (next == f.target || next == r) return;  // nowhere else to go
-  if (s.peer_lagging[next]) {
-    // Adaptive detour: keep walking for a non-lagging survivor no farther
-    // away than the static choice (same rule as fetch_target_of — never
-    // trade a laggard for a longer path); the lagging candidate stays the
-    // fallback when everyone further lags.
-    const fabric::Topology& topo = comm_.cluster().fabric().topology();
-    const fabric::NodeId here = comm_.ep(r).host();
-    const int base_dist = topo.distance(here, comm_.ep(next).host());
-    std::size_t alt = left_of(next);
-    while (alt != f.target &&
-           (alt == r || s.peer_dead[alt] || s.peer_lagging[alt] ||
-            topo.distance(here, comm_.ep(alt).host()) > base_dist))
-      alt = left_of(alt);
-    if (alt != f.target && alt != r && !s.peer_lagging[alt] &&
-        topo.distance(here, comm_.ep(alt).host()) <= base_dist) {
-      next = alt;
-      ++res_.fetch_detours;
-      telem().recorder.record(comm_.cluster().engine().now(),
-                              static_cast<std::int32_t>(r),
-                              telemetry::EventCat::kAdapt, "fetch_detour",
-                              block, next);
-    }
-  }
+  // step further left, skipping ranks this rank knows are dead and
+  // detouring past lagging ones. The chain still terminates at the block
+  // root (which completes its block through the local copy); if even the
+  // root is unreachable the watchdog ends the op.
+  bool detoured = false;
+  const std::size_t next = fetch_target_of(r, f.target, f.target, &detoured);
+  if (next == r) return;  // nowhere else to go
+  if (detoured) note_detour(r, block, next);
   ++res_.fetch_failovers;
-  f.target = next;
-  f.attempts = 1;
-  f.sent_at = comm_.cluster().engine().now();
-  ++f.gen;
   telemetry::Telemetry& te = telem();
-  te.recorder.record(comm_.cluster().engine().now(),
-                     static_cast<std::int32_t>(r),
-                     telemetry::EventCat::kColl, "fetch_failover", block,
-                     next);
   if (te.tracer.enabled())
     te.tracer.instant(comm_.ep(r).trace_track(), "fetch_failover",
                       comm_.cluster().engine().now(), "coll");
-  comm_.ep(r).ctrl_send(f.target, {CtrlType::kFetchReq, id(),
-                                   static_cast<std::uint16_t>(block)});
-  arm_fetch_retry(r, block);
+  start_fetch(r, block, next, "fetch_failover");
 }
 
 void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
@@ -749,8 +705,7 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
                                              std::size_t peer) {
   const std::size_t r = observer;
   RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || s.peer_dead[peer]) return;
-  s.peer_dead[peer] = 1;
+  if (res_.failed || rank_crashed(r)) return;
   note_repair(r);
   // (1) Barrier: credit rounds whose token sender just died.
   if (!s.barrier_done) {
@@ -762,7 +717,7 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
   // is redundant — and activate_send is idempotent).
   if (is_root(r) && !s.send_active && s.barrier_done) {
     const auto my = static_cast<std::size_t>(s.root_index);
-    if (!schedule_.is_chain_head(my) && s.peer_dead[p_.roots[my - 1]])
+    if (!schedule_.is_chain_head(my) && peer_dead(r, p_.roots[my - 1]))
       activate_send(r);
   }
   // (3) Fetches aimed at the dead rank fail over immediately.
@@ -772,14 +727,14 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
   // (coordinator_of shifts right, and the new coordinator needs our
   // report).
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-    if (s.peer_dead[s.block_root[b]] && !s.block_abandoned[b] &&
+    if (peer_dead(r, s.block_root[b]) && !s.block_abandoned[b] &&
         s.block_decision[b] == 0)
       send_block_report(r, b);
   }
   // (5) Handshake ring re-closure: if our Final went to a rank that died,
   // resend it to the new left-alive neighbor.
   if (s.data_complete && s.final_sent) {
-    const std::size_t dst = left_alive_of(r, r);
+    const std::size_t dst = left_alive_of(r);
     if (dst != r && dst != s.final_sent_to) {
       s.final_sent_to = dst;
       comm_.ep(r).ctrl_send(dst, {CtrlType::kFinal, id(), 0});
@@ -811,42 +766,38 @@ void McastCollective::note_repair(std::size_t r) {
 void McastCollective::repair_fetches(std::size_t r, std::size_t dead) {
   RankState& s = st_[r];
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-    BlockFetch& f = s.fetch[b];
+    const BlockFetch& f = s.fetch[b];
     if (!f.active || f.target != dead) continue;
+    stop_fetch(r, b);
     if (s.block_received[b] == map_.chunks_per_block() ||
-        s.block_abandoned[b]) {
-      f.active = false;
-      ++f.gen;
+        s.block_abandoned[b])
       continue;
-    }
-    // RDMA Reads posted to the dead target never complete; discount them
-    // so pending_fetches can reach zero again.
-    if (f.acked && f.reads_outstanding > 0) {
-      MCCL_CHECK(s.pending_fetches >= f.reads_outstanding);
-      s.pending_fetches -= f.reads_outstanding;
-      f.reads_outstanding = 0;
-    }
     ++res_.fetch_failovers;
     telem().recorder.record(comm_.cluster().engine().now(),
                             static_cast<std::int32_t>(r),
                             telemetry::EventCat::kColl, "fetch_dead_target",
                             b, dead);
     bool det = false;
-    const std::size_t next = fetch_target_of(r, f.target, &det);
-    if (next == r) {  // no surviving target; root repair decides the block
-      f.active = false;
-      ++f.gen;
-      continue;
-    }
-    if (det) {
-      ++res_.fetch_detours;
-      telem().recorder.record(comm_.cluster().engine().now(),
-                              static_cast<std::int32_t>(r),
-                              telemetry::EventCat::kAdapt, "fetch_detour", b,
-                              next);
-    }
+    const std::size_t next = fetch_target_of(r, dead, r, &det);
+    // No surviving target: root repair decides the block.
+    if (next == r) continue;
+    if (det) note_detour(r, b, next);
     start_fetch(r, b, next);
   }
+}
+
+void McastCollective::stop_fetch(std::size_t r, std::size_t block) {
+  RankState& s = st_[r];
+  BlockFetch& f = s.fetch[block];
+  // RDMA Reads posted to a dead target, or for a block declared dead, never
+  // complete; discount them so pending_fetches can reach zero again.
+  if (f.acked && f.reads_outstanding > 0) {
+    MCCL_CHECK(s.pending_fetches >= f.reads_outstanding);
+    s.pending_fetches -= f.reads_outstanding;
+    f.reads_outstanding = 0;
+  }
+  f.active = false;
+  ++f.gen;  // cancels pending retry timers
 }
 
 std::size_t McastCollective::coordinator_of(std::size_t r,
@@ -857,7 +808,7 @@ std::size_t McastCollective::coordinator_of(std::size_t r,
   const RankState& s = st_[r];
   const std::size_t d = s.block_root[block];
   std::size_t x = right_of(d);
-  while (x != d && s.peer_dead[x]) x = right_of(x);
+  while (x != d && peer_dead(r, x)) x = right_of(x);
   return x;
 }
 
@@ -903,12 +854,12 @@ void McastCollective::on_block_report(std::size_t r, std::size_t block,
 void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
   RankState& s = st_[r];
   if (s.block_decision[block] != 0) return;
-  if (!s.peer_dead[s.block_root[block]]) return;  // root (still) alive
+  if (!peer_dead(r, s.block_root[block])) return;  // root (still) alive
   if (coordinator_of(r, block) != r) return;      // not our call
   const std::size_t P = comm_.size();
   const std::uint8_t* reports = &s.block_reports[block * P];
   for (std::size_t x = 0; x < P; ++x) {
-    if (s.peer_dead[x] || x == r) continue;
+    if (peer_dead(r, x) || x == r) continue;
     if (reports[x] == 0) return;  // census incomplete
   }
   // Our own report may arrive via send_block_report(c == r) or not at all
@@ -918,7 +869,7 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
       s.block_received[block] == map_.chunks_per_block() ? 2 : 1;
   std::size_t holder = P;
   for (std::size_t x = 0; x < P; ++x) {
-    if (s.peer_dead[x]) continue;
+    if (peer_dead(r, x)) continue;
     if (reports[x] == 2) {
       holder = x;
       break;  // lowest-rank surviving full holder
@@ -952,7 +903,7 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
                         "coll");
   }
   for (std::size_t x = 0; x < P; ++x) {
-    if (x == r || s.peer_dead[x]) continue;
+    if (x == r || peer_dead(r, x)) continue;
     send_decision_to(r, block, x);
   }
   if (s.block_decision[block] == 1)
@@ -1016,16 +967,7 @@ void McastCollective::apply_block_dead(std::size_t r, std::size_t block) {
   if (s.block_received[block] == map_.chunks_per_block()) return;  // we hold it
   s.block_abandoned[block] = 1;
   satisfy_block(r, block);
-  BlockFetch& f = s.fetch[block];
-  if (f.active) {
-    if (f.acked && f.reads_outstanding > 0) {
-      MCCL_CHECK(s.pending_fetches >= f.reads_outstanding);
-      s.pending_fetches -= f.reads_outstanding;
-      f.reads_outstanding = 0;
-    }
-    f.active = false;
-    ++f.gen;
-  }
+  stop_fetch(r, block);
   s.fetch_waiters[block].clear();  // nobody can be served a dead block
   telem().recorder.record(comm_.cluster().engine().now(),
                           static_cast<std::int32_t>(r),
@@ -1042,32 +984,38 @@ void McastCollective::apply_block_dead(std::size_t r, std::size_t block) {
 // --------------------------------------------------------------------------
 
 std::size_t McastCollective::fetch_target_of(std::size_t r, std::size_t from,
+                                             std::size_t stop,
                                              bool* detoured) const {
-  const RankState& s = st_[r];
   const fabric::Topology& topo = comm_.cluster().fabric().topology();
   const fabric::NodeId here = comm_.ep(r).host();
   std::size_t first_alive = r;
   int base_dist = 0;
-  std::size_t x = left_of(from);
-  while (x != r) {
-    if (!s.peer_dead[x]) {
-      if (first_alive == r) {
-        first_alive = x;
-        base_dist = topo.distance(here, comm_.ep(x).host());
-      }
-      // A detour must never trade a slow peer for a longer path: a
-      // cross-leaf hop rides trunks the health plane may not have scored
-      // yet, and a degraded trunk costs far more than any laggard.
-      if (!s.peer_lagging[x] &&
-          topo.distance(here, comm_.ep(x).host()) <= base_dist) {
-        if (detoured != nullptr) *detoured = x != first_alive;
-        return x;
-      }
+  for (std::size_t x = left_of(from); x != stop; x = left_of(x)) {
+    if (x == r || peer_dead(r, x)) continue;
+    if (first_alive == r) {
+      first_alive = x;
+      base_dist = topo.distance(here, comm_.ep(x).host());
     }
-    x = left_of(x);
+    // A detour must never trade a slow peer for a longer path: a
+    // cross-leaf hop rides trunks the health plane may not have scored
+    // yet, and a degraded trunk costs far more than any laggard.
+    if (!peer_lagging(r, x) &&
+        topo.distance(here, comm_.ep(x).host()) <= base_dist) {
+      *detoured = x != first_alive;
+      return x;
+    }
   }
-  if (detoured != nullptr) *detoured = false;
+  *detoured = false;
   return first_alive;  // r itself when no other survivor exists
+}
+
+void McastCollective::note_detour(std::size_t r, std::size_t block,
+                                  std::size_t target) {
+  ++res_.fetch_detours;
+  telem().recorder.record(comm_.cluster().engine().now(),
+                          static_cast<std::int32_t>(r),
+                          telemetry::EventCat::kAdapt, "fetch_detour", block,
+                          target);
 }
 
 void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
@@ -1075,12 +1023,10 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
   const std::size_t r = observer;
   RankState& s = st_[r];
   if (res_.failed || rank_crashed(r) || s.op_done) return;
-  if (s.peer_lagging[peer] == static_cast<char>(slow ? 1 : 0)) return;
-  s.peer_lagging[peer] = slow ? 1 : 0;
   // A clear only stops future avoidance: detours and re-roots already made
   // stay (they are correct either way, and undoing them would oscillate).
   if (!slow) return;
-  if (s.peer_dead[peer]) return;  // crash repair owns dead peers
+  if (peer_dead(r, peer)) return;  // crash repair owns dead peers
   // (1) Slow-root re-ownership: for each block the lagging peer currently
   // roots, report to the block's coordinator if we already hold it in full
   // (ranks completing later report from on_block_complete).
@@ -1100,13 +1046,9 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
         s.block_abandoned[b])
       continue;
     bool det = false;
-    const std::size_t next = fetch_target_of(r, r, &det);
-    if (next == r || next == peer || s.peer_lagging[next]) continue;
-    ++res_.fetch_detours;
-    telem().recorder.record(comm_.cluster().engine().now(),
-                            static_cast<std::int32_t>(r),
-                            telemetry::EventCat::kAdapt, "fetch_detour", b,
-                            next);
+    const std::size_t next = fetch_target_of(r, r, r, &det);
+    if (next == r || next == peer || peer_lagging(r, next)) continue;
+    note_detour(r, b, next);
     start_fetch(r, b, next);
   }
 }
@@ -1137,7 +1079,7 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
   if (s.slow_decision[block] != 0 || s.block_decision[block] != 0 ||
       s.block_abandoned[block])
     return;  // already decided (or the dead census owns this block)
-  if (s.peer_dead[s.block_root[block]] || s.peer_dead[src]) return;
+  if (peer_dead(r, s.block_root[block]) || peer_dead(r, src)) return;
   if (src == s.block_root[block]) return;
   // Ownership conservation: a slow re-root hands the block's slow-path
   // responsibility to a rank that really holds all of it. Remote claims are
@@ -1163,7 +1105,7 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
   // census agrees on who owns the block.
   MCCL_CHECK(block < 256 && src < 256);
   for (std::size_t x = 0; x < comm_.size(); ++x) {
-    if (x == r || s.peer_dead[x]) continue;
+    if (x == r || peer_dead(r, x)) continue;
     comm_.ep(r).ctrl_send(
         x, {CtrlType::kReRoot, id(),
             static_cast<std::uint16_t>((block << 8) | src)});
@@ -1251,7 +1193,7 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
       // Any rank may ask (failover walks past the immediate neighbor);
       // retries make duplicates normal. A request from a rank we have
       // confirmed dead is a posthumous straggler — ignore it.
-      if (s.peer_dead[src]) break;
+      if (peer_dead(r, src)) break;
       const std::size_t block = msg.arg;
       if (s.block_received[block] == map_.chunks_per_block()) {
         comm_.ep(r).ctrl_send(src, {CtrlType::kFetchAck, id(), msg.arg});
@@ -1276,7 +1218,7 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
       // (crash census); a slow re-root's old root is alive and keeps
       // multicasting, so the receiver stays lazy.
       apply_reroot(r, msg.arg >> 8, msg.arg & 0xffu,
-                   st_[r].peer_dead[st_[r].block_root[msg.arg >> 8]] != 0);
+                   peer_dead(r, s.block_root[msg.arg >> 8]));
       break;
     case CtrlType::kBlockDead:
       apply_block_dead(r, msg.arg);

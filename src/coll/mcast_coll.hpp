@@ -24,14 +24,17 @@
 // fetch request that is not ACKed is retried with exponential backoff; after
 // `kFetchRetryCap` attempts the rank fails over to the target's own left
 // neighbor (skipping the unresponsive rank — the chain still terminates at
-// the block root, which owns its block). An op-level watchdog (a multiple of
+// the block root, which owns its block). Every choice of fetch target, the
+// first one at cutoff, failover, crash repair and slow-peer detours, is one
+// leftward walk (fetch_target_of). An op-level watchdog (a multiple of
 // the cutoff deadline) dumps protocol state and fails the op with a
 // structured OpResult error when no recovery path exists (e.g. a partitioned
 // fabric), instead of hanging the simulation.
 //
-// Crash tolerance (this layer's second hardening pass): each rank keeps its
-// own membership view, seeded from the communicator's failure detector and
-// extended by confirmations mid-op. On confirming a peer dead, a rank
+// Crash tolerance (this layer's second hardening pass): a rank's membership
+// view is its failure-detector view (FailureDetector::dead, read live; no
+// detector means nobody dies). Confirmations reach a running op through
+// on_peer_confirmed_dead. On confirming a peer dead, a rank
 //  - credits the barrier rounds whose token sender died,
 //  - self-activates its multicast if the chain predecessor died (and chain
 //    tokens route around dead successors),
@@ -49,8 +52,9 @@
 // the watchdog remains the backstop for the undetectable cases.
 //
 // Performance-fault adaptation (third hardening pass, driven by the
-// communicator's HealthMonitor when enabled): each rank additionally keeps a
-// *lagging* view of its peers — alive but slow. On a slow mark, a rank
+// communicator's HealthMonitor when enabled): a peer the monitor marks slow
+// for a rank (HealthMonitor::slow, read live) *lags* in that rank's view —
+// alive but slow. On a slow mark, a rank
 //  - detours its fetch chains around lagging targets (preferring the first
 //    non-lagging survivor to its left; the lagging rank stays the fallback),
 //  - reports a lagging block root to the block's coordinator once it holds
@@ -210,9 +214,7 @@ class McastCollective : public OpBase {
     std::size_t final_sent_to = static_cast<std::size_t>(-1);
     bool op_done = false;
 
-    // Crash repair: this rank's membership view (detector-seeded at op
-    // start, extended by confirmations mid-op — never by physical truth).
-    std::vector<char> peer_dead;
+    // Crash repair (deaths come from peer_dead(), never physical truth).
     std::vector<char> barrier_credited;  // per round: dead-sender credit
     std::vector<std::size_t> block_root;  // current root per block (re-root)
     std::vector<char> block_abandoned;    // kBlockDead received
@@ -226,9 +228,7 @@ class McastCollective : public OpBase {
     bool repairing = false;
     Time t_repair_begin = 0;
 
-    // Performance-fault adaptation: this rank's lagging view (health-plane
-    // slow marks; independent of peer_dead — a rank is never both).
-    std::vector<char> peer_lagging;
+    // Performance-fault adaptation (slow marks come from peer_lagging()).
     std::vector<char> slow_reported;  // per block: kSlowRoot report sent
     std::vector<char> slow_decision;  // per block: coordinator latch
 
@@ -238,16 +238,20 @@ class McastCollective : public OpBase {
   };
 
   bool is_root(std::size_t r) const { return st_[r].root_index >= 0; }
+  /// Whether `r`'s failure detector has confirmed `p` dead (crash-stop:
+  /// final once true). False without a detector.
+  bool peer_dead(std::size_t r, std::size_t p) const;
+  /// Whether `r`'s health monitor currently marks `p` slow. False without
+  /// a monitor.
+  bool peer_lagging(std::size_t r, std::size_t p) const;
   std::size_t left_of(std::size_t r) const {
     return (r + comm_.size() - 1) % comm_.size();
   }
   std::size_t right_of(std::size_t r) const {
     return (r + 1) % comm_.size();
   }
-  /// First rank left of `from` that `r` considers alive (skipping `r`'s
-  /// dead set and never returning a rank other than `r` twice around);
-  /// returns `r` itself when no other survivor exists.
-  std::size_t left_alive_of(std::size_t r, std::size_t from) const;
+  /// First rank left of `r` that `r` considers alive; `r` if sole survivor.
+  std::size_t left_alive_of(std::size_t r) const;
   /// First rank right of `r` that `r` considers alive; `r` if sole survivor.
   std::size_t right_alive_of(std::size_t r) const;
 
@@ -285,7 +289,14 @@ class McastCollective : public OpBase {
   void arm_cutoff(std::size_t r);
   void on_cutoff(std::size_t r, std::uint64_t gen);
   void on_block_complete(std::size_t r, std::size_t block);
-  void start_fetch(std::size_t r, std::size_t block, std::size_t target);
+  /// Aims `r`'s fetch of `block` at `target` and sends the first request;
+  /// `event` names the flight-recorder entry.
+  void start_fetch(std::size_t r, std::size_t block, std::size_t target,
+                   const char* event = "fetch_start");
+  /// Ends `r`'s fetch of `block`: cancels its retry timer and discounts
+  /// the RDMA Reads still posted to its target, which can no longer
+  /// complete.
+  void stop_fetch(std::size_t r, std::size_t block);
   void arm_fetch_retry(std::size_t r, std::size_t block);
   void on_fetch_retry(std::size_t r, std::size_t block, std::uint64_t gen);
   void on_fetch_ack(std::size_t r, std::size_t block, std::size_t src);
@@ -310,12 +321,17 @@ class McastCollective : public OpBase {
   void apply_block_dead(std::size_t r, std::size_t block);
 
   // Performance-fault adaptation (all inert when the communicator has no
-  // health monitor: peer_lagging never sets).
-  /// Drop-in for left_alive_of that prefers the first *non-lagging*
-  /// survivor left of `from`, falling back to the first survivor when
-  /// everyone lags; `detoured` reports whether a lagging rank was skipped.
+  // health monitor: peer_lagging is always false).
+  /// The fetch walk: the first survivor left of `from` (never `r` itself),
+  /// walking until `stop` — `r` for a first target or a crash repair, the
+  /// current target for a failover. Prefers the first *non-lagging*
+  /// survivor no farther away than the first survivor, falling back to the
+  /// first survivor when none qualifies; `detoured` reports whether a
+  /// lagging rank was skipped. Returns `r` when the walk finds nobody.
   std::size_t fetch_target_of(std::size_t r, std::size_t from,
-                              bool* detoured) const;
+                              std::size_t stop, bool* detoured) const;
+  /// Counts and records a fetch of `block` detoured to `target`.
+  void note_detour(std::size_t r, std::size_t block, std::size_t target);
   void report_slow_root(std::size_t r, std::size_t block);
   void on_slow_root_report(std::size_t r, std::size_t block, std::size_t src,
                            bool holds_full);

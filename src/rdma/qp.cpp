@@ -40,7 +40,12 @@ RecvWr Qp::rq_pop() {
 
 fabric::PacketRef Qp::new_packet() {
   fabric::PacketRef pref = nic_.fabric().pool().acquire(tenant_);
-  pref.mut().vl = data_vl_;
+  fabric::Packet& pkt = pref.mut();
+  pkt.vl = data_vl_;
+  pkt.src_host = nic_.host();
+  // The ECMP flow key: one flow per (source host, QP).
+  pkt.flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
+  pkt.th.src_qpn = qpn_;
   return pref;
 }
 
@@ -82,16 +87,13 @@ void UdQp::post_send(const UdDest& dest, std::uint64_t laddr,
   MCCL_CHECK_MSG(len <= Nic::kMtu, "UD datagram exceeds MTU");
   fabric::PacketRef pref = new_packet();
   fabric::Packet* pkt = &pref.mut();
-  pkt->src_host = nic_.host();
   if (dest.group != fabric::kNoMcastGroup) {
     pkt->mcast_group = dest.group;
   } else {
     pkt->dst_host = dest.host;
   }
   pkt->wire_size = len;
-  pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
   pkt->th.op = fabric::TransportOp::kUdSend;
-  pkt->th.src_qpn = qpn_;
   pkt->th.dst_qpn = dest.qpn;
   pkt->th.imm = flags.imm;
   pkt->th.has_imm = flags.has_imm;
@@ -189,15 +191,12 @@ void UcQp::post_write(std::uint64_t laddr, std::uint64_t len,
     const bool last = offset + seg >= len;
     fabric::PacketRef pref = new_packet();
     fabric::Packet* pkt = &pref.mut();
-    pkt->src_host = nic_.host();
     if (mcast_group_ != fabric::kNoMcastGroup)
       pkt->mcast_group = mcast_group_;
     else
       pkt->dst_host = remote_host_;
     pkt->wire_size = seg;
-    pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
     pkt->th.op = fabric::TransportOp::kUcWriteSeg;
-    pkt->th.src_qpn = qpn_;
     pkt->th.dst_qpn = remote_qpn_;
     pkt->th.msg_id = msg_id;
     pkt->th.seg_offset = offset;

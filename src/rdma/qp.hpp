@@ -98,7 +98,9 @@ class Qp {
                      Time when);
   void complete_recv(const Cqe& cqe);
   /// Fresh pooled packet charged to this QP's tenant, pre-stamped with the
-  /// QP's data lane (builders may still override vl for control packets).
+  /// QP's data lane (builders may still override vl for control packets),
+  /// the source host and QP number, and the ECMP flow key
+  /// `flow_id = host << 20 | qpn` — the one place that key is defined.
   fabric::PacketRef new_packet();
 
   Nic& nic_;

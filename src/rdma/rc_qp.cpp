@@ -55,11 +55,8 @@ fabric::PacketPtr RcQp::make_packet(const TxOp& op, std::uint64_t offset,
                                     std::uint32_t seg_len, bool last) {
   fabric::PacketRef pref = new_packet();
   fabric::Packet* pkt = &pref.mut();
-  pkt->src_host = nic_.host();
   pkt->dst_host = remote_host_;
-  pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
   auto& th = pkt->th;
-  th.src_qpn = qpn_;
   th.dst_qpn = remote_qpn_;
   th.msg_id = op.msg_id;
   th.seg_offset = offset;
@@ -240,13 +237,10 @@ void RcQp::handle_ack(std::uint32_t cum_psn, bool nak) {
 void RcQp::send_ack(bool nak) {
   fabric::PacketRef pref = new_packet();
   fabric::Packet* pkt = &pref.mut();
-  pkt->src_host = nic_.host();
   pkt->dst_host = remote_host_;
   pkt->wire_size = Nic::kControlWireSize;
-  pkt->flow_id = (static_cast<std::uint64_t>(nic_.host()) << 20) | qpn_;
   pkt->vl = fabric::kCtrlLane;
   pkt->th.op = fabric::TransportOp::kRcAck;
-  pkt->th.src_qpn = qpn_;
   pkt->th.dst_qpn = remote_qpn_;
   pkt->th.psn = expected_psn_;
   pkt->th.nak = nak;

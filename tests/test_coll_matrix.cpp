@@ -3,6 +3,8 @@
 // zero slow-path activity on a lossless fabric.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "tests/coll_test_util.hpp"
 
 namespace mccl::coll {
@@ -10,13 +12,19 @@ namespace {
 
 using testing::World;
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and that
+// print is part of every ctest name. `unused` fills what would otherwise be
+// uninitialised padding, so the names are the same in every build.
 struct MatrixCase {
   std::size_t ranks;
   Transport transport;
   EngineKind engine;
+  std::uint8_t unused[6];
   std::uint64_t bytes;
   std::size_t subgroups;
 };
+static_assert(std::has_unique_object_representations_v<MatrixCase>,
+              "MatrixCase must have no padding bytes");
 
 class CollMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
@@ -60,16 +68,16 @@ std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CollMatrix,
     ::testing::Values(
-        MatrixCase{2, Transport::kUd, EngineKind::kCpu, 4096, 1},
-        MatrixCase{2, Transport::kUcMcast, EngineKind::kDpa, 100000, 2},
-        MatrixCase{3, Transport::kUd, EngineKind::kDpa, 12345, 1},
-        MatrixCase{4, Transport::kUd, EngineKind::kCpu, 65536, 4},
-        MatrixCase{4, Transport::kUcMcast, EngineKind::kCpu, 65536, 2},
-        MatrixCase{5, Transport::kUd, EngineKind::kDpa, 8192, 2},
-        MatrixCase{6, Transport::kUcMcast, EngineKind::kDpa, 262144, 4},
-        MatrixCase{7, Transport::kUd, EngineKind::kCpu, 4097, 2},
-        MatrixCase{8, Transport::kUd, EngineKind::kDpa, 131072, 8},
-        MatrixCase{9, Transport::kUcMcast, EngineKind::kCpu, 31337, 1}),
+        MatrixCase{2, Transport::kUd, EngineKind::kCpu, {}, 4096, 1},
+        MatrixCase{2, Transport::kUcMcast, EngineKind::kDpa, {}, 100000, 2},
+        MatrixCase{3, Transport::kUd, EngineKind::kDpa, {}, 12345, 1},
+        MatrixCase{4, Transport::kUd, EngineKind::kCpu, {}, 65536, 4},
+        MatrixCase{4, Transport::kUcMcast, EngineKind::kCpu, {}, 65536, 2},
+        MatrixCase{5, Transport::kUd, EngineKind::kDpa, {}, 8192, 2},
+        MatrixCase{6, Transport::kUcMcast, EngineKind::kDpa, {}, 262144, 4},
+        MatrixCase{7, Transport::kUd, EngineKind::kCpu, {}, 4097, 2},
+        MatrixCase{8, Transport::kUd, EngineKind::kDpa, {}, 131072, 8},
+        MatrixCase{9, Transport::kUcMcast, EngineKind::kCpu, {}, 31337, 1}),
     case_name);
 
 // Baseline algorithms swept over rank counts and odd sizes.

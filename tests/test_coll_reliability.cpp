@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "tests/coll_test_util.hpp"
 
@@ -255,6 +257,49 @@ TEST(Reliability, DeadLeftNeighborFailsOverToNextRank) {
   EXPECT_GE(res.fetch_retries, 2u);    // backoff against the dead target
   EXPECT_GE(res.fetch_failovers, 1u);  // then walk left past it
   EXPECT_GE(res.fetched_chunks, 1u);
+}
+
+TEST(Reliability, FailoverDetoursPastALaggingCandidate) {
+  // As above, but one rank further right: host 3 loses a multicast chunk
+  // and every 3->2 packet black-holes for the first 400us, so the fetch
+  // from rank 2 exhausts its retries and fails over. The failover's next
+  // candidate, rank 1, is marked slow in rank 3's health view, so the walk
+  // detours to the first non-lagging survivor no farther away: rank 0, the
+  // root (on a star every rank is equally far).
+  CommConfig cfg = quick_recovery();
+  cfg.fetch_retry_timeout = 30 * kMicrosecond;
+  cfg.adapt.enabled = true;
+  cfg.detector.enabled = false;  // no heartbeat samples move the scores
+  World w(4, cfg);
+  HealthMonitor* hm = w.comm->health();
+  ASSERT_NE(hm, nullptr);
+  hm->test_force_flap(3, 1, 1);  // one mark, no clear
+  // Three instant ACKs lower rank 2's score far enough that its three
+  // fetch timeouts do not mark it slow: the fetch must leave rank 2 by
+  // failover, not by a slow-peer detour.
+  for (int i = 0; i < 3; ++i) hm->note_fetch_ack(3, 2, 0);
+  auto& engine = w.cluster->engine();
+  int mcast_pkts = 0;
+  w.cluster->fabric().set_drop_filter(
+      [&](fabric::NodeId, fabric::NodeId to, const fabric::Packet& p) {
+        if (p.th.op == fabric::TransportOp::kUdSend && to == 3 &&
+            ++mcast_pkts == 5)
+          return true;
+        return p.src_host == 3 && p.dst_host == 2 &&
+               engine.now() < 400 * kMicrosecond;
+      });
+  const OpResult res = w.comm->broadcast(0, 64 * 1024, BcastAlgo::kMcast);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_FALSE(res.watchdog_fired);
+  EXPECT_FALSE(hm->slow(3, 2));
+  EXPECT_EQ(res.fetch_failovers, 1u);
+  EXPECT_EQ(res.fetch_detours, 1u);
+  EXPECT_GE(res.fetched_chunks, 1u);
+  std::vector<std::uint64_t> failover_targets;
+  for (const auto& e : w.cluster->telemetry().recorder.merged())
+    if (e.node == 3 && std::string(e.what) == "fetch_failover")
+      failover_targets.push_back(e.b);
+  EXPECT_EQ(failover_targets, (std::vector<std::uint64_t>{0}));
 }
 
 TEST(Reliability, LostFetchRequestIsRetriedWithoutFailover) {

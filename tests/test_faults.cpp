@@ -368,6 +368,32 @@ TEST(Faults, ScatterAllgatherBroadcastFailsWhenMemberCrashes) {
   EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{5}));
 }
 
+TEST(Faults, OpStartedInsideCrashFanOutLeavesTheLoopSound) {
+  // Rank 5's death confirmation fans out to both running ring Allgathers.
+  // A fails inside that fan-out, and its on_done starts a multicast
+  // Broadcast, which grows (reallocates) the communicator's op list under
+  // the loop: a loop holding an iterator into the list then reads freed
+  // memory (ASan: heap-use-after-free). B must still hear of the death, and
+  // the Broadcast runs on the survivors.
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(15 * kMicrosecond, 5)};
+  FtWorld w({}, kcfg);
+  OpBase* bcast = nullptr;
+  OpBase& a = w.comm->start_allgather(256 * 1024, AllgatherAlgo::kRing);
+  a.set_on_done([&](OpBase&) {
+    bcast = &w.comm->start_broadcast(0, 64 * 1024, BcastAlgo::kMcast);
+  });
+  OpBase& b = w.comm->start_allgather(256 * 1024, AllgatherAlgo::kRing);
+  EXPECT_TRUE(w.comm->finish(a).failed);
+  EXPECT_TRUE(w.comm->finish(b).failed);
+  ASSERT_NE(bcast, nullptr);
+  const OpResult res = w.comm->finish(*bcast);
+  EXPECT_FALSE(res.failed);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{5}));
+}
+
 TEST(Faults, TreeBroadcastExemptsCrashedLeafFromVerification) {
   // Rank 5 is a leaf of the binomial tree rooted at 0: nobody waits on it,
   // so the survivors finish clean and the dead rank's buffer is exempt
