@@ -1,12 +1,11 @@
 // Grow-on-full power-of-two ring buffer (FIFO with indexed access).
 //
-// The simulator's hottest queues — the event engine's zero-delay FIFO and
-// monotone lanes, the RDMA receive queue, the RC transmit queue and inflight
-// window — are all FIFOs that are pushed and popped millions of times per
-// run. std::deque pays block-map indirection and (on libstdc++) a heap
-// allocation per 512 bytes of elements; this ring is a single contiguous
-// power-of-two buffer with mask indexing, so push/pop are a handful of
-// instructions and iteration is cache-linear. Capacity doubles on overflow
+// The RDMA receive queue, the RC transmit queue and the inflight window are
+// FIFOs that are pushed and popped millions of times per run. std::deque
+// pays block-map indirection and (on libstdc++) a heap allocation per 512
+// bytes of elements; this ring is a single contiguous power-of-two buffer
+// with mask indexing, so push/pop are a handful of instructions and
+// iteration is cache-linear. Capacity doubles on overflow
 // (amortized O(1)); elements are moved, never copied, so refcounted payloads
 // (PacketRef) don't churn their counts on growth.
 #pragma once

@@ -6,34 +6,26 @@
 //
 // Hot-path design (see DESIGN.md "Simulator performance"):
 //
-//  * Zero-delay fast path. Events scheduled at exactly `now()` (completion
-//    cascades: CQE delivery, worker pumps, token handlers) bypass the heap
-//    entirely and go to a FIFO ring. This is order-exact: every heap entry
-//    with `when == now` was scheduled *before* the clock reached `now` and
-//    therefore carries a smaller seq than anything scheduled at `now`, so
-//    "drain equal-time heap entries first, then the FIFO in push order" is
-//    precisely the (when, seq) order. It is also the profitable case: a
-//    min-key push is the most expensive heap insertion possible (sift-up
-//    across the full height) and its pop is a full-depth sift-down.
+//  * One queue: a radix heap (Ahuja, Mehlhorn, Orlin, Tarjan 1990) of
+//    16-byte packed {when, seq<<24|slot} entries. Every event takes a seq
+//    when it is scheduled, zero-delay ones included, and dispatch order is
+//    exactly (when, seq). The heap relies on the engine's one invariant:
+//    nothing is scheduled before the event being dispatched. An entry sits
+//    in bucket bit_width(when ^ base_), where base_ is the `when` of the
+//    last dispatch, and a 64-bit mask marks the non-empty buckets. When
+//    bucket 0 runs dry, base_ moves to the smallest `when` of the lowest
+//    non-empty bucket, whose entries then all fall into lower buckets. An
+//    entry moves down at most once per bit, so push and pop are amortized
+//    O(log delay) and most are one vector append.
 //
-//  * Monotone lanes. Fixed-delay event streams (switch forwarding latency,
-//    RTO arms, heartbeat timers) produce nondecreasing `when` values as the
-//    clock advances, so they are already sorted on arrival. Each push goes
-//    to the lane whose back is the tightest fit <= when (patience-sorting
-//    style: distinct delay classes settle into distinct lanes); pushes that
-//    fit no lane go to the heap. Every lane is sorted by (when, seq) by
-//    construction — `when` nondecreasing by the routing rule, seq by push
-//    order — so dispatching the global (when, seq) minimum across lane
-//    fronts and the heap top is an exact k-way merge of sorted runs: the
-//    same total order, with O(1) push/pop for the common streams.
+//  * Only a dispatch moves base_. Peeking at the next event (run_until)
+//    computes the minimum without moving it, because a later schedule_at
+//    may still land between base_ and that minimum.
 //
-//  * The overflow queue proper is a 4-ary implicit heap of 16-byte packed
-//    {when, seq<<24|slot} entries — shallower than a binary heap, four
-//    entries per cache line. Ordering is exactly the old
-//    `std::priority_queue` ordering: strict weak order on (when, seq), seq
-//    assigned at schedule time. seq is unique, so the low slot bits never
-//    influence a comparison and heap-shape differences cannot leak into
-//    dispatch order.
+//  * Bucket 0 holds the entries with when == base_, sorted by seq and read
+//    from a head index. A schedule_at() due now appends (its seq is the
+//    newest); a redistribution sorts what lands in bucket 0, and a ticket
+//    due now is insertion-sorted into place.
 //
 //  * Callbacks live in a slot pool of InlineCallback cells recycled across
 //    events, so steady-state scheduling touches no allocator at all. The
@@ -49,6 +41,8 @@
 //    seq, so the dispatch order of all remaining events is unchanged.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -56,7 +50,6 @@
 #include <vector>
 
 #include "src/common/check.hpp"
-#include "src/common/ring.hpp"
 #include "src/common/units.hpp"
 #include "src/debug/validate.hpp"
 #include "src/sim/callback.hpp"
@@ -67,6 +60,15 @@ namespace mccl::sim {
 class Engine {
  public:
   using Callback = InlineCallback;
+
+  /// Low bits of the packed key hold the pool slot; everything above is the
+  /// schedule-time seq. 2^24 concurrent events is > 1 GiB of callback cells
+  /// — growth past it is checked, not silently wrapped.
+  static constexpr std::uint32_t kSlotBits = 24;
+  /// Seqs are 40 bits wide; handing out one past the last is checked, since
+  /// a wrapped seq would sort new events ahead of old ones.
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
+                                             << (64 - kSlotBits);
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -86,38 +88,9 @@ class Engine {
   template <typename F>
   void schedule_at(Time when, F&& fn) {
     MCCL_CHECK_MSG(when >= now_, "cannot schedule into the past");
-    const std::uint32_t slot = make_slot(std::forward<F>(fn));
-    if (when == now_) {
-      fifo_.push(slot);
-      return;
-    }
-    const Entry e{when, (seq_++ << kSlotBits) | slot};
-    // Tightest-fitting monotone lane, if any; empty lanes are weakest fit.
-    int pick = -1;
-    Time pick_back = kNoFit;
-    for (int i = 0; i < kLanes; ++i) {
-      if ((lane_live_ & (1u << i)) == 0) {
-        if (pick == -1) pick = i;
-        continue;
-      }
-      const Time back = lane_back_when_[i];
-      if (back <= when && back > pick_back) {
-        pick = i;
-        pick_back = back;
-      }
-    }
-    if (pick >= 0) {
-      if ((lane_live_ & (1u << pick)) == 0) {
-        lane_live_ |= 1u << pick;
-        lane_head_[pick] = e;  // head cached outside the ring
-      } else {
-        lane_tail_[pick].push(e);
-      }
-      lane_back_when_[pick] = when;
-      return;
-    }
-    heap_.push_back(e);
-    sift_up(heap_.size() - 1);
+    const std::uint64_t seq = take_seq();
+    // The newest seq sorts last, so appending keeps bucket 0 in order.
+    push(when, (seq << kSlotBits) | make_slot(std::forward<F>(fn)));
   }
 
   /// A reserved place (when, seq) in the dispatch order; see reserve_at().
@@ -128,18 +101,17 @@ class Engine {
 
   /// Reserves the place in the dispatch order that `schedule_at(when, fn)`
   /// would give an event now, without scheduling anything. `when` must lie
-  /// in the future: events due now take no seq (they go to the FIFO), so
-  /// there is nothing to reserve.
+  /// in the future: a ticket due now would already be the newest place at
+  /// now, which a plain schedule_at() takes just as well.
   Ticket reserve_at(Time when) {
     MCCL_CHECK_MSG(when > now_, "tickets reserve a future place");
     if (when > horizon_) horizon_ = when;
-    return Ticket{when, seq_++};
+    return Ticket{when, take_seq()};
   }
 
   /// True once the dispatch order has gone past `t`: an event at the
-  /// ticket's place would already have run. The event being dispatched
-  /// decides; one taken from the zero-delay FIFO is later than every heap
-  /// or lane entry due at now.
+  /// ticket's place would already have run. The (when, seq) of the event
+  /// being dispatched decides.
   bool passed(const Ticket& t) const {
     return t.when < now_ || (t.when == now_ && t.seq < cur_seq_);
   }
@@ -150,11 +122,16 @@ class Engine {
   template <typename F>
   void schedule_ticket(const Ticket& t, F&& fn) {
     MCCL_CHECK_MSG(!passed(t), "ticket already passed");
-    // Always the heap: the entry's seq is older than the lanes' backs, so
-    // appending it to a lane could break that lane's (when, seq) order.
-    heap_.push_back(
-        Entry{t.when, (t.seq << kSlotBits) | make_slot(std::forward<F>(fn))});
-    sift_up(heap_.size() - 1);
+    const std::uint64_t key =
+        (t.seq << kSlotBits) | make_slot(std::forward<F>(fn));
+    push(t.when, key);
+    if (t.when != base_) return;
+    // Due now: the ticket's seq is older than entries scheduled since it
+    // was reserved, so sort it into bucket 0's unread part.
+    std::vector<Entry>& b0 = bucket_[0];
+    std::size_t i = b0.size() - 1;
+    for (; i > head_ && b0[i - 1].key > key; --i) b0[i] = b0[i - 1];
+    b0[i] = Entry{t.when, key};
   }
 
   /// Runs events until the queue drains. Returns the number of events run.
@@ -197,14 +174,11 @@ class Engine {
     return done();
   }
 
-  bool empty() const {
-    return heap_.empty() && fifo_.empty() && lane_live_ == 0;
-  }
+  bool empty() const { return live_ == 0; }
   std::size_t pending() const {
-    std::size_t n = heap_.size() + fifo_.size();
-    for (int i = 0; i < kLanes; ++i)
-      if (lane_live_ & (1u << i)) n += 1 + lane_tail_[i].size();
-    return n;
+    std::size_t n = 0;
+    for (const std::vector<Entry>& b : bucket_) n += b.size();
+    return n - head_;
   }
   std::uint64_t dispatched() const { return dispatched_; }
 
@@ -245,6 +219,10 @@ class Engine {
     if (!free_slots_.empty()) free_slots_.pop_back();
   }
 
+  /// Test hook (seq-space check): the next seq handed out will be `seq`.
+  /// Only for an engine that has scheduled nothing yet; seqs must grow.
+  void test_start_seq_at(std::uint64_t seq) { seq_ = seq; }
+
   /// Sampled dispatch tracing: every `sample` dispatched events the engine
   /// emits one span covering the window plus a pending-queue counter on
   /// `track`. Sampling (rather than per-event spans) because sim time does
@@ -259,36 +237,35 @@ class Engine {
   }
 
  private:
-  /// Low bits of the packed key hold the pool slot; everything above is the
-  /// schedule-time seq. 2^24 concurrent events is > 1 GiB of callback cells
-  /// — growth past it is checked, not silently wrapped.
-  static constexpr std::uint32_t kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1;
 
-  /// Heap entry. The callback is *not* stored here: sift operations shuffle
-  /// entries around, and moving 16 trivially-copyable bytes beats moving a
-  /// 72-byte type-erased callable every swap.
+  /// Queue entry. The callback is *not* stored here: redistribution moves
+  /// entries between buckets, and moving 16 trivially-copyable bytes beats
+  /// moving a 72-byte type-erased callable.
   struct Entry {
     Time when;
     std::uint64_t key;  // (seq << kSlotBits) | slot
   };
 
-  static bool before(const Entry& a, const Entry& b) {
-    // seq is unique, so when `when` ties the key comparison is decided in
-    // the seq bits — the slot bits are never reached.
-    if (a.when != b.when) return a.when < b.when;
-    return a.key < b.key;
-  }
-
-  static constexpr std::size_t kArity = 4;
-  static constexpr int kLanes = 8;
-  static constexpr int kSrcHeap = -1;
-  static constexpr Time kNoFit = std::numeric_limits<Time>::min();
-  static constexpr Time kNever = std::numeric_limits<Time>::max();
-  /// cur_seq_ of a FIFO dispatch, before the first dispatch and after a
-  /// drain or deadline: later than every seq at the current time.
+  /// `when` and base_ are non-negative Times, so their XOR has at most 63
+  /// significant bits and bit_width() is at most 63.
+  static constexpr int kBuckets = 64;
+  /// cur_seq_ before the first dispatch and after a drain or deadline:
+  /// later than every seq at the current time.
   static constexpr std::uint64_t kAfterAll =
       std::numeric_limits<std::uint64_t>::max();
+
+  std::uint64_t take_seq() {
+    MCCL_CHECK_MSG(seq_ < kSeqLimit,
+                   "engine seq space (2^40 schedules) exhausted");
+    return seq_++;
+  }
+
+  void push(Time when, std::uint64_t key) {
+    const int b = std::bit_width(static_cast<std::uint64_t>(when ^ base_));
+    bucket_[b].push_back(Entry{when, key});
+    live_ |= std::uint64_t{1} << b;
+  }
 
   /// The queue ran dry. Unscheduled tickets stand for events that would
   /// have run (doing nothing) before the drain, so the clock moves to the
@@ -323,100 +300,65 @@ class Engine {
     return slot;
   }
 
-  void sift_up(std::size_t i) {
-    const Entry v = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!before(v, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = v;
+  /// Smallest `when` in the lowest non-empty bucket; needs !empty().
+  Time lowest_when() const {
+    const std::vector<Entry>& b = bucket_[std::countr_zero(live_)];
+    Time lo = b.front().when;
+    for (const Entry& e : b) lo = std::min(lo, e.when);
+    return lo;
   }
 
-  void sift_down(std::size_t i) {
-    const std::size_t n = heap_.size();
-    const Entry v = heap_[i];
-    for (;;) {
-      const std::size_t first = kArity * i + 1;
-      if (first >= n) break;
-      const std::size_t last = first + kArity < n ? first + kArity : n;
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (before(heap_[c], heap_[best])) best = c;
-      if (!before(heap_[best], v)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = v;
-  }
+  /// Timestamp of the next event; callers must check !empty() first. Does
+  /// not move base_ (see the header comment).
+  Time next_when() const { return (live_ & 1) != 0 ? base_ : lowest_when(); }
 
-  /// Timestamp of the next event; callers must check !empty() first.
-  Time next_when() const {
-    if (!fifo_.empty()) return now_;  // due immediately by construction
-    Time best = kNever;
-    if (!heap_.empty()) best = heap_.front().when;
-    for (int i = 0; i < kLanes; ++i)
-      if ((lane_live_ & (1u << i)) != 0 && lane_head_[i].when < best)
-        best = lane_head_[i].when;
-    return best;
+  /// Bucket 0 is empty: moves base_ to the smallest `when` of the lowest
+  /// non-empty bucket and redistributes that bucket. Entries there agree
+  /// with the new base above their bucket's bit, so each lands lower.
+  void refill() {
+    const int i = std::countr_zero(live_);
+    std::vector<Entry>& src = bucket_[i];
+    base_ = lowest_when();
+    live_ &= ~(std::uint64_t{1} << i);
+    for (const Entry& e : src) push(e.when, e.key);
+    src.clear();
+    std::vector<Entry>& b0 = bucket_[0];
+    if (b0.size() > 1)
+      std::sort(b0.begin(), b0.end(),
+                [](const Entry& a, const Entry& b) { return a.key < b.key; });
   }
 
   // mccl-lint: begin-hot engine-dispatch
   void step() {
-    // Global (when, seq) minimum across the heap top and the lane heads —
-    // a k-way merge of sorted runs, so dispatch order is the total order.
-    // Lane heads live in one contiguous array (a cache line), not in the
-    // rings.
-    int src = kSrcHeap;
-    const Entry* best = heap_.empty() ? nullptr : &heap_.front();
-    for (int i = 0; i < kLanes; ++i) {
-      if ((lane_live_ & (1u << i)) == 0) continue;
-      const Entry& e = lane_head_[i];
-      if (best == nullptr || before(e, *best)) {
-        best = &e;
-        src = i;
-      }
+    std::vector<Entry>& b0 = bucket_[0];
+    if ((live_ & 1) == 0) refill();
+    const Entry top = b0[head_];
+    if (++head_ == b0.size()) {
+      // Drained: reset before the callback appends events due now.
+      b0.clear();
+      head_ = 0;
+      live_ &= ~std::uint64_t{1};
     }
-    std::uint32_t slot;
-    // Heap/lane entries at `when == now_` always precede FIFO entries: they
-    // were scheduled before the clock reached now_, hence with smaller seq.
-    if (!fifo_.empty() && (best == nullptr || best->when > now_)) {
-      slot = fifo_.pop();
-      cur_seq_ = kAfterAll;
-    } else {
-      const Entry top = *best;
-      // Monotonic-dispatch invariant: the k-way merge must emit non-FIFO
-      // entries in strictly increasing (when, seq) order — a regression
-      // here silently reorders the simulation.
-      if constexpr (debug::kValidate) {
-        MCCL_VALIDATE_THAT(
-            top.when > vld_last_when_ ||
-                (top.when == vld_last_when_ && top.key > vld_last_key_),
-            "engine.dispatch_order",
-            "dispatch (when=%lld key=%llu) after (when=%lld key=%llu)",
-            static_cast<long long>(top.when),
-            static_cast<unsigned long long>(top.key),
-            static_cast<long long>(vld_last_when_),
-            static_cast<unsigned long long>(vld_last_key_));
-        vld_last_when_ = top.when;
-        vld_last_key_ = top.key;
-      }
-      if (src == kSrcHeap) {
-        const std::size_t n = heap_.size() - 1;
-        if (n > 0) heap_[0] = heap_[n];
-        heap_.pop_back();
-        if (n > 1) sift_down(0);
-      } else if (!lane_tail_[src].empty()) {
-        lane_head_[src] = lane_tail_[src].pop();
-      } else {
-        lane_live_ &= ~(1u << src);
-      }
-      MCCL_CHECK(top.when >= now_);
-      now_ = top.when;
-      cur_seq_ = top.key >> kSlotBits;
-      slot = static_cast<std::uint32_t>(top.key) & kSlotMask;
+    // Monotonic-dispatch invariant: entries must leave in strictly
+    // increasing (when, seq) order — a regression here silently reorders
+    // the simulation.
+    if constexpr (debug::kValidate) {
+      MCCL_VALIDATE_THAT(
+          top.when > vld_last_when_ ||
+              (top.when == vld_last_when_ && top.key > vld_last_key_),
+          "engine.dispatch_order",
+          "dispatch (when=%lld key=%llu) after (when=%lld key=%llu)",
+          static_cast<long long>(top.when),
+          static_cast<unsigned long long>(top.key),
+          static_cast<long long>(vld_last_when_),
+          static_cast<unsigned long long>(vld_last_key_));
+      vld_last_when_ = top.when;
+      vld_last_key_ = top.key;
     }
+    MCCL_CHECK(top.when >= now_);
+    now_ = top.when;
+    cur_seq_ = top.key >> kSlotBits;
+    const std::uint32_t slot = static_cast<std::uint32_t>(top.key) & kSlotMask;
     ++dispatched_;
     // Determinism auditor: fold (time, slot) into the stream digest. The
     // slot id is deterministic (free-list recycling order is part of the
@@ -452,14 +394,13 @@ class Engine {
   std::uint64_t cur_seq_ = kAfterAll;
   Time horizon_ = 0;  // latest reserved ticket
   std::uint64_t dispatched_ = 0;
-  std::vector<Entry> heap_;
-  Ring<std::uint32_t> fifo_;  // events due exactly now, in schedule order
-  // Sorted monotone runs (fixed-delay streams): head entries cached in a
-  // contiguous array for the per-step min scan, tails in rings.
-  Entry lane_head_[kLanes] = {};
-  Time lane_back_when_[kLanes] = {};
-  std::uint32_t lane_live_ = 0;  // bit i: lane i non-empty
-  Ring<Entry> lane_tail_[kLanes];
+  // Radix heap: bucket b holds entries with bit_width(when ^ base_) == b;
+  // bit b of live_ is set iff bucket b has unread entries. Bucket 0 is read
+  // from head_ and kept sorted by key.
+  Time base_ = 0;  // `when` of the event being (or last) dispatched
+  std::uint64_t live_ = 0;
+  std::size_t head_ = 0;
+  std::vector<Entry> bucket_[kBuckets];
   std::vector<std::unique_ptr<InlineCallback[]>> blocks_;  // slot pool
   std::size_t pool_size_ = 0;
   std::vector<std::uint32_t> free_slots_;  // recycled pool slots
