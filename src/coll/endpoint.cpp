@@ -202,8 +202,9 @@ void Endpoint::on_data_send_cqe(const rdma::Cqe& cqe) {
 }
 
 void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
+  const bool recv = cqe.opcode != rdma::CqeOpcode::kSend;
   std::uint32_t imm;
-  if (cqe.opcode == rdma::CqeOpcode::kSend) {
+  if (!recv) {
     imm = static_cast<std::uint32_t>(cqe.wr_id);
   } else {
     MCCL_CHECK(cqe.has_imm);
@@ -213,9 +214,15 @@ void Endpoint::on_chunk_cqe(std::size_t subgroup, const rdma::Cqe& cqe) {
     --g.posted;
     if (g.uc != nullptr) top_up_uc_recvs(subgroup);
   }
+  // A null op is a late completion: no op holds this tag.
   McastCollective* op = comm_.op_by_tag_[imm_op_tag(imm)];
-  if (op == nullptr) return;  // late completion: no op holds this tag
-  op->on_chunk(rank_, imm_chunk(imm), subgroup, cqe);
+  const bool copying =
+      op != nullptr && op->on_chunk(rank_, imm_chunk(imm), subgroup, cqe);
+  // A UD receive returns its staging slot exactly once: the op's staging
+  // copy reposts it when it drains, and every other outcome (late CQE,
+  // duplicate chunk, failed op) reposts it here at once.
+  if (recv && !copying && subgroups_[subgroup].ud != nullptr)
+    repost_staging(subgroup, cqe.wr_id);
 }
 // mccl-lint: end-hot
 

@@ -323,19 +323,20 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
 // Receive path
 // --------------------------------------------------------------------------
 
-void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
+bool McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
                                std::size_t sg, const rdma::Cqe& cqe) {
-  if (res_.failed || rank_crashed(r)) return;
+  if (res_.failed || rank_crashed(r)) return false;
   if (cqe.opcode == rdma::CqeOpcode::kSend) {
     on_subgroup_sent(r, sg);
-    return;
+    return false;
   }
   RankState& s = st_[r];
   MCCL_CHECK_MSG(static_cast<int>(map_.block_of(chunk)) != s.root_index,
                  "received a chunk of our own block");
-  if (!set_chunk(r, chunk)) return;  // duplicate (fetch/late-arrival race)
+  if (!set_chunk(r, chunk)) return false;  // duplicate (fetch/late race)
 
-  if (comm_.config().transport == Transport::kUd) {
+  const bool ud = comm_.config().transport == Transport::kUd;
+  if (ud) {
     // Staging -> user buffer copy through the NIC DMA engine; the staging
     // slot is reposted only once its bytes have drained. Capture audit:
     // 32 bytes here, the whole of Nic::kCopyDoneBytes — the NIC's own 32
@@ -355,6 +356,7 @@ void McastCollective::on_chunk(std::size_t r, std::uint32_t chunk,
                              });
   }
   check_data_complete(r);
+  return ud;
 }
 
 bool McastCollective::set_chunk(std::size_t r, std::uint32_t id) {

@@ -269,7 +269,9 @@ class McastCollective : public OpBase {
   void on_subgroup_sent(std::size_t r, std::size_t sg);
 
   // Receive path.
-  void on_chunk(std::size_t r, std::uint32_t chunk, std::size_t sg,
+  /// A fast-path CQE of this op. Returns true iff a staging copy now holds
+  /// the CQE's UD staging slot; the copy's completion reposts it.
+  bool on_chunk(std::size_t r, std::uint32_t chunk, std::size_t sg,
                 const rdma::Cqe& cqe);
   bool set_chunk(std::size_t r, std::uint32_t id);
   void check_data_complete(std::size_t r);

@@ -82,31 +82,32 @@ void Worker::flush_trace() {
 }
 
 void Worker::subscribe(rdma::Cq& cq, CqeHandler handler, Cost per_cqe) {
-  subs_.push_back(
-      std::make_unique<Subscription>(*this, std::move(handler), per_cqe));
+  subs_.push_back(std::make_unique<Subscription>(*this, cq,
+                                                 std::move(handler), per_cqe));
   Subscription& sub = *subs_.back();
   cq.set_consumer(&sub);
-  // Drain anything already queued.
-  while (!cq.empty()) sub.on_cqe(cq);
+  // Queue a turn for each CQE already waiting.
+  for (std::size_t i = 0; i < cq.depth(); ++i) sub.on_cqe(cq);
 }
 
-void Worker::Subscription::on_cqe(rdma::Cq& cq) {
-  if (cq.empty()) return;
-  const rdma::Cqe cqe = cq.pop();
+// mccl-lint: begin-hot worker-dispatch
+void Worker::Subscription::on_cqe(rdma::Cq& /*cq*/) {
   ++worker.cqes_seen_;
   // The subscription is heap-allocated and owned by the worker, so it
-  // outlives every task the worker runs.
-  worker.post(cost, [this, cqe] { handler(cqe); });
+  // outlives every order entry that names it.
+  worker.order_.push(this);
+  worker.pump();
 }
 
 void Worker::pump() {
-  if (running_ || queue_.empty()) return;
+  if (running_ || order_.empty()) return;
   running_ = true;
-  // The task stays at the head of the queue until its completion event
+  // The item stays at the head of its queue until its completion event
   // fires: the event captures only `this` (8 bytes, always inline) instead
-  // of relocating the callback into the engine. Posts made meanwhile go
+  // of relocating the callback into the engine. Items queued meanwhile go
   // behind it, so FIFO order is preserved.
-  const Cost cost = queue_.front().cost;
+  const Subscription* sub = order_.front();
+  const Cost cost = sub != nullptr ? sub->cost : tasks_.front().cost;
 
   sim::Engine& engine = complex_.engine_;
   const double ghz = complex_.config_.ghz;
@@ -139,12 +140,18 @@ void Worker::pump() {
 }
 
 void Worker::run_front() {
-  Task task = std::move(queue_.front());
-  queue_.pop_front();
-  task.fn();
+  if (Subscription* sub = order_.pop()) {
+    // Popped before the handler runs: the handler may push to this CQ.
+    const rdma::Cqe cqe = sub->cq.pop();
+    sub->handler(cqe);
+  } else {
+    Task task = tasks_.pop();  // moved out: fn may post() and grow tasks_
+    task.fn();
+  }
   running_ = false;
   pump();
 }
+// mccl-lint: end-hot
 
 double Worker::ipc() const {
   if (busy_time_ <= 0) return 0.0;

@@ -16,13 +16,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/check.hpp"
+#include "src/common/ring.hpp"
 #include "src/common/units.hpp"
 #include "src/rdma/cq.hpp"
 #include "src/sim/engine.hpp"
@@ -134,17 +134,21 @@ class Worker {
   /// Enqueues a task: `fn` runs after the cost has been charged (FIFO per
   /// worker). Zero-cost tasks are allowed (control decisions). Tasks are
   /// stored as InlineCallback cells — captures up to the inline budget never
-  /// touch the allocator (this path runs once per CQE).
+  /// touch the allocator (the send path posts one per chunk batch).
   template <typename F>
   void post(Cost cost, F&& fn) {
-    queue_.push_back(Task{cost, sim::InlineCallback(std::forward<F>(fn))});
+    tasks_.push(Task{cost, sim::InlineCallback(std::forward<F>(fn))});
+    order_.push(nullptr);
     pump();
   }
 
-  /// Subscribes to a CQ: every CQE is drained into this worker's task queue
-  /// with `per_cqe` charged before `handler(cqe)` runs. A worker may poll
-  /// several CQs (the paper maps one worker to one or more multicast
-  /// subgroups); each CQ has exactly one consumer.
+  /// Subscribes to a CQ: each CQE pushed to it takes its turn in this
+  /// worker's FIFO alongside posted tasks, with `per_cqe` charged before
+  /// `handler(cqe)` runs. The CQE itself waits in the CQ until its turn; the
+  /// worker pops it just before calling the handler. CQEs the CQ already
+  /// holds are queued at once, in order. A worker may poll several CQs (the
+  /// paper maps one worker to one or more multicast subgroups); each CQ has
+  /// exactly one consumer, and only that consumer pops it.
   void subscribe(rdma::Cq& cq, CqeHandler handler, Cost per_cqe);
 
   // --- statistics -----------------------------------------------------------
@@ -163,14 +167,16 @@ class Worker {
     sim::InlineCallback fn;
   };
 
-  /// One subscribed CQ. It is the CQ's consumer itself, so a CQE reaches
-  /// its handler and cost without a lookup.
+  /// One subscribed CQ. It is the CQ's consumer itself: a pushed CQE
+  /// queues the subscription's address as its order entry, and its turn
+  /// finds the CQ, handler and cost without a lookup.
   struct Subscription final : rdma::Cq::Consumer {
-    Subscription(Worker& w, CqeHandler h, Cost c)
-        : worker(w), handler(std::move(h)), cost(c) {}
+    Subscription(Worker& w, rdma::Cq& q, CqeHandler h, Cost c)
+        : worker(w), cq(q), handler(std::move(h)), cost(c) {}
     void on_cqe(rdma::Cq& cq) override;
 
     Worker& worker;
+    rdma::Cq& cq;
     CqeHandler handler;
     Cost cost;
   };
@@ -180,7 +186,11 @@ class Worker {
 
   Complex& complex_;
   std::size_t core_;
-  std::deque<Task> queue_;
+  // Run order over every pending item: a subscription runs the front CQE
+  // of its CQ, nullptr runs the front of tasks_. The front entry is the
+  // item being charged or run.
+  Ring<Subscription*> order_;
+  Ring<Task> tasks_;  // posted tasks, in post order
   bool running_ = false;
   Time thread_free_ = 0;
   telemetry::Tracer* tracer_ = nullptr;

@@ -96,7 +96,7 @@ void Fabric::send_out(NodeId node, int port_idx, const PacketPtr& packet) {
   if (config_.virtual_lanes && !topo_.is_host(node)) {
     LaneState& lane = lanes_[port.dir_index];
     MCCL_CHECK(packet->vl < kNumLanes);
-    lane.queues[packet->vl].push_back(packet);
+    lane.queues[packet->vl].push(packet);
     lane.queued_bytes += packet->wire_size;
     pump_lanes(node, port_idx, port);
     return;
@@ -123,8 +123,7 @@ void Fabric::pump_lanes(NodeId node, int port_idx, const Port& port) {
   PacketPtr next;
   for (auto& q : lane.queues) {  // strict priority: lane 0 first
     if (!q.empty()) {
-      next = q.front();
-      q.pop_front();
+      next = q.pop();
       break;
     }
   }
@@ -504,6 +503,7 @@ void Fabric::build_mcast_tree(McastGroup& group) {
   constexpr int kNoParent = -1;
   std::vector<int> parent_port(topo_.num_nodes(), kNoParent);  // port at child
   std::vector<bool> visited(topo_.num_nodes(), false);
+  // mccl-lint: allow(no-datapath-deque) one BFS per tree build, not per packet
   std::deque<NodeId> frontier;
   visited[static_cast<size_t>(root)] = true;
   frontier.push_back(root);

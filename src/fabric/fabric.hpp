@@ -15,10 +15,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "src/common/ring.hpp"
 #include "src/common/units.hpp"
 #include "src/fabric/faults.hpp"
 #include "src/fabric/packet.hpp"
@@ -227,7 +227,7 @@ class Fabric {
   /// Per-direction virtual-lane queues (switch egress only; host egress is
   /// paced by the NIC arbiter, one packet at a time).
   struct LaneState {
-    std::array<std::deque<PacketPtr>, kNumLanes> queues;
+    std::array<Ring<PacketPtr>, kNumLanes> queues;
     std::uint64_t queued_bytes = 0;  // wire bytes across all lanes
     bool busy = false;
     // Busy with no release event queued: the serializer frees at `release`,

@@ -172,6 +172,7 @@ struct TenantPoolAcct {
 };
 
 struct PacketPoolCore {
+  // mccl-lint: allow(no-datapath-deque) cells need stable addresses
   std::deque<Packet> slab;          // stable addresses; grows, never shrinks
   std::vector<Packet*> free_list;
   std::uint64_t outstanding = 0;    // packets handed out, not yet returned
@@ -239,6 +240,8 @@ class PacketRef {
   const Packet& operator*() const { return *p_; }
   const Packet* operator->() const { return p_; }
   explicit operator bool() const { return p_ != nullptr; }
+  /// References held to the packet (0 for an empty handle).
+  std::uint32_t use_count() const { return p_ != nullptr ? p_->refs_ : 0; }
   friend bool operator==(const PacketRef& a, const PacketRef& b) {
     return a.p_ == b.p_;
   }

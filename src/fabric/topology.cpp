@@ -67,6 +67,7 @@ void Topology::compute_routes() {
   // ascending (hi * n + node) order, so the CSR offsets fill in one pass.
   for (std::size_t hi = 0; hi < h; ++hi) {
     int* dist = &dist_[hi * n];
+    // mccl-lint: allow(no-datapath-deque) all-pairs BFS at topology build
     std::deque<NodeId> frontier;
     dist[hosts_[hi]] = 0;
     frontier.push_back(hosts_[hi]);

@@ -1,16 +1,18 @@
 // Completion queues.
 //
 // The NIC pushes CQEs; a consumer (a progress-engine worker from src/exec,
-// or the immediate dispatcher used by transport unit tests) drains them.
+// or the immediate dispatcher used by transport unit tests) is told of each
+// one and pops it when it runs it. A CQE waits in the CQ until then, as on
+// the DPA, where a thread polls its CQ once per handler call: a worker
+// keeps only an 8-byte order entry per pending CQE, never a copy of it.
 // Matching real verbs, the CQE carries the immediate data — the Broadcast
 // protocol stores the chunk PSN there (paper Section III-A).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "src/common/check.hpp"
+#include "src/common/ring.hpp"
 #include "src/debug/validate.hpp"
 #include "src/fabric/packet.hpp"
 
@@ -35,8 +37,8 @@ struct Cqe {
 
 class Cq {
  public:
-  /// Consumer interface: notified when the CQ transitions or grows; the
-  /// consumer pops entries at its own (modeled) pace.
+  /// Consumer interface: notified once per pushed CQE; the consumer pops
+  /// entries at its own (modeled) pace.
   class Consumer {
    public:
     virtual ~Consumer() = default;
@@ -45,6 +47,7 @@ class Cq {
 
   void set_consumer(Consumer* consumer) { consumer_ = consumer; }
 
+  // mccl-lint: begin-hot cq-push
   void push(const Cqe& cqe) {
     if (gate_closed_) {
       // Qp::complete_* already consult Nic::crashed() at fire time, so a
@@ -54,9 +57,10 @@ class Cq {
                          static_cast<unsigned>(cqe.opcode), cqe.qpn);
       return;
     }
-    queue_.push_back(cqe);
+    queue_.push(cqe);
     if (consumer_) consumer_->on_cqe(*this);
   }
+  // mccl-lint: end-hot
 
   /// Crash gate: closed when the owning NIC crash-stops. A crashed NIC must
   /// never surface new completions; the validator treats a push through a
@@ -69,13 +73,11 @@ class Cq {
 
   Cqe pop() {
     MCCL_CHECK(!queue_.empty());
-    Cqe cqe = queue_.front();
-    queue_.pop_front();
-    return cqe;
+    return queue_.pop();
   }
 
  private:
-  std::deque<Cqe> queue_;
+  Ring<Cqe> queue_;
   Consumer* consumer_ = nullptr;
   bool gate_closed_ = false;
 };

@@ -115,7 +115,7 @@ void Nic::transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
       }
     }
   }
-  q.push_back(TxItem{packet, std::move(done)});
+  q.push(TxItem{packet, std::move(done)});
   pump_tx();
 }
 
@@ -130,8 +130,7 @@ void Nic::pump_tx() {
       tx_ready_.data(), tx_ready_.size(), tx_queues_.size(), tx_rr_);
   if (picked == kNoTxQueue) return;
   auto& queue = tx_queues_[picked];
-  TxItem item = std::move(queue.front());
-  queue.pop_front();
+  TxItem item = queue.pop();
   if (queue.empty())
     tx_ready_[picked >> 6] &= ~(std::uint64_t{1} << (picked & 63));
   if (qos_enabled_) qos_arbiter_.on_dequeue(picked, item.packet->wire_size);

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <type_traits>
@@ -12,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/ring.hpp"
 #include "src/common/units.hpp"
 #include "src/fabric/fabric.hpp"
 #include "src/rdma/cq.hpp"
@@ -213,7 +213,7 @@ class Nic {
   // one of the hottest loops in the simulator.
   std::vector<std::int32_t> tx_slot_of_;    // queue id -> slot, -1 = none
   std::size_t inc_tx_slot_ = kNoTxQueue;    // slot for kIncTxQueue
-  std::vector<std::deque<TxItem>> tx_queues_;
+  std::vector<Ring<TxItem>> tx_queues_;
   std::vector<std::uint64_t> tx_ready_;     // bit per slot: queue non-empty
   std::size_t tx_rr_ = 0;
   bool tx_active_ = false;

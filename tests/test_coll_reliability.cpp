@@ -204,6 +204,38 @@ TEST(Reliability, RnrDropsStayWithTheirCommunicator) {
                 cluster.nic(2).ud_rnr_drops());
 }
 
+TEST(Reliability, UdStagingSlotsReturnAfterLossyOps) {
+  // Every UD receive CQE gives its staging slot back exactly once: through
+  // the staging copy when the chunk is new, at once when it is a duplicate
+  // (multicast raced a fetch), late, or for a failed op. A slot kept by any
+  // of those drains the staging rings over a long lossy run, until every
+  // chunk RNR-drops into the slow path.
+  constexpr std::size_t kRanks = 8;
+  CommConfig cfg = quick_recovery();
+  cfg.staging_slots = 256;
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.burst.drop_good = 0.03;
+  World w(kRanks, cfg, kcfg);
+  auto posted = [&w] {
+    std::size_t total = 0;
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      Endpoint& ep = w.comm->ep(r);
+      for (std::size_t s = 0; s < ep.num_subgroups(); ++s)
+        total += ep.subgroup(s).ud->recv_queue_depth();
+    }
+    return total;
+  };
+  const std::size_t full =
+      kRanks * w.comm->ep(0).num_subgroups() * cfg.staging_slots;
+  ASSERT_EQ(posted(), full);
+  for (int i = 0; i < 40; ++i) {
+    const OpResult res = w.comm->allgather(64 * 1024, AllgatherAlgo::kMcast);
+    ASSERT_TRUE(res.data_verified) << "op " << i;
+    w.cluster->engine().run();  // late multicast copies still in flight
+    ASSERT_EQ(posted(), full) << "op " << i;
+  }
+}
+
 TEST(Reliability, DropsOnControlPlaneAreAbsorbedByRc) {
   // Control packets (barrier, final) ride RC: random loss there must only
   // delay, never corrupt.

@@ -1,10 +1,12 @@
-// Unit tests for src/common: units, bitmap, rng, stats.
+// Unit tests for src/common: units, bitmap, ring, rng, stats.
 #include <gtest/gtest.h>
 
 #include "src/common/bitmap.hpp"
+#include "src/common/ring.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/units.hpp"
+#include "src/fabric/packet.hpp"
 
 namespace mccl {
 namespace {
@@ -88,6 +90,89 @@ TEST(Bitmap, SizeBytesMatchesWordCount) {
   EXPECT_EQ(Bitmap(1).size_bytes(), 8u);
   EXPECT_EQ(Bitmap(64).size_bytes(), 8u);
   EXPECT_EQ(Bitmap(65).size_bytes(), 16u);
+}
+
+TEST(Ring, FirstPushAllocatesEightCells) {
+  Ring<int> r;
+  EXPECT_EQ(r.capacity(), 0u);
+  r.push(1);
+  EXPECT_EQ(r.capacity(), Ring<int>::kFirstCells);
+  EXPECT_EQ(r.capacity(), 8u);
+  for (int i = 2; i <= 8; ++i) r.push(i);
+  EXPECT_EQ(r.capacity(), 8u);
+  r.push(9);
+  EXPECT_EQ(r.capacity(), 16u);
+}
+
+TEST(Ring, FifoOrderSurvivesGrowthWhileWrapped) {
+  Ring<int> r;
+  int next_in = 0;
+  int next_out = 0;
+  for (int i = 0; i < 8; ++i) r.push(next_in++);
+  for (int i = 0; i < 6; ++i) EXPECT_EQ(r.pop(), next_out++);
+  // Head sits at cell 6 of 8; six more pushes wrap the tail round to it.
+  for (int i = 0; i < 6; ++i) r.push(next_in++);
+  ASSERT_EQ(r.size(), 8u);
+  ASSERT_EQ(r.capacity(), 8u);
+  r.push(next_in++);  // full and wrapped: grows
+  EXPECT_EQ(r.capacity(), 16u);
+  EXPECT_EQ(r.front(), next_out);
+  EXPECT_EQ(r.back(), next_in - 1);
+  for (std::size_t i = 0; i < r.size(); ++i)
+    EXPECT_EQ(r[i], next_out + static_cast<int>(i));
+  while (!r.empty()) EXPECT_EQ(r.pop(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+}
+
+struct CopyCounted {
+  static int copies;
+  int v = 0;
+  CopyCounted() = default;
+  explicit CopyCounted(int x) : v(x) {}
+  CopyCounted(const CopyCounted& o) : v(o.v) { ++copies; }
+  CopyCounted& operator=(const CopyCounted& o) {
+    v = o.v;
+    ++copies;
+    return *this;
+  }
+  CopyCounted(CopyCounted&&) noexcept = default;
+  CopyCounted& operator=(CopyCounted&&) noexcept = default;
+};
+int CopyCounted::copies = 0;
+
+TEST(Ring, GrowthMovesAndNeverCopies) {
+  CopyCounted::copies = 0;
+  Ring<CopyCounted> counted;
+  for (int i = 0; i < 40; ++i) counted.push(CopyCounted(i));
+  EXPECT_EQ(CopyCounted::copies, 0);
+  EXPECT_EQ(counted[39].v, 39);
+
+  fabric::PacketPool pool;
+  const fabric::PacketRef pkt = pool.acquire();
+  Ring<fabric::PacketRef> refs;
+  for (int i = 0; i < 8; ++i) refs.push(pkt);
+  EXPECT_EQ(pkt.use_count(), 9u);
+  refs.push(pkt);  // grows 8 -> 16 cells
+  EXPECT_EQ(refs.capacity(), 16u);
+  EXPECT_EQ(pkt.use_count(), 10u);
+  EXPECT_EQ(refs.pop().use_count(), 10u);  // the popped handle is moved out
+  EXPECT_EQ(pkt.use_count(), 9u);
+}
+
+TEST(Ring, ClearReleasesItsElements) {
+  fabric::PacketPool pool;
+  fabric::PacketRef pkt = pool.acquire();
+  Ring<fabric::PacketRef> refs;
+  for (int i = 0; i < 5; ++i) refs.push(pkt);
+  (void)refs.pop();  // a moved-from cell is left behind
+  refs.clear();
+  EXPECT_TRUE(refs.empty());
+  EXPECT_EQ(refs.capacity(), 8u);
+  EXPECT_EQ(pkt.use_count(), 1u);
+  pkt.reset();
+  EXPECT_EQ(pool.outstanding(), 0u);
+  refs.push(pool.acquire());  // reusable after clear
+  EXPECT_EQ(refs.size(), 1u);
 }
 
 TEST(Rng, DeterministicForSeed) {

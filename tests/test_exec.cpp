@@ -2,8 +2,14 @@
 // latency hiding (the Fig 13/14/16 mechanism), compact placement, stats.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "src/debug/validate.hpp"
 #include "src/exec/cost_model.hpp"
 #include "src/exec/worker.hpp"
+#include "src/fabric/topology.hpp"
+#include "src/rdma/nic.hpp"
 
 namespace mccl::exec {
 namespace {
@@ -130,6 +136,112 @@ TEST(Worker, MultiCqSubscriptionDispatchesPerCq) {
   e.run();
   EXPECT_EQ(from_a, 1);
   EXPECT_EQ(from_b, 2);
+}
+
+rdma::Cqe cqe_with_id(std::uint64_t id) {
+  rdma::Cqe cqe;
+  cqe.wr_id = id;
+  return cqe;
+}
+
+TEST(Worker, CqesAndTasksRunInArrivalOrder) {
+  // One FIFO over posted tasks and the CQEs of every subscribed CQ, each
+  // item charged its own cost: a task its Cost, a CQE its CQ's per-CQE
+  // cost. @1 GHz one cycle is one nanosecond.
+  sim::Engine e;
+  Complex c(e, {.cores = 1, .threads_per_core = 1, .ghz = 1.0});
+  Worker& w = c.create_worker();
+  rdma::Cq a, b;
+  std::vector<std::pair<std::uint64_t, Time>> trace;
+  auto task = [&](std::uint64_t id) {
+    w.post(Cost{1, 1}, [&trace, &e, id] { trace.emplace_back(id, e.now()); });
+  };
+  w.subscribe(a,
+              [&](const rdma::Cqe& cqe) {
+                trace.emplace_back(cqe.wr_id, e.now());
+                if (cqe.wr_id == 1) {  // queued behind everything below
+                  task(7);
+                  b.push(cqe_with_id(8));
+                }
+              },
+              Cost{10, 0});
+  w.subscribe(b,
+              [&](const rdma::Cqe& cqe) {
+                trace.emplace_back(cqe.wr_id, e.now());
+              },
+              Cost{20, 5});
+  a.push(cqe_with_id(1));
+  task(2);
+  b.push(cqe_with_id(3));
+  a.push(cqe_with_id(4));
+  task(5);
+  b.push(cqe_with_id(6));
+  EXPECT_EQ(w.cqes_seen(), 4u);
+  // A CQE waits in its CQ until the worker runs it.
+  EXPECT_EQ(a.depth(), 2u);
+  EXPECT_EQ(b.depth(), 2u);
+  e.run_until(10 * kNanosecond);
+  EXPECT_EQ(a.depth(), 1u);
+  EXPECT_EQ(b.depth(), 3u);
+  e.run();
+  const std::vector<std::pair<std::uint64_t, Time>> expect = {
+      {1, 10 * kNanosecond}, {2, 12 * kNanosecond}, {3, 37 * kNanosecond},
+      {4, 47 * kNanosecond}, {5, 49 * kNanosecond}, {6, 74 * kNanosecond},
+      {7, 76 * kNanosecond}, {8, 101 * kNanosecond}};
+  EXPECT_EQ(trace, expect);
+  EXPECT_EQ(a.depth(), 0u);
+  EXPECT_EQ(b.depth(), 0u);
+  EXPECT_EQ(w.cqes_seen(), 5u);
+  EXPECT_EQ(w.tasks_done(), 8u);
+}
+
+TEST(Worker, SubscribeRunsCqesAlreadyWaiting) {
+  sim::Engine e;
+  Complex c(e, {.cores = 1, .threads_per_core = 1, .ghz = 1.0});
+  Worker& w = c.create_worker();
+  rdma::Cq cq;
+  std::vector<std::pair<std::uint64_t, Time>> trace;
+  w.post(Cost{3, 0}, [&] { trace.emplace_back(0, e.now()); });
+  for (std::uint64_t id = 1; id <= 3; ++id) cq.push(cqe_with_id(id));
+  w.subscribe(cq,
+              [&](const rdma::Cqe& cqe) {
+                trace.emplace_back(cqe.wr_id, e.now());
+              },
+              Cost{2, 0});
+  EXPECT_EQ(w.cqes_seen(), 3u);
+  EXPECT_EQ(cq.depth(), 3u);
+  cq.push(cqe_with_id(4));
+  e.run();
+  const std::vector<std::pair<std::uint64_t, Time>> expect = {
+      {0, 3 * kNanosecond}, {1, 5 * kNanosecond}, {2, 7 * kNanosecond},
+      {3, 9 * kNanosecond}, {4, 11 * kNanosecond}};
+  EXPECT_EQ(trace, expect);
+}
+
+TEST(Worker, CqesQueuedBeforeACrashStillRun) {
+  // A CQE the NIC pushed before it crashed is the worker's to run; the
+  // crash gate keeps any later one out of the CQ.
+  sim::Engine e;
+  fabric::Fabric fab(e, fabric::make_back_to_back({}), fabric::Fabric::Config{});
+  rdma::Nic nic(e, fab, 0);
+  rdma::Cq& cq = nic.create_cq();
+  Complex c(e, {.cores = 1, .threads_per_core = 1, .ghz = 1.0});
+  Worker& w = c.create_worker();
+  std::vector<std::uint64_t> handled;
+  w.subscribe(cq, [&](const rdma::Cqe& cqe) { handled.push_back(cqe.wr_id); },
+              Cost{10, 0});
+  cq.push(cqe_with_id(1));
+  cq.push(cqe_with_id(2));
+  nic.set_crashed(true);
+  EXPECT_EQ(cq.depth(), 2u);
+  {
+    debug::ViolationTrap trap;  // validate builds flag the gated push
+    cq.push(cqe_with_id(3));
+  }
+  EXPECT_EQ(cq.depth(), 2u);
+  e.run();
+  EXPECT_EQ(handled, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(w.cqes_seen(), 2u);
 }
 
 TEST(Worker, IpcMatchesCostSplit) {

@@ -31,6 +31,11 @@ Two layers:
                      declarations) inside regions marked
                      `// mccl-lint: begin-hot <name>` ... `// mccl-lint:
                      end-hot` -- the engine-dispatch and per-packet paths.
+  no-datapath-deque  No std::deque in the datapath layers (src/sim,
+                     src/rdma, src/exec, src/fabric): every FIFO a packet
+                     or completion crosses is a common/ring.hpp Ring, one
+                     contiguous buffer instead of a malloc per 512-byte
+                     block. Cold build-time queues carry an allow().
   capture-budget     Lambda capture lists passed to Engine::schedule /
                      schedule_at stay within the 64-byte inline-callback
                      budget (<= 8 captured entities at ~8 bytes each);
@@ -113,6 +118,7 @@ from cppmodel import strip_comments_and_strings  # noqa: E402,F401
 CORE_DIRS = ("src/sim", "src/fabric", "src/rdma", "src/coll", "src/inc",
              "src/sched")
 ALL_SRC = ("src",)
+DATAPATH_DIRS = ("src/sim", "src/rdma", "src/exec", "src/fabric")
 VERIFY_DIRS = ("src", "examples", "tests", "bench")
 # Rank-divergence is checked in driver code only: protocol internals
 # legitimately branch on rank (roots send, leaves receive).
@@ -148,6 +154,7 @@ HOT_ALLOC_RE = re.compile(
     r"\bnew\b|\bmake_unique\b|\bmake_shared\b"
     r"|\b(?:malloc|calloc|realloc)\s*\(|std::function\s*<")
 SCHEDULE_RE = re.compile(r"\bschedule(_at)?\s*\(")
+DEQUE_RE = re.compile(r"\bstd::deque\s*<")
 
 CAPTURE_BUDGET = 8  # entities * 8 bytes = the 64-byte inline budget
 
@@ -282,6 +289,13 @@ def check_hot_alloc(ctx, violations):
             emit(violations, ctx, idx, "no-hot-alloc",
                  "heap allocation ('%s') inside a begin-hot region" %
                  m.group(0).strip())
+
+
+def check_datapath_deque(ctx, violations):
+    for idx, line in enumerate(ctx.code_lines, start=1):
+        if DEQUE_RE.search(line):
+            emit(violations, ctx, idx, "no-datapath-deque",
+                 "std::deque in a datapath layer (use common/ring.hpp Ring)")
 
 
 def check_capture_budget(ctx, violations):
@@ -535,6 +549,7 @@ RULES = [
     ("no-pointer-key", "lint", CORE_DIRS, check_pointer_key),
     ("no-shared-packet", "lint", ALL_SRC, check_shared_packet),
     ("no-hot-alloc", "lint", ALL_SRC, check_hot_alloc),
+    ("no-datapath-deque", "lint", DATAPATH_DIRS, check_datapath_deque),
     ("capture-budget", "lint", CORE_DIRS, check_capture_budget),
     ("coll-matching", "verify", VERIFY_DIRS, check_coll_matching),
     ("comm-lifecycle", "verify", VERIFY_DIRS, check_comm_lifecycle),
@@ -550,6 +565,8 @@ RULE_DOCS = {
     "no-pointer-key": "No associative containers keyed by raw pointers",
     "no-shared-packet": "Packets are pooled; hold them via fabric::PacketRef",
     "no-hot-alloc": "No heap allocation inside begin-hot regions",
+    "no-datapath-deque": "No std::deque in src/sim, src/rdma, src/exec or "
+                         "src/fabric; FIFOs are common/ring.hpp Rings",
     "capture-budget": "Engine-schedule lambda captures stay within the "
                       "64-byte inline budget",
     "coll-matching": "Every started collective has a reachable wait; no "
@@ -709,6 +726,9 @@ SELF_TESTS = [
      "// mccl-lint: end-hot\n"),
     ("no-wallclock", "src/sched/bad.cpp",
      "unsigned f() { return std::random_device{}(); }\n"),
+    ("no-datapath-deque", "src/exec/bad.cpp",
+     "#include <deque>\n"
+     "struct W { std::deque<Task> queue_; };\n"),
     ("capture-budget", "src/sim/bad3.cpp",
      "void f() {\n"
      "  int a, b, c, d, e, g, h, i, j;\n"
@@ -783,6 +803,10 @@ CLEAN_TESTS = [
      "#include <unordered_map>\n"
      "std::unordered_map<int, int> table_;\n"
      "int f(int k) { return table_.at(k); }  // point lookup: fine\n"),
+    # Outside the datapath layers a deque is fine.
+    ("src/sched/ok_deque.cpp",
+     "#include <deque>\n"
+     "std::deque<int> waiting_;  // std::deque<int> in a comment is fine\n"),
     ("src/sim/ok2.cpp",
      "void warm() { auto* p = new int(7); (void)p; }  // not in a hot region\n"),
     # The canonical correct protocol usage: start, wait, status-check the
