@@ -1,6 +1,7 @@
 #include "src/coll/mcast_coll.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/debug/validate.hpp"
 #include "src/sim/callback.hpp"
@@ -10,14 +11,23 @@
 namespace mccl::coll {
 
 namespace {
-std::size_t ceil_log2(std::size_t n) {
-  std::size_t k = 0, v = 1;
-  while (v < n) {
-    v *= 2;
-    ++k;
-  }
-  return k;
-}
+using EventCat = telemetry::EventCat;
+using Phase = McastCollective::Phase;
+
+constexpr std::size_t idx(Phase p) { return static_cast<std::size_t>(p); }
+constexpr unsigned bit(Phase p) { return 1u << idx(p); }
+
+// The phase table: bit t of kPhaseEdges[f] is set iff a rank may move from
+// phase f to phase t. Every rank enters kBarrier once, at the op start.
+constexpr unsigned kPhaseEdges[McastCollective::kPhases] = {
+    bit(Phase::kFastPath),                           // kBarrier
+    bit(Phase::kRecovery) | bit(Phase::kHandshake),  // kFastPath
+    bit(Phase::kHandshake),                          // kRecovery
+    bit(Phase::kDone),                               // kHandshake
+    0,                                               // kDone
+};
+constexpr const char* kPhaseNames[McastCollective::kPhases] = {
+    "barrier", "fast_path", "recovery", "handshake", "done"};
 }  // namespace
 
 McastCollective::McastCollective(Communicator& comm, std::string name,
@@ -30,7 +40,7 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
                                           p_.roots.size())),
       tag_(comm.claim_mcast_tag(this)),
       rkey_(comm.cluster().next_shared_rkey()),
-      barrier_rounds_(ceil_log2(comm.size())) {
+      barrier_rounds_(std::bit_width(comm.size() - 1)) {  // ceil(log2 P)
   const std::size_t P = comm_.size();
   MCCL_CHECK(P >= 2);
   MCCL_CHECK(!p_.roots.empty());
@@ -76,8 +86,8 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     if (fill && s.root_index >= 0)
       fill_pattern(mem, s.sendbuf, p_.block_bytes, id(), r);
 
-    s.barrier_seen.assign(barrier_rounds_ == 0 ? 1 : barrier_rounds_, 0);
-    s.barrier_credited.assign(barrier_rounds_ == 0 ? 1 : barrier_rounds_, 0);
+    s.barrier_seen.assign(barrier_rounds_, 0);
+    s.barrier_credited.assign(barrier_rounds_, 0);
     s.block_received.assign(p_.roots.size(), 0);
     s.fetch_waiters.assign(p_.roots.size(), {});
     s.fetch.assign(p_.roots.size(), BlockFetch{});
@@ -94,7 +104,8 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
       s.bitmaps.emplace_back(map_.total_chunks());
     s.foreign_blocks = p_.roots.size() - (s.root_index >= 0 ? 1 : 0);
     s.expected = s.foreign_blocks * map_.chunks_per_block();
-    s.local_copy_done = s.root_index < 0;  // roots copy their block locally
+    s.pending_copies = s.root_index >= 0 ? 1 : 0;  // the root's own block
+    s.entered.fill(kNever);
   }
 }
 
@@ -104,7 +115,7 @@ void McastCollective::start() {
   arm_watchdog();
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     if (rank_crashed(r)) continue;  // dead hosts run nothing
-    st_[r].t_start = res_.start;
+    enter(r, Phase::kBarrier);
     barrier_kick(r);
     if (is_root(r)) {
       // Roots place their own block into the receive region through the
@@ -116,7 +127,7 @@ void McastCollective::start() {
       ep.nic().post_local_copy(s.sendbuf, dst, p_.block_bytes, [this, r] {
         if (res_.failed || rank_crashed(r)) return;
         RankState& s2 = st_[r];
-        s2.local_copy_done = true;
+        --s2.pending_copies;
         const auto own = static_cast<std::size_t>(s2.root_index);
         s2.block_received[own] = map_.chunks_per_block();
         on_block_complete(r, own);
@@ -134,6 +145,20 @@ bool McastCollective::peer_dead(std::size_t r, std::size_t p) const {
 bool McastCollective::peer_lagging(std::size_t r, std::size_t p) const {
   const HealthMonitor* hm = comm_.health();
   return hm != nullptr && hm->slow(r, p);
+}
+
+void McastCollective::note(std::size_t r, EventCat cat, const char* event,
+                           std::uint64_t a, std::uint64_t b,
+                           const char* instant) {
+  telem().recorder.record(now(), static_cast<std::int32_t>(r), cat, event, a,
+                          b);
+  if (instant != nullptr) trace_instant(r, instant);
+}
+
+void McastCollective::trace_instant(std::size_t r, const char* name) {
+  telemetry::Tracer& tracer = telem().tracer;
+  if (tracer.enabled())
+    tracer.instant(comm_.ep(r).trace_track(), name, now(), "coll");
 }
 
 std::size_t McastCollective::left_alive_of(std::size_t r) const {
@@ -154,10 +179,7 @@ std::size_t McastCollective::right_alive_of(std::size_t r) const {
 // --------------------------------------------------------------------------
 
 void McastCollective::barrier_kick(std::size_t r) {
-  if (barrier_rounds_ == 0) {
-    on_barrier_done(r);
-    return;
-  }
+  // P >= 2, so there is at least one round.
   credit_barrier(r);  // peers already dead at op start never send tokens
   barrier_send_round(r);
 }
@@ -204,14 +226,13 @@ void McastCollective::barrier_advance(std::size_t r) {
       return;  // continuation driven by the next token
     }
   }
-  if (s.barrier_round >= barrier_rounds_ && !s.barrier_done)
+  if (s.barrier_round >= barrier_rounds_ && s.phase == Phase::kBarrier)
     on_barrier_done(r);
 }
 
 void McastCollective::on_barrier_done(std::size_t r) {
   RankState& s = st_[r];
-  s.barrier_done = true;
-  s.t_barrier = comm_.cluster().engine().now();
+  enter(r, Phase::kFastPath);
   arm_cutoff(r);
   if (is_root(r)) {
     const auto my = static_cast<std::size_t>(s.root_index);
@@ -290,8 +311,7 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
   (void)sg;
   RankState& s = st_[r];
   if (++s.subgroups_done < map_.subgroups) return;
-  s.send_done = true;
-  s.t_send_done = comm_.cluster().engine().now();
+  s.send_done_at = now();
   // Pass the activation token to the next root in the chain that is still
   // alive. The root after a skipped (dead) one may also self-activate once
   // it confirms the death itself — token and repair are deliberately
@@ -310,10 +330,8 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
     comm_.ep(r).ctrl_send(root, {CtrlType::kChainToken, id(), 0});
     if (!peer_lagging(r, root)) break;
     ++res_.chain_demotions;
-    telem().recorder.record(comm_.cluster().engine().now(),
-                            static_cast<std::int32_t>(r),
-                            telemetry::EventCat::kAdapt, "chain_demote", root,
-                            static_cast<std::uint64_t>(next));
+    note(r, EventCat::kAdapt, "chain_demote", root,
+         static_cast<std::uint64_t>(next));
     next = schedule_.successor(static_cast<std::size_t>(next));
   }
   check_op_done(r);
@@ -378,7 +396,7 @@ bool McastCollective::set_chunk(std::size_t r, std::uint32_t id) {
   MCCL_VALIDATE_THAT(s.received <= s.expected, "coll.chunk_conservation",
                      "rank %zu: received %zu chunks, expected at most %zu",
                      r, s.received, s.expected);
-  if (s.block_received[block] == map_.chunks_per_block()) {
+  if (holds_block(r, block)) {
     if (!s.block_abandoned[block]) satisfy_block(r, block);
     on_block_complete(r, block);
   }
@@ -392,13 +410,10 @@ void McastCollective::satisfy_block(std::size_t r, std::size_t block) {
 
 void McastCollective::check_data_complete(std::size_t r) {
   RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || s.data_complete || !s.barrier_done)
-    return;
-  if (s.pending_copies > 0 || !s.local_copy_done || !all_blocks_satisfied(r))
-    return;
-  s.data_complete = true;
-  s.t_data = comm_.cluster().engine().now();
-  if (s.recovering) s.t_recovery = s.t_data - s.t_recovery_begin;
+  if (res_.failed || rank_crashed(r)) return;
+  if (s.phase != Phase::kFastPath && s.phase != Phase::kRecovery) return;
+  if (s.pending_copies > 0 || !all_blocks_satisfied(r)) return;
+  enter(r, Phase::kHandshake);
   ++s.timer_gen;  // cancel the cutoff timer
   send_final(r);
   check_op_done(r);
@@ -420,21 +435,20 @@ std::size_t McastCollective::scan_blocks_satisfied(std::size_t r) const {
   std::size_t n = 0;
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     if (static_cast<int>(b) == s.root_index) continue;
-    if (s.block_received[b] == map_.chunks_per_block() || s.block_abandoned[b])
-      ++n;
+    if (holds_block(r, b) || s.block_abandoned[b]) ++n;
   }
   return n;
 }
 
-void McastCollective::send_final(std::size_t r) {
+bool McastCollective::send_final(std::size_t r) {
   // Final handshake: tell the left-alive neighbor we are complete (the
   // static left neighbor pre-repair). A sole survivor has nobody to tell.
   RankState& s = st_[r];
   const std::size_t dst = left_alive_of(r);
-  s.final_sent = true;
-  if (dst == r) return;
+  if (dst == r || dst == s.final_sent_to) return false;
   s.final_sent_to = dst;
   comm_.ep(r).ctrl_send(dst, {CtrlType::kFinal, id(), 0});
+  return true;
 }
 
 // --------------------------------------------------------------------------
@@ -460,21 +474,16 @@ void McastCollective::arm_cutoff(std::size_t r) {
 
 void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
   RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || gen != s.timer_gen || s.data_complete)
+  if (res_.failed || rank_crashed(r) || gen != s.timer_gen ||
+      s.phase >= Phase::kHandshake)
     return;
   // Without the reliability layer there is no slow path; the watchdog is
   // the only thing standing between a lossy fabric and a hang.
   if (!comm_.config().reliability) return;
-  if (s.recovering) return;
-  s.recovering = true;
-  s.t_recovery_begin = comm_.cluster().engine().now();
-  telemetry::Telemetry& te = telem();
-  te.recorder.record(s.t_recovery_begin, static_cast<std::int32_t>(r),
-                     telemetry::EventCat::kColl, "cutoff_recovery", id(),
-                     s.expected - s.received);
-  if (te.tracer.enabled())
-    te.tracer.instant(comm_.ep(r).trace_track(), "cutoff",
-                      s.t_recovery_begin, "coll");
+  if (s.phase == Phase::kRecovery) return;
+  enter(r, Phase::kRecovery);
+  note(r, EventCat::kColl, "cutoff_recovery", id(), s.expected - s.received,
+       "cutoff");
   // Health plane: *differential* lateness only. In a uniformly lossy world
   // every block is a little short at cutoff — that indicts the fabric, not
   // any root. A slow root shows as one block far behind (< half the chunks
@@ -502,14 +511,11 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
   const std::size_t tgt = fetch_target_of(r, r, r, &detoured);
   if (tgt == r) return;  // sole survivor: nothing to fetch from
   if (detoured)
-    telem().recorder.record(comm_.cluster().engine().now(),
-                            static_cast<std::int32_t>(r),
-                            telemetry::EventCat::kAdapt, "fetch_detour",
-                            static_cast<std::uint64_t>(-1), tgt);
+    note(r, EventCat::kAdapt, "fetch_detour",
+         static_cast<std::uint64_t>(-1), tgt);
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     if (static_cast<int>(b) == s.root_index) continue;
-    if (s.block_received[b] < map_.chunks_per_block() &&
-        !s.block_abandoned[b]) {
+    if (!holds_block(r, b) && !s.block_abandoned[b]) {
       if (detoured) ++res_.fetch_detours;
       start_fetch(r, b, tgt);
     }
@@ -549,11 +555,9 @@ void McastCollective::start_fetch(std::size_t r, std::size_t block,
   f.target = target;
   f.attempts = 1;
   f.reads_outstanding = 0;
-  f.sent_at = comm_.cluster().engine().now();
+  f.sent_at = now();
   ++f.gen;
-  telem().recorder.record(comm_.cluster().engine().now(),
-                          static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kColl, event, block, target);
+  note(r, EventCat::kColl, event, block, target);
   comm_.ep(r).ctrl_send(target, {CtrlType::kFetchReq, id(),
                                  static_cast<std::uint16_t>(block)});
   arm_fetch_retry(r, block);
@@ -576,32 +580,22 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
   BlockFetch& f = s.fetch[block];
   if (res_.failed || rank_crashed(r) || !f.active || f.acked || gen != f.gen)
     return;
-  if (s.block_received[block] == map_.chunks_per_block()) return;
-  if (s.block_abandoned[block]) return;
+  if (holds_block(r, block) || s.block_abandoned[block]) return;
   // Health plane: an unanswered fetch request is the strongest slow signal.
   // Fed before acting — the resulting slow mark may detour this very fetch
   // (through on_peer_slow), which bumps f.gen; bail out if it did.
   if (HealthMonitor* hm = comm_.health()) {
     hm->note_fetch_timeout(r, f.target);
     if (!f.active || f.acked || gen != f.gen) return;
-    if (s.block_received[block] == map_.chunks_per_block() ||
-        s.block_abandoned[block])
-      return;
+    if (holds_block(r, block) || s.block_abandoned[block]) return;
   }
   if (f.attempts < kFetchRetryCap) {
     // Same target, another request: the original (or its ACK) may have
     // been lost on a degraded link.
     ++f.attempts;
     ++res_.fetch_retries;
-    f.sent_at = comm_.cluster().engine().now();
-    telemetry::Telemetry& te = telem();
-    te.recorder.record(comm_.cluster().engine().now(),
-                       static_cast<std::int32_t>(r),
-                       telemetry::EventCat::kColl, "fetch_retry", block,
-                       f.target);
-    if (te.tracer.enabled())
-      te.tracer.instant(comm_.ep(r).trace_track(), "fetch_retry",
-                        comm_.cluster().engine().now(), "coll");
+    f.sent_at = now();
+    note(r, EventCat::kColl, "fetch_retry", block, f.target, "fetch_retry");
     comm_.ep(r).ctrl_send(f.target, {CtrlType::kFetchReq, id(),
                                      static_cast<std::uint16_t>(block)});
     arm_fetch_retry(r, block);
@@ -617,17 +611,14 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
   if (next == r) return;  // nowhere else to go
   if (detoured) note_detour(r, block, next);
   ++res_.fetch_failovers;
-  telemetry::Telemetry& te = telem();
-  if (te.tracer.enabled())
-    te.tracer.instant(comm_.ep(r).trace_track(), "fetch_failover",
-                      comm_.cluster().engine().now(), "coll");
+  trace_instant(r, "fetch_failover");
   start_fetch(r, block, next, "fetch_failover");
 }
 
 void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
                                    std::size_t src) {
   RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || s.data_complete) return;
+  if (res_.failed || rank_crashed(r) || s.phase >= Phase::kHandshake) return;
   if (s.block_abandoned[block]) return;  // decided dead while the ACK flew
   BlockFetch& f = s.fetch[block];
   if (f.acked) return;  // duplicate ACK (retry raced the original)
@@ -635,15 +626,10 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
   ++f.gen;  // cancel pending retry timers
   // Health plane: request->ACK latency of the serving target (measured
   // from the latest request — retries reset the clock).
-  if (HealthMonitor* hm = comm_.health()) {
-    if (f.active && src == f.target)
-      hm->note_fetch_ack(r, src,
-                         comm_.cluster().engine().now() - f.sent_at);
-  }
-  telem().recorder.record(comm_.cluster().engine().now(),
-                          static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kColl, "fetch_ack", block,
-                          src);
+  HealthMonitor* hm = comm_.health();
+  if (hm != nullptr && f.active && src == f.target)
+    hm->note_fetch_ack(r, src, now() - f.sent_at);
+  note(r, EventCat::kColl, "fetch_ack", block, src);
   // Collect this block's chunks still missing at ACK time (some may have
   // raced in through the multicast path).
   std::vector<std::uint32_t> missing;
@@ -710,14 +696,14 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
   if (res_.failed || rank_crashed(r)) return;
   note_repair(r);
   // (1) Barrier: credit rounds whose token sender just died.
-  if (!s.barrier_done) {
+  if (s.phase == Phase::kBarrier) {
     credit_barrier(r);
     barrier_advance(r);
   }
   // (2) Chain: self-activate if the chain predecessor died before passing
   // the token (the predecessor's predecessor also routes around, so this
   // is redundant — and activate_send is idempotent).
-  if (is_root(r) && !s.send_active && s.barrier_done) {
+  if (is_root(r) && !s.send_active && s.phase > Phase::kBarrier) {
     const auto my = static_cast<std::size_t>(s.root_index);
     if (!schedule_.is_chain_head(my) && peer_dead(r, p_.roots[my - 1]))
       activate_send(r);
@@ -735,17 +721,8 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
   }
   // (5) Handshake ring re-closure: if our Final went to a rank that died,
   // resend it to the new left-alive neighbor.
-  if (s.data_complete && s.final_sent) {
-    const std::size_t dst = left_alive_of(r);
-    if (dst != r && dst != s.final_sent_to) {
-      s.final_sent_to = dst;
-      comm_.ep(r).ctrl_send(dst, {CtrlType::kFinal, id(), 0});
-      telem().recorder.record(comm_.cluster().engine().now(),
-                              static_cast<std::int32_t>(r),
-                              telemetry::EventCat::kColl, "final_resend",
-                              dst, peer);
-    }
-  }
+  if (s.phase >= Phase::kHandshake && send_final(r))
+    note(r, EventCat::kColl, "final_resend", s.final_sent_to, peer);
   // (6) A dead rank no longer owes the coordinator a report: decisions
   // that were waiting on it can now fall.
   for (std::size_t b = 0; b < p_.roots.size(); ++b) maybe_decide_block(r, b);
@@ -757,12 +734,9 @@ void McastCollective::on_peer_confirmed_dead(std::size_t observer,
 
 void McastCollective::note_repair(std::size_t r) {
   RankState& s = st_[r];
-  if (s.repairing) return;
-  s.repairing = true;
-  s.t_repair_begin = comm_.cluster().engine().now();
-  telem().recorder.record(s.t_repair_begin, static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kColl, "repair_begin", id(),
-                          0);
+  if (s.repair_begin != kNever) return;
+  s.repair_begin = now();
+  note(r, EventCat::kColl, "repair_begin", id(), 0);
 }
 
 void McastCollective::repair_fetches(std::size_t r, std::size_t dead) {
@@ -771,14 +745,9 @@ void McastCollective::repair_fetches(std::size_t r, std::size_t dead) {
     const BlockFetch& f = s.fetch[b];
     if (!f.active || f.target != dead) continue;
     stop_fetch(r, b);
-    if (s.block_received[b] == map_.chunks_per_block() ||
-        s.block_abandoned[b])
-      continue;
+    if (holds_block(r, b) || s.block_abandoned[b]) continue;
     ++res_.fetch_failovers;
-    telem().recorder.record(comm_.cluster().engine().now(),
-                            static_cast<std::int32_t>(r),
-                            telemetry::EventCat::kColl, "fetch_dead_target",
-                            b, dead);
+    note(r, EventCat::kColl, "fetch_dead_target", b, dead);
     bool det = false;
     const std::size_t next = fetch_target_of(r, dead, r, &det);
     // No surviving target: root repair decides the block.
@@ -815,13 +784,9 @@ std::size_t McastCollective::coordinator_of(std::size_t r,
 }
 
 void McastCollective::send_block_report(std::size_t r, std::size_t block) {
-  RankState& s = st_[r];
   const std::size_t c = coordinator_of(r, block);
-  const bool full = s.block_received[block] == map_.chunks_per_block();
-  telem().recorder.record(comm_.cluster().engine().now(),
-                          static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kColl, "block_report", block,
-                          c);
+  const bool full = holds_block(r, block);
+  note(r, EventCat::kColl, "block_report", block, c);
   if (c == r) {
     on_block_report(r, block, r, full);
     return;
@@ -867,8 +832,7 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
   // Our own report may arrive via send_block_report(c == r) or not at all
   // (we confirmed the root dead only after becoming coordinator); count
   // ourselves directly.
-  s.block_reports[block * P + r] =
-      s.block_received[block] == map_.chunks_per_block() ? 2 : 1;
+  s.block_reports[block * P + r] = holds_block(r, block) ? 2 : 1;
   std::size_t holder = P;
   for (std::size_t x = 0; x < P; ++x) {
     if (peer_dead(r, x)) continue;
@@ -877,18 +841,11 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
       break;  // lowest-rank surviving full holder
     }
   }
-  const Time now = comm_.cluster().engine().now();
-  telemetry::Telemetry& te = telem();
   if (holder < P) {
     s.block_decision[block] = 1;
     s.block_new_root[block] = holder;
     ++res_.reroots;
-    te.recorder.record(now, static_cast<std::int32_t>(r),
-                       telemetry::EventCat::kColl, "block_reroot", block,
-                       holder);
-    if (te.tracer.enabled())
-      te.tracer.instant(comm_.ep(r).trace_track(), "block_reroot", now,
-                        "coll");
+    note(r, EventCat::kColl, "block_reroot", block, holder, "block_reroot");
   } else {
     s.block_decision[block] = 2;
     // Degraded completion: record the block as unrecoverable at op level
@@ -897,12 +854,8 @@ void McastCollective::maybe_decide_block(std::size_t r, std::size_t block) {
     std::vector<std::size_t>& missing = res_.missing_blocks;
     if (std::find(missing.begin(), missing.end(), block) == missing.end())
       missing.push_back(block);
-    te.recorder.record(now, static_cast<std::int32_t>(r),
-                       telemetry::EventCat::kColl, "block_dead", block,
-                       s.block_root[block]);
-    if (te.tracer.enabled())
-      te.tracer.instant(comm_.ep(r).trace_track(), "block_dead", now,
-                        "coll");
+    note(r, EventCat::kColl, "block_dead", block, s.block_root[block],
+         "block_dead");
   }
   for (std::size_t x = 0; x < P; ++x) {
     if (x == r || peer_dead(r, x)) continue;
@@ -942,8 +895,10 @@ void McastCollective::apply_reroot(std::size_t r, std::size_t block,
   // A *slow* re-root reaches the displaced root alive: it owns the block's
   // data by construction and must never fetch it.
   if (static_cast<int>(block) == s.root_index) return;
-  if (s.block_abandoned[block] || rank_crashed(r) || s.data_complete) return;
-  if (s.block_received[block] == map_.chunks_per_block()) return;
+  if (s.block_abandoned[block] || rank_crashed(r) ||
+      s.phase >= Phase::kHandshake)
+    return;
+  if (holds_block(r, block)) return;
   BlockFetch& f = s.fetch[block];
   // Reads already in flight from a live holder will complete; leave them.
   if (f.active && f.acked) return;
@@ -956,25 +911,19 @@ void McastCollective::apply_reroot(std::size_t r, std::size_t block,
       start_fetch(r, block, new_root);
     return;
   }
-  if (!s.recovering) {
-    s.recovering = true;
-    s.t_recovery_begin = comm_.cluster().engine().now();
-  }
+  if (s.phase != Phase::kRecovery) enter(r, Phase::kRecovery);
   if (new_root != r) start_fetch(r, block, new_root);
 }
 
 void McastCollective::apply_block_dead(std::size_t r, std::size_t block) {
   RankState& s = st_[r];
   if (s.block_abandoned[block]) return;
-  if (s.block_received[block] == map_.chunks_per_block()) return;  // we hold it
+  if (holds_block(r, block)) return;  // we hold it
   s.block_abandoned[block] = 1;
   satisfy_block(r, block);
   stop_fetch(r, block);
   s.fetch_waiters[block].clear();  // nobody can be served a dead block
-  telem().recorder.record(comm_.cluster().engine().now(),
-                          static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kColl, "block_abandoned",
-                          block, 0);
+  note(r, EventCat::kColl, "block_abandoned", block, 0);
   check_data_complete(r);
 }
 
@@ -1014,17 +963,14 @@ std::size_t McastCollective::fetch_target_of(std::size_t r, std::size_t from,
 void McastCollective::note_detour(std::size_t r, std::size_t block,
                                   std::size_t target) {
   ++res_.fetch_detours;
-  telem().recorder.record(comm_.cluster().engine().now(),
-                          static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kAdapt, "fetch_detour", block,
-                          target);
+  note(r, EventCat::kAdapt, "fetch_detour", block, target);
 }
 
 void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
                                    bool slow) {
   const std::size_t r = observer;
   RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || s.op_done) return;
+  if (res_.failed || rank_crashed(r) || s.phase == Phase::kDone) return;
   // A clear only stops future avoidance: detours and re-roots already made
   // stay (they are correct either way, and undoing them would oscillate).
   if (!slow) return;
@@ -1035,8 +981,7 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     if (s.block_root[b] != peer) continue;
     if (s.block_abandoned[b] || s.slow_reported[b]) continue;
-    if (s.block_received[b] == map_.chunks_per_block())
-      report_slow_root(r, b);
+    if (holds_block(r, b)) report_slow_root(r, b);
   }
   // (2) Fetch detour: re-aim active un-ACKed fetches at the lagging peer
   // toward a non-lagging survivor (ACKed fetches finish where they are —
@@ -1044,9 +989,7 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     BlockFetch& f = s.fetch[b];
     if (!f.active || f.acked || f.target != peer) continue;
-    if (s.block_received[b] == map_.chunks_per_block() ||
-        s.block_abandoned[b])
-      continue;
+    if (holds_block(r, b) || s.block_abandoned[b]) continue;
     bool det = false;
     const std::size_t next = fetch_target_of(r, r, r, &det);
     if (next == r || next == peer || peer_lagging(r, next)) continue;
@@ -1057,13 +1000,10 @@ void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
 
 void McastCollective::report_slow_root(std::size_t r, std::size_t block) {
   RankState& s = st_[r];
-  if (s.block_received[block] != map_.chunks_per_block()) return;
+  if (!holds_block(r, block)) return;
   s.slow_reported[block] = 1;
   const std::size_t c = coordinator_of(r, block);
-  telem().recorder.record(comm_.cluster().engine().now(),
-                          static_cast<std::int32_t>(r),
-                          telemetry::EventCat::kAdapt, "slow_root_report",
-                          block, c);
+  note(r, EventCat::kAdapt, "slow_root_report", block, c);
   if (c == r) {
     on_slow_root_report(r, block, r, true);
     return;
@@ -1088,19 +1028,13 @@ void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
   // taken on faith (the reporter checked its own bitmaps before sending);
   // a self-delivered claim is checked against this rank's bookkeeping.
   MCCL_VALIDATE_THAT(
-      src != r || s.block_received[block] == map_.chunks_per_block(),
-      "adapt.ownership_conservation",
+      src != r || holds_block(r, block), "adapt.ownership_conservation",
       "rank %zu: slow re-root of block %zu to itself while holding only "
       "%zu/%zu chunks",
       r, block, s.block_received[block], map_.chunks_per_block());
   s.slow_decision[block] = 1;
   ++res_.adapt_reroots;
-  const Time now = comm_.cluster().engine().now();
-  telemetry::Telemetry& te = telem();
-  te.recorder.record(now, static_cast<std::int32_t>(r),
-                     telemetry::EventCat::kAdapt, "slow_reroot", block, src);
-  if (te.tracer.enabled())
-    te.tracer.instant(comm_.ep(r).trace_track(), "slow_reroot", now, "coll");
+  note(r, EventCat::kAdapt, "slow_reroot", block, src, "slow_reroot");
   // The ordinary kReRoot broadcast moves the fetch-chain terminus; the slow
   // root stays alive and keeps multicasting (only slow-path ownership
   // moves). The displaced root gets the message too, so every future death
@@ -1134,26 +1068,21 @@ void McastCollective::arm_watchdog() {
 void McastCollective::on_watchdog() {
   if (done() || res_.failed) return;
   res_.watchdog_fired = true;
-  const Time now = comm_.cluster().engine().now();
   // Record the verdict per stuck rank, then dump the flight recorder: the
   // merged tail of recent packet/QP/collective/fault events around each
   // ring is the post-mortem evidence, replacing the old raw-state print.
-  telemetry::Telemetry& te = telem();
   std::size_t incomplete = 0;
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     const RankState& s = st_[r];
-    if (s.op_done) continue;
+    if (s.phase == Phase::kDone) continue;
     ++incomplete;
-    te.recorder.record(now, static_cast<std::int32_t>(r),
-                       telemetry::EventCat::kWatchdog, "rank_incomplete",
-                       s.received, s.expected);
-    if (te.tracer.enabled())
-      te.tracer.instant(comm_.ep(r).trace_track(), "watchdog", now, "coll");
+    note(r, EventCat::kWatchdog, "rank_incomplete", s.received, s.expected,
+         "watchdog");
   }
   std::fprintf(stderr, "[%s #%u] watchdog fired at t=%.3fus, %zu/%zu ranks "
                "incomplete:\n", name_.c_str(), static_cast<unsigned>(id()),
-               static_cast<double>(now) / 1e6, incomplete, comm_.size());
-  te.recorder.dump(stderr);
+               static_cast<double>(now()) / 1e6, incomplete, comm_.size());
+  telem().recorder.dump(stderr);
   fail_op("watchdog: " + std::to_string(incomplete) + "/" +
           std::to_string(comm_.size()) +
           " ranks incomplete past the op deadline (fabric partitioned or "
@@ -1197,7 +1126,7 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
       // confirmed dead is a posthumous straggler — ignore it.
       if (peer_dead(r, src)) break;
       const std::size_t block = msg.arg;
-      if (s.block_received[block] == map_.chunks_per_block()) {
+      if (holds_block(r, block)) {
         comm_.ep(r).ctrl_send(src, {CtrlType::kFetchAck, id(), msg.arg});
       } else {
         auto& waiters = s.fetch_waiters[block];
@@ -1232,20 +1161,42 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
 
 void McastCollective::check_op_done(std::size_t r) {
   RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || s.op_done || !s.data_complete) return;
+  if (res_.failed || rank_crashed(r) || s.phase != Phase::kHandshake) return;
   // Wait for the Final of whoever currently counts us as *their* left-alive
   // neighbor: our right-alive neighbor. A sole survivor waits on nobody.
   const std::size_t ra = right_alive_of(r);
   if (ra != r && !s.finals_from[ra]) return;
-  if (is_root(r) && !s.send_done) return;
-  s.op_done = true;
-  const Time now = comm_.cluster().engine().now();
-  const Time data_ready = std::max(s.t_data, s.t_send_done);
+  if (is_root(r) && s.subgroups_done < map_.subgroups) return;
+  enter(r, Phase::kDone);
+  rank_done(r);
+}
+
+void McastCollective::enter(std::size_t r, Phase to) {
+  RankState& s = st_[r];
+  // Before the op starts the only legal move is into kBarrier.
+  const bool started = s.entered[idx(Phase::kBarrier)] != kNever;
+  MCCL_VALIDATE_THAT(started ? (kPhaseEdges[idx(s.phase)] & bit(to)) != 0
+                             : to == Phase::kBarrier,
+                     "coll.phase_order",
+                     "rank %zu: illegal phase transition %s -> %s", r,
+                     started ? kPhaseNames[idx(s.phase)] : "(not started)",
+                     kPhaseNames[idx(to)]);
+  const Time t = now();
+  s.phase = to;
+  s.entered[idx(to)] = t;
+  if (to != Phase::kDone) return;
+  const Time start = s.entered[idx(Phase::kBarrier)];
+  const Time barrier_end = s.entered[idx(Phase::kFastPath)];
+  const Time data = s.entered[idx(Phase::kHandshake)];
+  const Time recovery_begin = s.entered[idx(Phase::kRecovery)];
+  const Time recovery = recovery_begin == kNever ? 0 : data - recovery_begin;
+  // A root's handshake starts once its own send has finished as well.
+  const Time data_ready = std::max(data, s.send_done_at);
   Phases& ph = phases_[r];
-  ph.barrier = s.t_barrier - s.t_start;
-  ph.reliability = s.t_recovery;
-  ph.transfer = (data_ready - s.t_barrier) - s.t_recovery;
-  ph.handshake = now - data_ready;
+  ph.barrier = barrier_end - start;
+  ph.reliability = recovery;
+  ph.transfer = (data_ready - barrier_end) - recovery;
+  ph.handshake = t - data_ready;
   // Phase spans on the rank's protocol row, cut from the same timestamps as
   // the Fig 10 phase timers: "multicast" covers transfer + reliability with
   // the recovery window nested inside it, so span sums reproduce the timer
@@ -1253,16 +1204,14 @@ void McastCollective::check_op_done(std::size_t r) {
   telemetry::Tracer& tracer = telem().tracer;
   if (tracer.enabled()) {
     const telemetry::TrackId track = comm_.ep(r).trace_track();
-    tracer.complete(track, "barrier", s.t_start, s.t_barrier, "coll");
-    tracer.complete(track, "multicast", s.t_barrier, data_ready, "coll");
-    if (s.recovering)
-      tracer.complete(track, "recovery", s.t_recovery_begin,
-                      s.t_recovery_begin + s.t_recovery, "coll");
-    if (s.repairing)
-      tracer.complete(track, "repair", s.t_repair_begin, now, "coll");
-    tracer.complete(track, "handshake", data_ready, now, "coll");
+    tracer.complete(track, "barrier", start, barrier_end, "coll");
+    tracer.complete(track, "multicast", barrier_end, data_ready, "coll");
+    if (recovery_begin != kNever)
+      tracer.complete(track, "recovery", recovery_begin, data, "coll");
+    if (s.repair_begin != kNever)
+      tracer.complete(track, "repair", s.repair_begin, t, "coll");
+    tracer.complete(track, "handshake", data_ready, t, "coll");
   }
-  rank_done(r);
 }
 
 bool McastCollective::validate_rank(std::size_t r) const {

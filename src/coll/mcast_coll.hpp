@@ -3,22 +3,30 @@
 // as a composition of such Broadcasts (Section IV).
 //
 // One class implements both: a Broadcast is the single-root special case.
-// Per-rank flow:
+// Each rank's receive side is in one phase at a time (Phase); Fig 10's
+// breakdown is cut at the phase boundaries:
 //
-//   start ──► RNR barrier (dissemination over the RC control plane)
-//         ──► [root, when chain-activated] send workers fragment the send
-//             buffer per subgroup and post multicast sends in doorbell
-//             batches; the last send's completion forwards the chain token
-//         ──► [leaf] receive workers poll subgroup CQs: PSN from the CQE
-//             immediate -> bitmap; UD chunks are DMA-copied from the staging
-//             ring to the user buffer, UC(-multicast) chunks land directly
-//         ──► cutoff timer (N/B_link + alpha): on expiry with missing
-//             chunks, fetch-ring recovery — ask the left neighbor, await its
-//             ACK (deferred until *it* is complete: recursion toward the
-//             root), then selectively RDMA-Read the missing chunks
-//         ──► final handshake: send Final left, await Final from the right
-//             (the right neighbor may still fetch from us until then)
-//         ──► buffer released; rank done.
+//   kBarrier -> kFastPath --------------> kHandshake -> kDone
+//                   `--> kRecovery -------^
+//
+//   kBarrier    RNR barrier (dissemination over the RC control plane).
+//   kFastPath   receive workers poll subgroup CQs: PSN from the CQE
+//               immediate -> bitmap; UD chunks are DMA-copied from the
+//               staging ring, UC(-multicast) chunks land directly. The
+//               cutoff timer (N/B_link + alpha) runs.
+//   kRecovery   the cutoff fired with chunks missing, or a crash re-root:
+//               fetch-ring recovery — ask the left neighbor, await its ACK
+//               (deferred until *it* holds the block: recursion toward the
+//               root), then selectively RDMA-Read the missing chunks.
+//   kHandshake  data complete: Final sent left, awaiting the right
+//               neighbor's Final (it may still fetch from us until then).
+//   kDone       buffer released; rank done.
+//
+// enter() makes every phase change and checks it against this table
+// ("coll.phase_order"). Beside the phases run a root's send half (once
+// chain-activated, send workers post its multicast sends in doorbell
+// batches; the last completion forwards the chain token; kDone waits for
+// it) and crash repair, which may start in any phase.
 //
 // Hardening beyond the paper (fault injection, see fabric/faults.hpp): a
 // fetch request that is not ACKed is retried with exponential backoff; after
@@ -69,6 +77,7 @@
 // All of it is inert (zero branches taken) when adaptation is disabled.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "src/coll/chunk_map.hpp"
@@ -86,6 +95,12 @@ class McastCollective : public OpBase {
   };
 
   McastCollective(Communicator& comm, std::string name, Params params);
+
+  /// A rank's receive-side phase, in protocol order (see the file comment
+  /// for the legal transitions).
+  enum class Phase : std::uint8_t { kBarrier, kFastPath, kRecovery,
+                                    kHandshake, kDone };
+  static constexpr std::size_t kPhases = 5;
 
   /// Fetch requests sent to one target before failing over to its left
   /// neighbor (skipping the unresponsive rank; the chain still ends at the
@@ -147,6 +162,9 @@ class McastCollective : public OpBase {
                                std::size_t src, bool holds_full) {
     on_slow_root_report(r, block, src, holds_full);
   }
+  /// Moves rank `r` straight to phase `to` — an edge the table lacks trips
+  /// "coll.phase_order".
+  void test_enter(std::size_t r, Phase to) { enter(r, to); }
 
  private:
   friend class Endpoint;  // fast-path chunk CQEs call on_chunk directly
@@ -165,15 +183,23 @@ class McastCollective : public OpBase {
     std::size_t reads_outstanding = 0;
   };
 
+  /// An entry time of a phase the rank has not entered.
+  static constexpr Time kNever = -1;
+
   struct RankState {
     std::uint64_t sendbuf = 0;
     std::uint64_t recvbuf = 0;
     int root_index = -1;  // block owned by this rank, -1 if leaf only
 
+    // Receive-side phase and the time the rank entered each phase (kNever
+    // if it has not). Only enter() writes them. A rank that leaves
+    // kRecovery keeps its entry time: the recovery span is cut from it.
+    Phase phase = Phase::kBarrier;
+    std::array<Time, kPhases> entered;
+
     // Barrier.
     std::size_t barrier_round = 0;
     std::vector<std::size_t> barrier_seen;
-    bool barrier_done = false;
 
     // Receive.
     std::vector<Bitmap> bitmaps;  // per subgroup, indexed by global chunk id
@@ -183,14 +209,15 @@ class McastCollective : public OpBase {
     // them are full or abandoned; data is complete when the two meet.
     std::size_t foreign_blocks = 0;
     std::size_t blocks_satisfied = 0;
+    // DMA copies still draining: a root's local copy of its own block,
+    // then one per UD chunk in the staging ring.
     std::size_t pending_copies = 0;
-    bool local_copy_done = false;
-    bool data_complete = false;
 
-    // Send.
+    // Send (roots only). Done when every subgroup's last send completed;
+    // it may finish after the rank's data is complete.
     bool send_active = false;
     std::size_t subgroups_done = 0;
-    bool send_done = false;
+    Time send_done_at = 0;
 
     // Reliability. Fetch coordination is *per block*: the fetch target
     // acks a block once it holds all of that block's chunks, so every
@@ -199,7 +226,6 @@ class McastCollective : public OpBase {
     // Allgather, as the paper notes). The target starts as the left
     // neighbor and walks further left on failover.
     std::uint64_t timer_gen = 0;
-    bool recovering = false;
     std::size_t pending_fetches = 0;
     std::vector<std::size_t> block_received;  // chunks held per block
     // Ranks whose fetch request for a block is deferred until we hold it.
@@ -208,13 +234,14 @@ class McastCollective : public OpBase {
 
     // Handshake. Finals are latched per source: after ring repair the
     // final may arrive from any survivor, not just the static right
-    // neighbor, and completion waits on the *right-alive* neighbor.
-    bool final_sent = false;
+    // neighbor, and completion waits on the *right-alive* neighbor. The
+    // Final goes out when the rank enters kHandshake.
     std::vector<char> finals_from;
     std::size_t final_sent_to = static_cast<std::size_t>(-1);
-    bool op_done = false;
 
     // Crash repair (deaths come from peer_dead(), never physical truth).
+    // It overlaps the phases; repair_begin is kNever until it starts.
+    Time repair_begin = kNever;
     std::vector<char> barrier_credited;  // per round: dead-sender credit
     std::vector<std::size_t> block_root;  // current root per block (re-root)
     std::vector<char> block_abandoned;    // kBlockDead received
@@ -225,19 +252,28 @@ class McastCollective : public OpBase {
     std::vector<std::uint8_t> block_reports;
     std::vector<std::uint8_t> block_decision;  // 0 pending, 1 reroot, 2 dead
     std::vector<std::size_t> block_new_root;
-    bool repairing = false;
-    Time t_repair_begin = 0;
 
     // Performance-fault adaptation (slow marks come from peer_lagging()).
     std::vector<char> slow_reported;  // per block: kSlowRoot report sent
     std::vector<char> slow_decision;  // per block: coordinator latch
-
-    // Timestamps for the Fig 10 phase breakdown.
-    Time t_start = 0, t_barrier = 0, t_data = 0, t_send_done = 0;
-    Time t_recovery_begin = 0, t_recovery = 0;
   };
 
   bool is_root(std::size_t r) const { return st_[r].root_index >= 0; }
+  /// Whether `r` holds every chunk of `block`.
+  bool holds_block(std::size_t r, std::size_t block) const {
+    return st_[r].block_received[block] == map_.chunks_per_block();
+  }
+  Time now() { return comm_.cluster().engine().now(); }
+  /// Records `event` for rank `r` in the flight recorder and, if `instant`
+  /// names one, marks it on the rank's trace row as well.
+  void note(std::size_t r, telemetry::EventCat cat, const char* event,
+            std::uint64_t a, std::uint64_t b, const char* instant = nullptr);
+  /// An instant named `name` on rank `r`'s trace row (tracing on only).
+  void trace_instant(std::size_t r, const char* name);
+  /// The one place a rank changes phase: checks the edge against the table
+  /// ("coll.phase_order"), stamps the entry time and, on kDone, fills the
+  /// rank's Fig 10 phases and trace spans.
+  void enter(std::size_t r, Phase to);
   /// Whether `r`'s failure detector has confirmed `p` dead (crash-stop:
   /// final once true). False without a detector.
   bool peer_dead(std::size_t r, std::size_t p) const;
@@ -283,9 +319,10 @@ class McastCollective : public OpBase {
   void satisfy_block(std::size_t r, std::size_t block);
   /// The O(blocks) recount that blocks_satisfied replaces (validators).
   std::size_t scan_blocks_satisfied(std::size_t r) const;
-  /// Sends (or re-sends, after ring repair) this rank's Final to its
-  /// current left-alive neighbor.
-  void send_final(std::size_t r);
+  /// Sends this rank's Final to its current left-alive neighbor unless it
+  /// already went there; after ring repair that re-sends it. Returns true
+  /// iff a Final went out.
+  bool send_final(std::size_t r);
 
   // Reliability.
   void arm_cutoff(std::size_t r);

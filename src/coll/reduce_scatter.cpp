@@ -136,7 +136,6 @@ void IncReduceScatter::on_result(std::size_t r, const rdma::Cqe& cqe) {
     s.payloads.erase(it);
   }
   if (++s.chunks_done == chunks_per_block_) {
-    s.op_done = true;
     phases_[r].transfer = comm_.cluster().engine().now() - res_.start;
     rank_done(r);
   }

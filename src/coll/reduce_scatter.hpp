@@ -28,7 +28,6 @@ class IncReduceScatter : public OpBase {
     std::size_t chunks_done = 0;
     rdma::Cq* result_cq = nullptr;  // INC results, charged on a recv worker
     std::unordered_map<std::uint32_t, fabric::Payload> payloads;
-    bool op_done = false;
   };
 
   void contribute_batch(std::size_t r, std::size_t peer_off,

@@ -317,6 +317,21 @@ TEST(Validate, SlowRootSelfClaimWithoutBlockDetected) {
   EXPECT_EQ(w.comm->finish(op).status, coll::OpStatus::kOk);
 }
 
+TEST(Validate, CollPhaseOrderDetected) {
+  SKIP_UNLESS_VALIDATE();
+  World w(5);
+  debug::ViolationTrap trap;
+  coll::OpBase& op =
+      w.comm->start_allgather(16 * 1024, coll::AllgatherAlgo::kMcast);
+  auto& mc = static_cast<coll::McastCollective&>(op);
+  ASSERT_TRUE(w.comm->finish(op).data_verified);
+  ASSERT_TRUE(trap.empty());  // every rank took only legal edges
+  // Rank 0 is done: a second handshake has no edge in the phase table.
+  mc.test_enter(0, coll::McastCollective::Phase::kHandshake);
+  EXPECT_TRUE(trap.tripped("coll.phase_order"));
+  EXPECT_EQ(trap.size(), 1u);
+}
+
 TEST(Validate, DetectorPrematureConfirmDetected) {
   SKIP_UNLESS_VALIDATE();
   World w(5);
