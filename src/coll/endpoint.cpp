@@ -97,12 +97,10 @@ void Endpoint::setup_subgroups() {
       g.staging_base =
           nic_.memory().alloc(static_cast<std::uint64_t>(cfg.staging_slots) *
                               cfg.chunk_bytes);
-      for (std::size_t i = 0; i < cfg.staging_slots; ++i) {
-        const std::uint64_t slot =
-            g.staging_base + static_cast<std::uint64_t>(i) * cfg.chunk_bytes;
-        g.ud->post_recv({.wr_id = slot, .laddr = slot,
-                         .len = cfg.chunk_bytes});
-      }
+      g.ud->post_recv_ring({.wr_id = g.staging_base,
+                            .laddr = g.staging_base,
+                            .len = cfg.chunk_bytes},
+                           cfg.chunk_bytes, cfg.staging_slots);
       g.posted = cfg.staging_slots;
     } else {
       g.uc = &nic_.create_uc_qp(g.scq, g.rcq);

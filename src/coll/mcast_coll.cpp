@@ -480,10 +480,14 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
   // Without the reliability layer there is no slow path; the watchdog is
   // the only thing standing between a lossy fabric and a hang.
   if (!comm_.config().reliability) return;
-  if (s.phase == Phase::kRecovery) return;
-  enter(r, Phase::kRecovery);
-  note(r, EventCat::kColl, "cutoff_recovery", id(), s.expected - s.received,
-       "cutoff");
+  // An eager crash re-root may have put the rank in recovery already, with
+  // a fetch for the re-rooted block only: the cutoff still fetches the
+  // rest.
+  if (s.phase != Phase::kRecovery) {
+    enter(r, Phase::kRecovery);
+    note(r, EventCat::kColl, "cutoff_recovery", id(),
+         s.expected - s.received, "cutoff");
+  }
   // Health plane: *differential* lateness only. In a uniformly lossy world
   // every block is a little short at cutoff — that indicts the fabric, not
   // any root. A slow root shows as one block far behind (< half the chunks
@@ -515,7 +519,7 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
          static_cast<std::uint64_t>(-1), tgt);
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     if (static_cast<int>(b) == s.root_index) continue;
-    if (!holds_block(r, b) && !s.block_abandoned[b]) {
+    if (!holds_block(r, b) && !s.block_abandoned[b] && !s.fetch[b].active) {
       if (detoured) ++res_.fetch_detours;
       start_fetch(r, b, tgt);
     }
@@ -1071,22 +1075,27 @@ void McastCollective::on_watchdog() {
   // Record the verdict per stuck rank, then dump the flight recorder: the
   // merged tail of recent packet/QP/collective/fault events around each
   // ring is the post-mortem evidence, replacing the old raw-state print.
+  // Crashed ranks are not waited on; only survivors count.
   std::size_t incomplete = 0;
+  std::size_t survivors = 0;
   for (std::size_t r = 0; r < comm_.size(); ++r) {
     const RankState& s = st_[r];
+    if (rank_crashed(r)) continue;
+    ++survivors;
     if (s.phase == Phase::kDone) continue;
     ++incomplete;
     note(r, EventCat::kWatchdog, "rank_incomplete", s.received, s.expected,
          "watchdog");
   }
-  std::fprintf(stderr, "[%s #%u] watchdog fired at t=%.3fus, %zu/%zu ranks "
-               "incomplete:\n", name_.c_str(), static_cast<unsigned>(id()),
-               static_cast<double>(now()) / 1e6, incomplete, comm_.size());
+  std::fprintf(stderr, "[%s #%u] watchdog fired at t=%.3fus, %zu/%zu "
+               "surviving ranks incomplete:\n", name_.c_str(),
+               static_cast<unsigned>(id()), static_cast<double>(now()) / 1e6,
+               incomplete, survivors);
   telem().recorder.dump(stderr);
   fail_op("watchdog: " + std::to_string(incomplete) + "/" +
-          std::to_string(comm_.size()) +
-          " ranks incomplete past the op deadline (fabric partitioned or "
-          "recovery disabled)");
+          std::to_string(survivors) +
+          " surviving ranks incomplete past the op deadline (fabric "
+          "partitioned or recovery disabled)");
 }
 
 // --------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 // collective is one of these:
 //  - the fabric's per-direction virtual-lane queues (Fabric::LaneState),
 //  - the NIC's per-QP egress queues (Nic::tx_queues_),
-//  - the RDMA receive queue (Qp), the RC transmit queue and inflight
-//    window (RcQp),
+//  - the stored part of the RDMA receive queue (Qp), the RC transmit
+//    queue and inflight window (RcQp),
 //  - the completion queue (Cq) and a worker's posted tasks and dispatch
 //    order (exec::Worker).
 // std::deque pays block-map indirection and (on libstdc++) a heap

@@ -12,27 +12,57 @@ Qp::Qp(Nic& nic, std::uint32_t qpn, Cq* send_cq, Cq* recv_cq)
 void Qp::post_recv(const RecvWr& wr) {
   MCCL_CHECK_MSG(recv_queue_depth() < nic_.config().max_recv_queue,
                  "receive queue overflow");
-  if (rq_.empty() && wr.wr_id == 0 && wr.laddr == 0 && wr.len == 0) {
-    ++rq_blanks_;
+  if (!rq_.empty()) {
+    rq_.push(wr);
     return;
   }
-  rq_.push(wr);
+  if (run_.count > 0) {
+    if (wr == run_.slot((run_.head + run_.count) % run_.slots))
+      ++run_.count;
+    else
+      rq_.push(wr);
+    return;
+  }
+  // The queue is empty: restart the run at `wr`, on the same ring when
+  // `wr` is one of its slots (a staging repost out of drain order).
+  if (run_.stride == 0) {
+    if (wr != run_.first) run_ = RecvRun{.first = wr};
+  } else if (const std::uint64_t i =
+                 (wr.laddr - run_.first.laddr) / run_.stride;
+             i < run_.slots && wr == run_.slot(i)) {
+    run_.head = i;
+  } else {
+    run_ = RecvRun{.first = wr};
+  }
+  run_.count = 1;
 }
 
-void Qp::post_blank_recvs(std::size_t n) {
+void Qp::post_recv_ring(const RecvWr& first, std::uint64_t stride,
+                        std::size_t n) {
   MCCL_CHECK_MSG(recv_queue_depth() + n <= nic_.config().max_recv_queue,
                  "receive queue overflow");
-  if (rq_.empty()) {
-    rq_blanks_ += n;
+  if (n == 0) return;
+  if (recv_queue_depth() == 0) {
+    run_ = RecvRun{.first = first,
+                   .stride = stride,
+                   .slots = stride == 0 ? 1 : n,
+                   .count = n};
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) rq_.push(RecvWr{});
+  MCCL_CHECK_MSG(stride == 0, "a receive ring goes into an empty queue");
+  if (rq_.empty() && run_.stride == 0 && first == run_.first) {
+    run_.count += n;  // more of the same WR: blank credits
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) rq_.push(first);
 }
 
 RecvWr Qp::rq_pop() {
-  if (rq_blanks_ > 0) {
-    --rq_blanks_;
-    return RecvWr{};
+  if (run_.count > 0) {
+    const RecvWr wr = run_.slot(run_.head);
+    if (++run_.head == run_.slots) run_.head = 0;
+    --run_.count;
+    return wr;
   }
   MCCL_CHECK(!rq_.empty());
   return rq_.pop();

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 
 #include "src/common/crc32c.hpp"
@@ -46,6 +47,7 @@ struct RecvWr {
   std::uint64_t wr_id = 0;
   std::uint64_t laddr = 0;
   std::uint32_t len = 0;
+  bool operator==(const RecvWr&) const = default;
 };
 
 /// Flags shared by all post_* calls.
@@ -64,11 +66,26 @@ class Qp {
   std::uint32_t qpn() const { return qpn_; }
 
   void post_recv(const RecvWr& wr);
+  /// Posts a receive ring of `n` slots `stride` bytes apart: slot i is
+  /// {first.wr_id + i * stride, first.laddr + i * stride, first.len}. Same
+  /// effect as posting the `n` slots in order, in O(1). A ring with
+  /// stride != 0 (the UD staging ring) goes into an empty queue only; n
+  /// copies of one WR (stride 0, blank credits) may go behind anything.
+  void post_recv_ring(const RecvWr& first, std::uint64_t stride,
+                      std::size_t n);
   /// Posts `n` blank receive WRs (all fields zero), the credits of control
-  /// QPs and UC write-with-imm: same effect as `n` post_recv({}) calls, in
-  /// O(1) when the stored part of the queue is empty.
-  void post_blank_recvs(std::size_t n);
-  std::size_t recv_queue_depth() const { return rq_blanks_ + rq_.size(); }
+  /// QPs and UC write-with-imm.
+  void post_blank_recvs(std::size_t n) { post_recv_ring({}, 0, n); }
+  std::size_t recv_queue_depth() const { return run_.count + rq_.size(); }
+  /// Cells the stored part of the receive queue has allocated: 0 while
+  /// every WR posted so far joined the run.
+  std::size_t stored_recv_capacity() const { return rq_.capacity(); }
+  /// Test hook (tests/test_rdma_ud.cpp): consumes the head receive WR as an
+  /// arriving message would; nullopt when none is posted (an RNR drop).
+  std::optional<RecvWr> test_consume_recv() {
+    if (rq_empty()) return std::nullopt;
+    return rq_pop();
+  }
 
   virtual void on_packet(const fabric::PacketPtr& packet) = 0;
 
@@ -92,7 +109,7 @@ class Qp {
   std::uint16_t qos_weight() const { return qos_weight_; }
 
  protected:
-  bool rq_empty() const { return rq_blanks_ == 0 && rq_.empty(); }
+  bool rq_empty() const { return recv_queue_depth() == 0; }
   RecvWr rq_pop();
   void complete_send(const SendFlags& flags, std::uint32_t byte_len,
                      Time when);
@@ -107,11 +124,26 @@ class Qp {
   std::uint32_t qpn_;
   Cq* send_cq_;
   Cq* recv_cq_;
-  // Receive queue, bounded by NicConfig::max_recv_queue. Blank WRs (all
-  // fields zero: the credits of control QPs and UC write-with-imm) at the
-  // head are only counted — they come out ahead of everything in rq_.
-  // A blank posted behind an addressed WR is stored, keeping FIFO order.
-  std::size_t rq_blanks_ = 0;
+  // Receive queue, bounded by NicConfig::max_recv_queue. Its head is one
+  // counted run over a ring of `slots` WRs; WR j of the run is slot
+  // (head + j) mod slots. A UD staging ring is one run; blank credits (all
+  // fields zero: control QPs, UC write-with-imm) are the run with stride 0
+  // and one slot. A WR that is the run's next slot extends it while rq_ is
+  // empty; a drained run restarts at any WR, keeping its ring if the WR is
+  // one of its slots. Every other WR is stored in rq_ behind the run, and
+  // once rq_ holds one, every later WR is stored until the queue drains,
+  // so FIFO order holds; rq_pop serves the run first.
+  struct RecvRun {
+    RecvWr first;              // slot 0
+    std::uint64_t stride = 0;  // bytes (and wr_id) between slots
+    std::uint64_t slots = 1;
+    std::uint64_t head = 0;    // slot of the run's first WR
+    std::size_t count = 0;
+    RecvWr slot(std::uint64_t i) const {
+      return {first.wr_id + i * stride, first.laddr + i * stride, first.len};
+    }
+  };
+  RecvRun run_;
   Ring<RecvWr> rq_;
   std::uint16_t tenant_ = 0;
   std::uint8_t data_vl_ = fabric::kBulkLane;

@@ -236,6 +236,35 @@ TEST(Reliability, UdStagingSlotsReturnAfterLossyOps) {
   }
 }
 
+TEST(Reliability, FaultFreeStagingRingsStayOneRun) {
+  // Fault-free, every staging slot is reposted in the order it was
+  // consumed (the DMA engine drains in FIFO order), so each UD receive
+  // queue stays one counted run and never stores a WR. Three ops wrap
+  // each 256-slot ring more than twice.
+  constexpr std::size_t kRanks = 8;
+  CommConfig cfg;
+  cfg.subgroups = 2;
+  cfg.staging_slots = 256;
+  World w(kRanks, cfg);
+  for (int i = 0; i < 3; ++i) {
+    const OpResult res = w.comm->allgather(256 * 1024, AllgatherAlgo::kMcast);
+    ASSERT_TRUE(res.data_verified) << "op " << i;
+    ASSERT_EQ(res.rnr_drops, 0u) << "op " << i;
+    ASSERT_EQ(res.fetched_chunks, 0u) << "op " << i;
+    w.cluster->engine().run();
+    for (std::size_t r = 0; r < kRanks; ++r) {
+      Endpoint& ep = w.comm->ep(r);
+      std::size_t depth = 0;
+      for (std::size_t s = 0; s < ep.num_subgroups(); ++s) {
+        const rdma::UdQp& qp = *ep.subgroup(s).ud;
+        EXPECT_EQ(qp.stored_recv_capacity(), 0u) << "rank " << r;
+        depth += qp.recv_queue_depth();
+      }
+      EXPECT_EQ(depth, cfg.subgroups * cfg.staging_slots) << "rank " << r;
+    }
+  }
+}
+
 TEST(Reliability, DropsOnControlPlaneAreAbsorbedByRc) {
   // Control packets (barrier, final) ride RC: random loss there must only
   // delay, never corrupt.
@@ -438,6 +467,60 @@ TEST(Reliability, MassCrashLeavesSoleSurvivorDegradedButDone) {
                          {{"result", to_string(res.status)}})
                 .value(),
             1u);
+}
+
+/// A 64 KiB multicast Allgather on 8 ranks over two leaves of four hosts
+/// under two spines, with 2% uniform loss and rank 0 crashing at 30 us.
+OpResult crash_under_loss(bool reliability,
+                          std::vector<std::int32_t>* incomplete) {
+  CommConfig cfg = quick_recovery();
+  cfg.reliability = reliability;
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.burst.drop_good = 0.02;
+  kcfg.fabric.seed = 77;
+  kcfg.fabric.faults.events = {
+      fabric::FaultEvent::node_crash(30 * kMicrosecond, 0)};
+  Cluster cluster(fabric::make_fat_tree(2, 4, 2, 1, {}, {}), kcfg);
+  std::vector<fabric::NodeId> ids;
+  for (std::size_t h = 0; h < 8; ++h)
+    ids.push_back(static_cast<fabric::NodeId>(h));
+  Communicator comm(cluster, ids, cfg);
+  const OpResult res = comm.allgather(64 * 1024, AllgatherAlgo::kMcast);
+  if (incomplete != nullptr)
+    for (const auto& e : cluster.telemetry().recorder.merged())
+      if (std::string(e.what) == "rank_incomplete")
+        incomplete->push_back(e.node);
+  return res;
+}
+
+TEST(Reliability, EagerReRootBeforeCutoffStillFetchesEveryBlock) {
+  // Rank 6's barrier waits on the dead rank 0 (through rank 2), so the
+  // eager block-0 re-root reaches it in the fast path: it enters recovery
+  // fetching block 0 only. Its cutoff must still fetch the other blocks
+  // it lacks, or it never completes and the watchdog fails the op.
+  const OpResult res = crash_under_loss(true, nullptr);
+  EXPECT_FALSE(res.failed) << res.error;
+  EXPECT_FALSE(res.watchdog_fired);
+  EXPECT_TRUE(res.data_verified);
+  EXPECT_EQ(res.crashed_ranks, (std::vector<std::size_t>{0}));
+  EXPECT_GE(res.reroots, 1u);
+  EXPECT_GE(res.fetched_chunks, 1u);
+}
+
+TEST(Reliability, WatchdogCountsSurvivorsOnly) {
+  // Without the slow path the lossy op dies by watchdog. The dead rank is
+  // not waited on: the verdict and the flight-recorder records name
+  // surviving ranks only.
+  std::vector<std::int32_t> incomplete;
+  const OpResult res = crash_under_loss(false, &incomplete);
+  ASSERT_TRUE(res.failed);
+  ASSERT_TRUE(res.watchdog_fired);
+  EXPECT_FALSE(incomplete.empty());
+  for (const std::int32_t rank : incomplete) EXPECT_NE(rank, 0);
+  const std::string expect = "watchdog: " +
+                             std::to_string(incomplete.size()) +
+                             "/7 surviving ranks incomplete";
+  EXPECT_EQ(res.error.rfind(expect, 0), 0u) << res.error;
 }
 
 TEST(Reliability, DetectorConfirmationsAreExactAndPosthumousIgnored) {
