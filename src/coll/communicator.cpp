@@ -138,9 +138,6 @@ void OpBase::settle() {
   if (res.watchdog_fired) reg.counter("coll.watchdog_fired").add(1);
   reg.counter("coll.reroots").add(res.reroots);
   reg.counter("coll.missing_blocks").add(res.missing_blocks.size());
-  reg.counter("coll.adapt.slow_reroots").add(res.adapt_reroots);
-  reg.counter("coll.adapt.chain_demotions").add(res.chain_demotions);
-  reg.counter("coll.adapt.fetch_detours").add(res.fetch_detours);
   reg.histogram("coll.op_duration_us", {{"op", name_}})
       .observe(to_microseconds(res.duration()));
   comm_.note_op_finished();
@@ -190,11 +187,8 @@ Communicator::~Communicator() {
 
 void Communicator::on_detector_msg(std::size_t r, const CtrlMsg& msg,
                                    std::size_t src) {
-  // The health monitor piggybacks on the heartbeat: gap samples cost
-  // nothing extra.
   if (msg.type == CtrlType::kHeartbeat) {
     detector_->on_heartbeat(r, src);
-    if (health_) health_->on_heartbeat(r, src);
   } else if (msg.type == CtrlType::kDead) {
     detector_->on_dead_notice(r, src, msg.arg);
   }
@@ -203,17 +197,11 @@ void Communicator::on_detector_msg(std::size_t r, const CtrlMsg& msg,
 // The fan-outs below walk ops_ by index, up to the op count at entry: an op
 // that settles inside the loop runs its on_done callback, which may start a
 // new op and so grow (reallocate) ops_. Ops started inside the loop are not
-// notified; they read the detector, monitor and crash state live.
+// notified; they read the detector and crash state live.
 
 void Communicator::notify_peer_dead(std::size_t observer, std::size_t peer) {
   for (std::size_t i = 0, n = ops_.size(); i < n; ++i)
     if (!ops_[i]->done()) ops_[i]->on_peer_confirmed_dead(observer, peer);
-}
-
-void Communicator::notify_peer_slow(std::size_t observer, std::size_t peer,
-                                   bool slow) {
-  for (std::size_t i = 0, n = ops_.size(); i < n; ++i)
-    if (!ops_[i]->done()) ops_[i]->on_peer_slow(observer, peer, slow);
 }
 
 std::uint8_t Communicator::claim_mcast_tag(McastCollective* op) {
@@ -386,7 +374,7 @@ OpResult Communicator::finish(OpBase& op) {
 
 void Communicator::note_op_loss(bool lossy) {
   if (lossy) {
-    adaptive_alpha_ = std::max(config_.cutoff_alpha_min, adaptive_alpha_ / 2);
+    adaptive_alpha_ = std::max(kCutoffAlphaMin, adaptive_alpha_ / 2);
   } else if (adaptive_alpha_ < config_.cutoff_alpha) {
     adaptive_alpha_ = std::min(config_.cutoff_alpha, adaptive_alpha_ * 2);
   }

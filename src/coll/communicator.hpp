@@ -66,11 +66,6 @@ struct CommConfig {
   /// A fetch request that is not ACKed within this window is retried with
   /// exponential backoff (x2 per attempt).
   Time fetch_retry_timeout = 150 * kMicrosecond;
-  /// The effective cutoff alpha tightens after an op that observed loss
-  /// (halved per lossy op down to `cutoff_alpha_min`, relaxed back toward
-  /// `cutoff_alpha` after clean ops) — recovery starts sooner on a fabric
-  /// known to be misbehaving.
-  Time cutoff_alpha_min = 25 * kMicrosecond;
 
   // --- crash tolerance -------------------------------------------------------
   /// Lease-based failure detector (heartbeats on the RC control mesh while
@@ -83,9 +78,9 @@ struct CommConfig {
   DetectorConfig detector;
 
   // --- performance-fault adaptation ------------------------------------------
-  /// Online health plane (health_monitor.hpp): per-peer slowness scores and
-  /// per-link health drive slow-root re-ownership, fetch detours, chain
-  /// demotion and weighted-ECMP steering. Off by default (static baseline).
+  /// Online health plane (health_monitor.hpp): per-link health drives
+  /// weighted-ECMP steering and multicast subgroup re-pinning. Off by
+  /// default (static baseline).
   HealthConfig adapt;
 
   std::optional<exec::DatapathCosts> costs_override;  // else by engine kind
@@ -157,13 +152,6 @@ struct OpResult {
   std::vector<std::size_t> crashed_ranks;
   /// Dead block roots successfully replaced by a surviving full holder.
   std::uint64_t reroots = 0;
-  // --- performance-fault adaptation ------------------------------------------
-  /// Alive-but-slow block roots replaced by a full holder (kSlowRoot).
-  std::uint64_t adapt_reroots = 0;
-  /// Chain-token passes that overlapped a lagging root instead of waiting.
-  std::uint64_t chain_demotions = 0;
-  /// Fetch requests steered away from a lagging target.
-  std::uint64_t fetch_detours = 0;
 };
 
 // Benches name their result rows by these integer values, so they are
@@ -330,15 +318,6 @@ class OpBase {
     (void)observer;
     (void)peer;
   }
-  /// Health-plane channel: `observer`'s monitor marked `peer` slow (or
-  /// cleared it). Adaptive ops override this to shift work away from (or
-  /// back to) the peer; the default ignores it.
-  virtual void on_peer_slow(std::size_t observer, std::size_t peer,
-                            bool slow) {
-    (void)observer;
-    (void)peer;
-    (void)slow;
-  }
   /// Control-QP or data-QP message `msg` from `src` arrived at rank `r`
   /// (Endpoint dispatch by op id). The default fails: an op that sends no
   /// control messages must never receive one.
@@ -408,8 +387,13 @@ class Communicator {
   }
   bool data_mode() const;  // false when the cluster runs payload-free
 
+  /// Floor of the effective cutoff alpha. After an op that observed loss
+  /// the alpha halves, down to this floor; after a clean op it doubles,
+  /// back up to `config().cutoff_alpha` (note_op_loss). Recovery starts
+  /// sooner on a fabric known to be misbehaving.
+  static constexpr Time kCutoffAlphaMin = 25 * kMicrosecond;
   /// Cutoff slack currently in effect: equal to `config().cutoff_alpha`
-  /// until an op observes loss, then adaptively tightened (see CommConfig).
+  /// until an op observes loss, then adaptively tightened.
   Time effective_cutoff_alpha() const { return adaptive_alpha_; }
 
   // --- crash tolerance -------------------------------------------------------
@@ -453,9 +437,6 @@ class Communicator {
   /// op in flight when the notice arrives (OpBase::on_peer_confirmed_dead);
   /// an op that an on_done callback starts during the fan-out is skipped.
   void notify_peer_dead(std::size_t observer, std::size_t peer);
-  /// Health-monitor notice: `observer` marked `peer` slow (or cleared it).
-  /// Forwards like notify_peer_dead (OpBase::on_peer_slow).
-  void notify_peer_slow(std::size_t observer, std::size_t peer, bool slow);
   /// Takes the next fast-path op tag (8 bits, 1..255, recycled) for `op`,
   /// which owns it until a later op claims it again. Validate builds report
   /// "coll.tag_alias" when the previous owner is still running.
@@ -503,8 +484,8 @@ class Communicator {
   OpBase* find_op(std::uint16_t id) const {
     return id < op_by_id_.size() ? op_by_id_[id] : nullptr;
   }
-  /// Op-id-0 control message at rank `r`: heartbeats feed the detector and
-  /// the health monitor, kDead notices the detector. Requires the detector.
+  /// Op-id-0 control message at rank `r`: heartbeats and kDead notices
+  /// feed the detector. Requires the detector.
   void on_detector_msg(std::size_t r, const CtrlMsg& msg, std::size_t src);
   void note_op_loss(bool lossy);
   /// RNR drops on every rank's multicast subgroup QPs.

@@ -43,12 +43,7 @@ enum class CtrlType : std::uint8_t {
   kBlockReport = 8,  // arg = | block:15 | holds_full:1 |
   kReRoot = 9,       // arg = | block:8 | new_root:8 |
   kBlockDead = 10,   // no survivor holds the block (arg = block)
-  // Performance-fault adaptation (health plane). A rank whose health view
-  // marks a block's root as slow reports to the block's coordinator whether
-  // it holds the full block; the coordinator re-roots fetch responsibility
-  // at the first full holder via the ordinary kReRoot broadcast (the root
-  // stays alive — no census quorum and never a kBlockDead verdict).
-  kSlowRoot = 11,    // arg = | block:15 | holds_full:1 |
+  // 11 is retired (it carried slow-root reports); left unused.
   // Death notice on op id 0: the sender confirmed `arg` dead from its own
   // leases and tells every rank it still holds alive (failure_detector.hpp).
   kDead = 12,        // arg = dead rank

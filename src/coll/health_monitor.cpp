@@ -10,14 +10,9 @@ namespace mccl::coll {
 
 // The hysteresis bands and EWMA weights are fixed; these are the relations
 // the policies rely on.
-static_assert(HealthMonitor::kEwmaAlpha > 0.0 &&
-              HealthMonitor::kEwmaAlpha <= 1.0);
-static_assert(HealthMonitor::kHeartbeatAlpha > 0.0 &&
-              HealthMonitor::kHeartbeatAlpha <= 1.0);
-static_assert(HealthMonitor::kSlowEnter > HealthMonitor::kSlowExit);
 static_assert(HealthMonitor::kDropEnter > HealthMonitor::kDropExit);
 static_assert(HealthMonitor::kBacklogEnter > HealthMonitor::kBacklogExit);
-static_assert(HealthMonitor::kDwell >= 1 && HealthMonitor::kLinkDwell >= 1);
+static_assert(HealthMonitor::kLinkDwell >= 1);
 static_assert(HealthMonitor::kSeverityAlpha > 0.0 &&
               HealthMonitor::kSeverityAlpha <= 1.0);
 static_assert(HealthMonitor::kTrendAlpha > 0.0 &&
@@ -25,8 +20,7 @@ static_assert(HealthMonitor::kTrendAlpha > 0.0 &&
 static_assert(HealthMonitor::kRiskEnter > HealthMonitor::kRiskExit);
 
 HealthMonitor::HealthMonitor(Communicator& comm, HealthConfig cfg)
-    : comm_(comm), cfg_(cfg), n_(comm.size()) {
-  peers_.assign(n_ * n_, PeerHealth{});
+    : comm_(comm), cfg_(cfg) {
   links_.assign(comm_.cluster().fabric().topology().num_dirs(), LinkHealth{});
   // Sampler phase: decorrelated from the detector ticks and the fabric's
   // fault RNG, drawn once for deterministic replay.
@@ -34,8 +28,6 @@ HealthMonitor::HealthMonitor(Communicator& comm, HealthConfig cfg)
   sample_phase_ = static_cast<Time>(
       rng.below(static_cast<std::uint64_t>(kSampleInterval)));
   telemetry::MetricsRegistry& reg = comm_.cluster().telemetry().metrics;
-  ctr_slow_marks_ = &reg.counter("coll.adapt.slow_marks");
-  ctr_slow_clears_ = &reg.counter("coll.adapt.slow_clears");
   ctr_link_deweights_ = &reg.counter("coll.adapt.link_deweights");
   ctr_link_restores_ = &reg.counter("coll.adapt.link_restores");
   ctr_predict_marks_ = &reg.counter("coll.adapt.predict_marks");
@@ -63,92 +55,6 @@ void HealthMonitor::schedule_sample(std::uint64_t gen) {
     sample_phase_ = 0;  // phase applies to the first sample of a window only
     schedule_sample(gen);
   });
-}
-
-void HealthMonitor::observe(std::size_t observer, std::size_t peer,
-                            double sample, double alpha) {
-  if (observer == peer) return;
-  PeerHealth& h = peers_[observer * n_ + peer];
-  h.ewma = alpha * sample + (1.0 - alpha) * h.ewma;
-  if (!h.slow) {
-    if (h.ewma >= kSlowEnter) {
-      if (++h.enter_dwell >= kDwell) set_slow(observer, peer, true);
-    } else {
-      h.enter_dwell = 0;
-    }
-  } else {
-    if (h.ewma <= kSlowExit) {
-      if (++h.exit_dwell >= kDwell) set_slow(observer, peer, false);
-    } else {
-      h.exit_dwell = 0;
-    }
-  }
-}
-
-void HealthMonitor::set_slow(std::size_t observer, std::size_t peer,
-                             bool slow) {
-  PeerHealth& h = peers_[observer * n_ + peer];
-  if (h.slow == slow) return;
-  h.slow = slow;
-  h.enter_dwell = 0;
-  h.exit_dwell = 0;
-  ++h.transitions;
-  // A pair flipping more often than the bound means the hysteresis band is
-  // too narrow for the signal (or a policy feeds back into its own input).
-  MCCL_VALIDATE_THAT(h.transitions <= kMaxTransitions,
-                     "adapt.oscillation",
-                     "observer %zu flipped peer %zu slow-state %u times "
-                     "(bound %u)",
-                     observer, peer, h.transitions, kMaxTransitions);
-  if (slow) {
-    ++slow_marks_;
-    ctr_slow_marks_->add(1);
-  } else {
-    ++slow_clears_;
-    ctr_slow_clears_->add(1);
-  }
-  telemetry::Telemetry& te = comm_.cluster().telemetry();
-  te.recorder.record(comm_.cluster().engine().now(),
-                     static_cast<std::int32_t>(comm_.ep(observer).host()),
-                     telemetry::EventCat::kAdapt,
-                     slow ? "peer_slow" : "peer_slow_clear", peer,
-                     static_cast<std::uint64_t>(h.ewma * 100.0));
-  comm_.notify_peer_slow(observer, peer, slow);
-}
-
-void HealthMonitor::on_heartbeat(std::size_t observer, std::size_t src) {
-  if (observer == src) return;
-  PeerHealth& h = peers_[observer * n_ + src];
-  const Time now = comm_.cluster().engine().now();
-  if (h.last_heartbeat >= 0 && h.heartbeat_window == generation_) {
-    const Time gap = now - h.last_heartbeat;
-    const double nominal = static_cast<double>(
-        comm_.config().detector.heartbeat_interval);
-    if (nominal > 0 && gap > 0)
-      observe(observer, src, static_cast<double>(gap) / nominal,
-              kHeartbeatAlpha);
-  }
-  h.last_heartbeat = now;
-  h.heartbeat_window = generation_;
-}
-
-void HealthMonitor::note_fetch_ack(std::size_t observer, std::size_t peer,
-                                   Time latency) {
-  const double nominal =
-      static_cast<double>(comm_.config().fetch_retry_timeout);
-  if (nominal <= 0) return;
-  const double sample =
-      std::min(static_cast<double>(latency) / nominal, kTimeoutSample);
-  observe(observer, peer, sample, kEwmaAlpha);
-}
-
-void HealthMonitor::note_fetch_timeout(std::size_t observer,
-                                       std::size_t peer) {
-  observe(observer, peer, kTimeoutSample, kEwmaAlpha);
-}
-
-void HealthMonitor::note_block_late(std::size_t observer, std::size_t root) {
-  observe(observer, root, kTimeoutSample, kEwmaAlpha);
 }
 
 void HealthMonitor::sample_links() {
@@ -189,24 +95,7 @@ void HealthMonitor::sample_links() {
                               kDropExit * static_cast<double>(pkt_delta));
     if (!lh.unhealthy) {
       if (drops_bad || backlog >= kBacklogEnter) {
-        if (++lh.bad_windows >= kLinkDwell) {
-          lh.unhealthy = true;
-          lh.bad_windows = 0;
-          lh.good_windows = 0;
-          ++lh.transitions;
-          MCCL_VALIDATE_THAT(lh.transitions <= kMaxTransitions,
-                             "adapt.oscillation",
-                             "link dir %zu flipped health %u times (bound "
-                             "%u)",
-                             dir, lh.transitions, kMaxTransitions);
-          ++link_deweights_;
-          ctr_link_deweights_->add(1);
-          comm_.cluster().telemetry().recorder.record(
-              comm_.cluster().engine().now(), -1, telemetry::EventCat::kAdapt,
-              "link_deweight", dir, static_cast<std::uint64_t>(backlog));
-          reweight_node_of(dir);
-          reweight_host_rails();
-        }
+        if (++lh.bad_windows >= kLinkDwell) set_unhealthy(dir, true, backlog);
       } else {
         lh.bad_windows = 0;
       }
@@ -218,25 +107,42 @@ void HealthMonitor::sample_links() {
       // traffic right back onto a still-degraded trunk.
       if (pkt_delta >= cfg_.min_window_packets && drops_good &&
           backlog <= kBacklogExit) {
-        if (++lh.good_windows >= kLinkDwell) {
-          lh.unhealthy = false;
-          lh.bad_windows = 0;
-          lh.good_windows = 0;
-          ++lh.transitions;
-          ++link_restores_;
-          ctr_link_restores_->add(1);
-          comm_.cluster().telemetry().recorder.record(
-              comm_.cluster().engine().now(), -1, telemetry::EventCat::kAdapt,
-              "link_restore", dir, static_cast<std::uint64_t>(backlog));
-          reweight_node_of(dir);
-          reweight_host_rails();
-        }
+        if (++lh.good_windows >= kLinkDwell)
+          set_unhealthy(dir, false, backlog);
       } else {
         lh.good_windows = 0;
       }
     }
     score_trend(dir, severity);
   }
+}
+
+void HealthMonitor::set_unhealthy(std::size_t dir, bool unhealthy,
+                                  Time backlog) {
+  LinkHealth& lh = links_[dir];
+  lh.unhealthy = unhealthy;
+  lh.bad_windows = 0;
+  lh.good_windows = 0;
+  ++lh.transitions;
+  // A direction flipping more often than the bound means the hysteresis
+  // band is too narrow for the signal (or a policy feeds back into its own
+  // input).
+  MCCL_VALIDATE_THAT(lh.transitions <= kMaxTransitions, "adapt.oscillation",
+                     "link dir %zu flipped health %u times (bound %u)", dir,
+                     lh.transitions, kMaxTransitions);
+  if (unhealthy) {
+    ++link_deweights_;
+    ctr_link_deweights_->add(1);
+  } else {
+    ++link_restores_;
+    ctr_link_restores_->add(1);
+  }
+  comm_.cluster().telemetry().recorder.record(
+      comm_.cluster().engine().now(), -1, telemetry::EventCat::kAdapt,
+      unhealthy ? "link_deweight" : "link_restore", dir,
+      static_cast<std::uint64_t>(backlog));
+  reweight_node_of(dir);
+  reweight_host_rails();
 }
 
 void HealthMonitor::score_trend(std::size_t dir, double severity) {
@@ -336,10 +242,9 @@ void HealthMonitor::reweight_node_of(std::size_t dir) {
   }
 }
 
-void HealthMonitor::test_force_flap(std::size_t observer, std::size_t peer,
-                                    std::uint32_t n) {
+void HealthMonitor::test_force_flips(std::size_t dir, std::uint32_t n) {
   for (std::uint32_t i = 0; i < n; ++i)
-    set_slow(observer, peer, (i % 2) == 0);
+    set_unhealthy(dir, !links_[dir].unhealthy, 0);
 }
 
 }  // namespace mccl::coll

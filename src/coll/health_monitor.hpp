@@ -3,41 +3,27 @@
 // Crash tolerance (failure_detector.hpp) handles the binary failure mode;
 // this component handles the harder one from "Don't Let a Few Network
 // Failures Slow the Entire AllReduce" (PAPERS.md): *silent degradation* —
-// a lossy-but-alive link or a straggling host that throttles the whole
-// bandwidth-optimal collective to the speed of its slowest participant.
+// a lossy-but-alive link that throttles the whole bandwidth-optimal
+// collective to the speed of its slowest path.
 //
-// The monitor maintains two kinds of sim-time health scores:
-//
-//  - Per-peer (per observer): an EWMA of normalized service samples fed by
-//    the protocol layers — heartbeat inter-arrival gaps (reusing the
-//    failure detector's control plane, so only from the ring neighbours
-//    that heartbeat the observer), fetch request->ack latencies,
-//    fetch retry timeouts, and blocks still incomplete at cutoff while
-//    their root is alive. A peer whose score stays above `kSlowEnter` for
-//    `kDwell` consecutive samples is marked *slow*; it is cleared again
-//    after `kDwell` consecutive samples at or below `kSlowExit`
-//    (enter/exit hysteresis plus dwell prevents flapping). Transitions fan
-//    out to in-flight collectives, which shift block-root responsibility
-//    away from slow roots (CtrlType::kSlowRoot), detour fetch chains
-//    around lagging ranks, and demote lagging roots out of the chain
-//    token's critical path.
-//
-//  - Per-link-direction: a periodic (seeded-phase) sampler over the
-//    fabric's DirCounters and serializer backlogs. A direction whose
-//    windowed drop fraction or serializer backlog stays bad for
-//    `kLinkDwell` consecutive windows is deweighted in the fabric's ECMP
-//    tables (Fabric::set_dir_weight): its siblings at the same node get
-//    `kHealthyWeight`, the bad direction `kLossyWeight`, steering unicast
-//    flows (fetch reads, control) around lossy-but-alive paths the binary
-//    viability table would keep using. Restoration is symmetric.
+// The monitor scores link directions, not peers: a periodic (seeded-phase)
+// sampler over the fabric's DirCounters and serializer backlogs. A
+// direction whose windowed drop fraction or serializer backlog stays bad
+// for `kLinkDwell` consecutive windows is deweighted in the fabric's ECMP
+// tables (Fabric::set_dir_weight): its siblings at the same node get
+// `kHealthyWeight`, the bad direction `kLossyWeight`, steering unicast
+// flows (fetch reads, control) around lossy-but-alive paths the binary
+// viability table would keep using. Restoration is symmetric and needs
+// evidence (clean traffic actually crossing the link). The communicator
+// re-pins multicast subgroups off a rail with unhealthy directions, and a
+// predictive trend scorer flags directions about to go sick for the
+// cluster scheduler's admission controller.
 //
 // Everything is driven by engine events at simulated times with
 // deterministic inputs, so identical seeds replay bit-identically. The
-// validator plane guards the policies: "adapt.oscillation" fires when one
-// peer or direction flips state more than `kMaxTransitions` times
-// (hysteresis misconfigured or a feedback loop), and the collectives'
-// "adapt.ownership_conservation" checks every slow re-root decision names
-// an alive full holder.
+// validator plane guards the policy: "adapt.oscillation" fires when one
+// direction flips health more than `kMaxTransitions` times (hysteresis
+// misconfigured or a feedback loop).
 #pragma once
 
 #include <cstdint>
@@ -66,26 +52,7 @@ struct HealthConfig {
 
 class HealthMonitor {
  public:
-  /// Every per-observer slow-state transition (slow=true on mark, false on
-  /// clear) reaches the communicator's ops through
-  /// Communicator::notify_peer_slow, in transition order.
   HealthMonitor(Communicator& comm, HealthConfig cfg);
-
-  // --- per-peer slowness scoring -------------------------------------------
-  /// EWMA weight of a new protocol sample (fetch ack/timeout, late block).
-  static constexpr double kEwmaAlpha = 0.25;
-  /// EWMA weight of a heartbeat-gap sample. Heartbeats are frequent and
-  /// barely delayed by compute stragglers (they only cross the app worker),
-  /// so they act as slow decay toward "nominal" rather than a trigger.
-  static constexpr double kHeartbeatAlpha = 0.05;
-  /// Normalized score thresholds (1.0 = nominal service). Enter above,
-  /// exit below, `kDwell` consecutive qualifying samples each way.
-  static constexpr double kSlowEnter = 1.8;
-  static constexpr double kSlowExit = 1.2;
-  static constexpr std::uint32_t kDwell = 2;
-  /// Sample value for a fetch retry timeout / block-late-at-cutoff event
-  /// (both mean service is at least this many nominal units late).
-  static constexpr double kTimeoutSample = 3.0;
 
   // --- per-link-direction health -------------------------------------------
   /// Sampling period of the fabric sweep (runs only while ops are in
@@ -135,8 +102,9 @@ class HealthMonitor {
   static constexpr double kRiskEnter = 1.0;
   static constexpr double kRiskExit = 0.5;
 
-  /// Validator bound ("adapt.oscillation"): state flips per peer pair or
-  /// per direction beyond this report a violation in MCCL_VALIDATE builds.
+  /// Validator bound ("adapt.oscillation"): health flips (deweights and
+  /// restores) per direction beyond this report a violation in
+  /// MCCL_VALIDATE builds.
   static constexpr std::uint32_t kMaxTransitions = 8;
 
   /// Op lifecycle: the link sampler runs only while ops are in flight.
@@ -144,27 +112,7 @@ class HealthMonitor {
   void note_op_finished();
   bool active() const { return active_ops_ > 0; }
 
-  // --- observation hooks (wired by communicator / collectives) -------------
-  /// Heartbeat receipt at `observer` from `src` (same control-plane event
-  /// the failure detector consumes). Only gaps between two heartbeats of
-  /// one activation window are sampled: idle time between ops is not slow
-  /// service.
-  void on_heartbeat(std::size_t observer, std::size_t src);
-  /// A fetch request to `peer` was ACKed after `latency` of sim time.
-  void note_fetch_ack(std::size_t observer, std::size_t peer, Time latency);
-  /// A fetch request to `peer` hit its retry timeout.
-  void note_fetch_timeout(std::size_t observer, std::size_t peer);
-  /// At cutoff, `observer` was still missing chunks of a block whose root
-  /// is alive — the root (or its path) is late, not dead.
-  void note_block_late(std::size_t observer, std::size_t root);
-
   // --- health queries ------------------------------------------------------
-  bool slow(std::size_t observer, std::size_t peer) const {
-    return peers_[observer * n_ + peer].slow;
-  }
-  double score(std::size_t observer, std::size_t peer) const {
-    return peers_[observer * n_ + peer].ewma;
-  }
   bool dir_unhealthy(std::size_t dir) const { return links_[dir].unhealthy; }
   bool dir_at_risk(std::size_t dir) const { return links_[dir].at_risk; }
   /// Unhealthy link directions on `rail`'s plane (host links count toward
@@ -172,17 +120,15 @@ class HealthMonitor {
   std::size_t unhealthy_dirs_on_rail(int rail) const;
 
   // --- decision counters (coll.adapt.* metrics) ----------------------------
-  std::uint64_t slow_marks() const { return slow_marks_; }
-  std::uint64_t slow_clears() const { return slow_clears_; }
   std::uint64_t link_deweights() const { return link_deweights_; }
   std::uint64_t link_restores() const { return link_restores_; }
   std::uint64_t predict_marks() const { return predict_marks_; }
   std::uint64_t predict_clears() const { return predict_clears_; }
 
-  /// Validate-build fault-injection hook: forces `n` mark/clear flips on
-  /// one pair, tripping "adapt.oscillation" once the bound is exceeded.
-  void test_force_flap(std::size_t observer, std::size_t peer,
-                       std::uint32_t n);
+  /// Validate-build fault-injection hook: forces `n` health flips on
+  /// direction `dir` (deweight, restore, ...), tripping "adapt.oscillation"
+  /// once the bound is exceeded.
+  void test_force_flips(std::size_t dir, std::uint32_t n);
   /// Test hook: feeds one synthetic severity window into the predictive
   /// trend scorer for `dir` (the same path sample_links() drives), so unit
   /// tests can replay an exact degradation ramp without shaping traffic.
@@ -191,15 +137,6 @@ class HealthMonitor {
   }
 
  private:
-  struct PeerHealth {
-    double ewma = 1.0;  // normalized service score (1.0 = nominal)
-    Time last_heartbeat = -1;
-    std::uint64_t heartbeat_window = 0;  // generation_ of last_heartbeat
-    std::uint32_t enter_dwell = 0;
-    std::uint32_t exit_dwell = 0;
-    bool slow = false;
-    std::uint32_t transitions = 0;
-  };
   struct LinkHealth {
     std::uint64_t last_packets = 0;
     std::uint64_t last_drops = 0;
@@ -213,10 +150,11 @@ class HealthMonitor {
     bool at_risk = false;
   };
 
-  void observe(std::size_t observer, std::size_t peer, double sample,
-               double alpha);
-  void set_slow(std::size_t observer, std::size_t peer, bool slow);
   void sample_links();
+  /// The one place a direction changes health: counts the flip against
+  /// `kMaxTransitions`, publishes it (`backlog` is the window's peak, for
+  /// the flight recorder) and re-weights ECMP around it.
+  void set_unhealthy(std::size_t dir, bool unhealthy, Time backlog);
   /// One predictive-scorer step for `dir` on a fresh window severity.
   void score_trend(std::size_t dir, double severity);
   void schedule_sample(std::uint64_t gen);
@@ -232,22 +170,16 @@ class HealthMonitor {
 
   Communicator& comm_;
   HealthConfig cfg_;
-  std::size_t n_;                  // communicator size
-  std::vector<PeerHealth> peers_;  // observer * n_ + peer
   std::vector<LinkHealth> links_;  // per fabric link direction
   std::size_t active_ops_ = 0;
   std::uint64_t generation_ = 0;  // invalidates samplers across idle windows
   Time sample_phase_ = 0;         // deterministic first-sample offset
 
-  std::uint64_t slow_marks_ = 0;
-  std::uint64_t slow_clears_ = 0;
   std::uint64_t link_deweights_ = 0;
   std::uint64_t link_restores_ = 0;
   std::uint64_t predict_marks_ = 0;
   std::uint64_t predict_clears_ = 0;
   // Registry references resolved once at wiring time.
-  telemetry::Counter* ctr_slow_marks_ = nullptr;
-  telemetry::Counter* ctr_slow_clears_ = nullptr;
   telemetry::Counter* ctr_link_deweights_ = nullptr;
   telemetry::Counter* ctr_link_restores_ = nullptr;
   telemetry::Counter* ctr_predict_marks_ = nullptr;

@@ -97,8 +97,6 @@ McastCollective::McastCollective(Communicator& comm, std::string name,
     s.block_reports.assign(p_.roots.size() * P, 0);
     s.block_decision.assign(p_.roots.size(), 0);
     s.block_new_root.assign(p_.roots.size(), 0);
-    s.slow_reported.assign(p_.roots.size(), 0);
-    s.slow_decision.assign(p_.roots.size(), 0);
     s.bitmaps.reserve(map_.subgroups);
     for (std::size_t sg = 0; sg < map_.subgroups; ++sg)
       s.bitmaps.emplace_back(map_.total_chunks());
@@ -140,11 +138,6 @@ void McastCollective::start() {
 bool McastCollective::peer_dead(std::size_t r, std::size_t p) const {
   const FailureDetector* det = comm_.detector();
   return det != nullptr && det->dead(r, p);
-}
-
-bool McastCollective::peer_lagging(std::size_t r, std::size_t p) const {
-  const HealthMonitor* hm = comm_.health();
-  return hm != nullptr && hm->slow(r, p);
 }
 
 void McastCollective::note(std::size_t r, EventCat cat, const char* event,
@@ -315,25 +308,13 @@ void McastCollective::on_subgroup_sent(std::size_t r, std::size_t sg) {
   // Pass the activation token to the next root in the chain that is still
   // alive. The root after a skipped (dead) one may also self-activate once
   // it confirms the death itself — token and repair are deliberately
-  // redundant, and activation is idempotent. A *lagging* successor still
-  // gets its token (it must send eventually) but no longer gates the
-  // healthy tail: the walk continues to the first non-lagging survivor,
-  // which is activated concurrently (chain demotion — the laggard's
-  // multicast window overlaps the healthy chain instead of serializing it).
+  // redundant, and activation is idempotent.
   int next = schedule_.successor(static_cast<std::size_t>(s.root_index));
-  while (next >= 0) {
-    const std::size_t root = p_.roots[static_cast<std::size_t>(next)];
-    if (peer_dead(r, root)) {
-      next = schedule_.successor(static_cast<std::size_t>(next));
-      continue;
-    }
-    comm_.ep(r).ctrl_send(root, {CtrlType::kChainToken, id(), 0});
-    if (!peer_lagging(r, root)) break;
-    ++res_.chain_demotions;
-    note(r, EventCat::kAdapt, "chain_demote", root,
-         static_cast<std::uint64_t>(next));
+  while (next >= 0 && peer_dead(r, p_.roots[static_cast<std::size_t>(next)]))
     next = schedule_.successor(static_cast<std::size_t>(next));
-  }
+  if (next >= 0)
+    comm_.ep(r).ctrl_send(p_.roots[static_cast<std::size_t>(next)],
+                          {CtrlType::kChainToken, id(), 0});
   check_op_done(r);
 }
 
@@ -480,7 +461,7 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
   // Without the reliability layer there is no slow path; the watchdog is
   // the only thing standing between a lossy fabric and a hang.
   if (!comm_.config().reliability) return;
-  // An eager crash re-root may have put the rank in recovery already, with
+  // A crash re-root may have put the rank in recovery already, with
   // a fetch for the re-rooted block only: the cutoff still fetches the
   // rest.
   if (s.phase != Phase::kRecovery) {
@@ -488,55 +469,20 @@ void McastCollective::on_cutoff(std::size_t r, std::uint64_t gen) {
     note(r, EventCat::kColl, "cutoff_recovery", id(),
          s.expected - s.received, "cutoff");
   }
-  // Health plane: *differential* lateness only. In a uniformly lossy world
-  // every block is a little short at cutoff — that indicts the fabric, not
-  // any root. A slow root shows as one block far behind (< half the chunks
-  // of the best-progressed peer block); only those roots are sampled. Fed
-  // first — a resulting slow mark re-enters this op through on_peer_slow,
-  // so the target pick below sees the freshest lagging view.
-  if (HealthMonitor* hm = comm_.health()) {
-    std::size_t best = 0;
-    for (std::size_t b = 0; b < p_.roots.size(); ++b)
-      if (static_cast<int>(b) != s.root_index &&
-          s.block_received[b] > best)
-        best = s.block_received[b];
-    for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-      if (static_cast<int>(b) == s.root_index) continue;
-      if (s.block_received[b] * 2 < best && !s.block_abandoned[b] &&
-          !peer_dead(r, s.block_root[b]) && s.block_root[b] != r)
-        hm->note_block_late(r, s.block_root[b]);
-    }
-  }
   // One fetch request per incomplete block: the target acks each block as
   // soon as it holds it in full. The first target is the left-alive
-  // neighbor (the static left neighbor unless it already died), detoured
-  // past lagging survivors when the health plane marked any.
-  bool detoured = false;
-  const std::size_t tgt = fetch_target_of(r, r, r, &detoured);
+  // neighbor (the static left neighbor unless it already died).
+  const std::size_t tgt = fetch_target_of(r, r, r);
   if (tgt == r) return;  // sole survivor: nothing to fetch from
-  if (detoured)
-    note(r, EventCat::kAdapt, "fetch_detour",
-         static_cast<std::uint64_t>(-1), tgt);
   for (std::size_t b = 0; b < p_.roots.size(); ++b) {
     if (static_cast<int>(b) == s.root_index) continue;
-    if (!holds_block(r, b) && !s.block_abandoned[b] && !s.fetch[b].active) {
-      if (detoured) ++res_.fetch_detours;
+    if (!holds_block(r, b) && !s.block_abandoned[b] && !s.fetch[b].active)
       start_fetch(r, b, tgt);
-    }
   }
 }
 
 void McastCollective::on_block_complete(std::size_t r, std::size_t block) {
   RankState& s = st_[r];
-  // Deferred slow-root report: the first ranks to assemble a lagging
-  // root's block in full are exactly the ownership candidates — report as
-  // soon as we qualify (the on_peer_slow sweep only catches blocks already
-  // held full at mark time).
-  if (comm_.health() != nullptr && static_cast<int>(block) != s.root_index &&
-      !s.slow_reported[block] && !s.block_abandoned[block] &&
-      s.block_root[block] != r && peer_lagging(r, s.block_root[block]) &&
-      !peer_dead(r, s.block_root[block]))
-    report_slow_root(r, block);
   // Serve every rank whose fetch request was deferred until we held the
   // block (pre-hardening this could only be the right neighbor).
   for (const std::size_t waiter : s.fetch_waiters[block])
@@ -559,7 +505,6 @@ void McastCollective::start_fetch(std::size_t r, std::size_t block,
   f.target = target;
   f.attempts = 1;
   f.reads_outstanding = 0;
-  f.sent_at = now();
   ++f.gen;
   note(r, EventCat::kColl, event, block, target);
   comm_.ep(r).ctrl_send(target, {CtrlType::kFetchReq, id(),
@@ -585,20 +530,11 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
   if (res_.failed || rank_crashed(r) || !f.active || f.acked || gen != f.gen)
     return;
   if (holds_block(r, block) || s.block_abandoned[block]) return;
-  // Health plane: an unanswered fetch request is the strongest slow signal.
-  // Fed before acting — the resulting slow mark may detour this very fetch
-  // (through on_peer_slow), which bumps f.gen; bail out if it did.
-  if (HealthMonitor* hm = comm_.health()) {
-    hm->note_fetch_timeout(r, f.target);
-    if (!f.active || f.acked || gen != f.gen) return;
-    if (holds_block(r, block) || s.block_abandoned[block]) return;
-  }
   if (f.attempts < kFetchRetryCap) {
     // Same target, another request: the original (or its ACK) may have
     // been lost on a degraded link.
     ++f.attempts;
     ++res_.fetch_retries;
-    f.sent_at = now();
     note(r, EventCat::kColl, "fetch_retry", block, f.target, "fetch_retry");
     comm_.ep(r).ctrl_send(f.target, {CtrlType::kFetchReq, id(),
                                      static_cast<std::uint16_t>(block)});
@@ -606,14 +542,12 @@ void McastCollective::on_fetch_retry(std::size_t r, std::size_t block,
     return;
   }
   // Retries exhausted: the target is unreachable or stuck. Fail over one
-  // step further left, skipping ranks this rank knows are dead and
-  // detouring past lagging ones. The chain still terminates at the block
-  // root (which completes its block through the local copy); if even the
-  // root is unreachable the watchdog ends the op.
-  bool detoured = false;
-  const std::size_t next = fetch_target_of(r, f.target, f.target, &detoured);
+  // step further left, skipping ranks this rank knows are dead. The chain
+  // still terminates at the block root (which completes its block through
+  // the local copy); if even the root is unreachable the watchdog ends the
+  // op.
+  const std::size_t next = fetch_target_of(r, f.target, f.target);
   if (next == r) return;  // nowhere else to go
-  if (detoured) note_detour(r, block, next);
   ++res_.fetch_failovers;
   trace_instant(r, "fetch_failover");
   start_fetch(r, block, next, "fetch_failover");
@@ -628,11 +562,6 @@ void McastCollective::on_fetch_ack(std::size_t r, std::size_t block,
   if (f.acked) return;  // duplicate ACK (retry raced the original)
   f.acked = true;
   ++f.gen;  // cancel pending retry timers
-  // Health plane: request->ACK latency of the serving target (measured
-  // from the latest request — retries reset the clock).
-  HealthMonitor* hm = comm_.health();
-  if (hm != nullptr && f.active && src == f.target)
-    hm->note_fetch_ack(r, src, now() - f.sent_at);
   note(r, EventCat::kColl, "fetch_ack", block, src);
   // Collect this block's chunks still missing at ACK time (some may have
   // raced in through the multicast path).
@@ -752,11 +681,9 @@ void McastCollective::repair_fetches(std::size_t r, std::size_t dead) {
     if (holds_block(r, b) || s.block_abandoned[b]) continue;
     ++res_.fetch_failovers;
     note(r, EventCat::kColl, "fetch_dead_target", b, dead);
-    bool det = false;
-    const std::size_t next = fetch_target_of(r, dead, r, &det);
+    const std::size_t next = fetch_target_of(r, dead, r);
     // No surviving target: root repair decides the block.
     if (next == r) continue;
-    if (det) note_detour(r, b, next);
     start_fetch(r, b, next);
   }
 }
@@ -887,17 +814,11 @@ void McastCollective::send_decision_to(std::size_t r, std::size_t block,
 }
 
 void McastCollective::apply_reroot(std::size_t r, std::size_t block,
-                                   std::size_t new_root, bool eager) {
+                                   std::size_t new_root) {
   RankState& s = st_[r];
-  const std::size_t old_root = s.block_root[block];
   s.block_root[block] = new_root;  // future root-deaths census against this
-  // One *slow* re-root per block per op, cluster-wide: re-rooting moves the
-  // coordinator (right of the new root), whose slow_decision latch would
-  // otherwise be fresh — lagging marks on the new root would cascade the
-  // ownership around the ring.
-  if (!eager) s.slow_decision[block] = 1;
-  // A *slow* re-root reaches the displaced root alive: it owns the block's
-  // data by construction and must never fetch it.
+  // A block's original root owns its data by construction and never
+  // fetches it.
   if (static_cast<int>(block) == s.root_index) return;
   if (s.block_abandoned[block] || rank_crashed(r) ||
       s.phase >= Phase::kHandshake)
@@ -906,15 +827,6 @@ void McastCollective::apply_reroot(std::size_t r, std::size_t block,
   BlockFetch& f = s.fetch[block];
   // Reads already in flight from a live holder will complete; leave them.
   if (f.active && f.acked) return;
-  if (!eager) {
-    // Lazy re-root: the multicast is still delivering, so nobody rushes to
-    // the slow path (an eager fan-in of every incomplete rank on the one
-    // full holder costs more than the laggard does). Only a fetch already
-    // pointed at the displaced root is re-aimed at the new terminus.
-    if (f.active && f.target == old_root && new_root != r)
-      start_fetch(r, block, new_root);
-    return;
-  }
   if (s.phase != Phase::kRecovery) enter(r, Phase::kRecovery);
   if (new_root != r) start_fetch(r, block, new_root);
 }
@@ -931,126 +843,11 @@ void McastCollective::apply_block_dead(std::size_t r, std::size_t block) {
   check_data_complete(r);
 }
 
-// --------------------------------------------------------------------------
-// Performance-fault adaptation. Driven by the communicator's health monitor
-// (slow marks fan out through on_peer_slow exactly like death confirmations
-// through on_peer_confirmed_dead); everything here is per-observer view,
-// deterministic, and inert when adaptation is disabled.
-// --------------------------------------------------------------------------
-
 std::size_t McastCollective::fetch_target_of(std::size_t r, std::size_t from,
-                                             std::size_t stop,
-                                             bool* detoured) const {
-  const fabric::Topology& topo = comm_.cluster().fabric().topology();
-  const fabric::NodeId here = comm_.ep(r).host();
-  std::size_t first_alive = r;
-  int base_dist = 0;
-  for (std::size_t x = left_of(from); x != stop; x = left_of(x)) {
-    if (x == r || peer_dead(r, x)) continue;
-    if (first_alive == r) {
-      first_alive = x;
-      base_dist = topo.distance(here, comm_.ep(x).host());
-    }
-    // A detour must never trade a slow peer for a longer path: a
-    // cross-leaf hop rides trunks the health plane may not have scored
-    // yet, and a degraded trunk costs far more than any laggard.
-    if (!peer_lagging(r, x) &&
-        topo.distance(here, comm_.ep(x).host()) <= base_dist) {
-      *detoured = x != first_alive;
-      return x;
-    }
-  }
-  *detoured = false;
-  return first_alive;  // r itself when no other survivor exists
-}
-
-void McastCollective::note_detour(std::size_t r, std::size_t block,
-                                  std::size_t target) {
-  ++res_.fetch_detours;
-  note(r, EventCat::kAdapt, "fetch_detour", block, target);
-}
-
-void McastCollective::on_peer_slow(std::size_t observer, std::size_t peer,
-                                   bool slow) {
-  const std::size_t r = observer;
-  RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r) || s.phase == Phase::kDone) return;
-  // A clear only stops future avoidance: detours and re-roots already made
-  // stay (they are correct either way, and undoing them would oscillate).
-  if (!slow) return;
-  if (peer_dead(r, peer)) return;  // crash repair owns dead peers
-  // (1) Slow-root re-ownership: for each block the lagging peer currently
-  // roots, report to the block's coordinator if we already hold it in full
-  // (ranks completing later report from on_block_complete).
-  for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-    if (s.block_root[b] != peer) continue;
-    if (s.block_abandoned[b] || s.slow_reported[b]) continue;
-    if (holds_block(r, b)) report_slow_root(r, b);
-  }
-  // (2) Fetch detour: re-aim active un-ACKed fetches at the lagging peer
-  // toward a non-lagging survivor (ACKed fetches finish where they are —
-  // the RDMA Reads are already in flight).
-  for (std::size_t b = 0; b < p_.roots.size(); ++b) {
-    BlockFetch& f = s.fetch[b];
-    if (!f.active || f.acked || f.target != peer) continue;
-    if (holds_block(r, b) || s.block_abandoned[b]) continue;
-    bool det = false;
-    const std::size_t next = fetch_target_of(r, r, r, &det);
-    if (next == r || next == peer || peer_lagging(r, next)) continue;
-    note_detour(r, b, next);
-    start_fetch(r, b, next);
-  }
-}
-
-void McastCollective::report_slow_root(std::size_t r, std::size_t block) {
-  RankState& s = st_[r];
-  if (!holds_block(r, block)) return;
-  s.slow_reported[block] = 1;
-  const std::size_t c = coordinator_of(r, block);
-  note(r, EventCat::kAdapt, "slow_root_report", block, c);
-  if (c == r) {
-    on_slow_root_report(r, block, r, true);
-    return;
-  }
-  MCCL_CHECK(block < (std::size_t{1} << 15));
-  comm_.ep(r).ctrl_send(c, {CtrlType::kSlowRoot, id(),
-                            static_cast<std::uint16_t>((block << 1) | 1u)});
-}
-
-void McastCollective::on_slow_root_report(std::size_t r, std::size_t block,
-                                          std::size_t src, bool holds_full) {
-  RankState& s = st_[r];
-  if (res_.failed || rank_crashed(r)) return;
-  if (!holds_full) return;  // only a full holder can take ownership
-  if (s.slow_decision[block] != 0 || s.block_decision[block] != 0 ||
-      s.block_abandoned[block])
-    return;  // already decided (or the dead census owns this block)
-  if (peer_dead(r, s.block_root[block]) || peer_dead(r, src)) return;
-  if (src == s.block_root[block]) return;
-  // Ownership conservation: a slow re-root hands the block's slow-path
-  // responsibility to a rank that really holds all of it. Remote claims are
-  // taken on faith (the reporter checked its own bitmaps before sending);
-  // a self-delivered claim is checked against this rank's bookkeeping.
-  MCCL_VALIDATE_THAT(
-      src != r || holds_block(r, block), "adapt.ownership_conservation",
-      "rank %zu: slow re-root of block %zu to itself while holding only "
-      "%zu/%zu chunks",
-      r, block, s.block_received[block], map_.chunks_per_block());
-  s.slow_decision[block] = 1;
-  ++res_.adapt_reroots;
-  note(r, EventCat::kAdapt, "slow_reroot", block, src, "slow_reroot");
-  // The ordinary kReRoot broadcast moves the fetch-chain terminus; the slow
-  // root stays alive and keeps multicasting (only slow-path ownership
-  // moves). The displaced root gets the message too, so every future death
-  // census agrees on who owns the block.
-  MCCL_CHECK(block < 256 && src < 256);
-  for (std::size_t x = 0; x < comm_.size(); ++x) {
-    if (x == r || peer_dead(r, x)) continue;
-    comm_.ep(r).ctrl_send(
-        x, {CtrlType::kReRoot, id(),
-            static_cast<std::uint16_t>((block << 8) | src)});
-  }
-  apply_reroot(r, block, src, /*eager=*/false);
+                                             std::size_t stop) const {
+  for (std::size_t x = left_of(from); x != stop; x = left_of(x))
+    if (x != r && !peer_dead(r, x)) return x;
+  return r;  // no other survivor
 }
 
 // --------------------------------------------------------------------------
@@ -1150,15 +947,8 @@ void McastCollective::on_ctrl(std::size_t r, const CtrlMsg& msg,
     case CtrlType::kBlockReport:
       on_block_report(r, msg.arg >> 1, src, (msg.arg & 1u) != 0);
       break;
-    case CtrlType::kSlowRoot:
-      on_slow_root_report(r, msg.arg >> 1, src, (msg.arg & 1u) != 0);
-      break;
     case CtrlType::kReRoot:
-      // Eager only when the displaced root is dead from this rank's view
-      // (crash census); a slow re-root's old root is alive and keeps
-      // multicasting, so the receiver stays lazy.
-      apply_reroot(r, msg.arg >> 8, msg.arg & 0xffu,
-                   peer_dead(r, s.block_root[msg.arg >> 8]));
+      apply_reroot(r, msg.arg >> 8, msg.arg & 0xffu);
       break;
     case CtrlType::kBlockDead:
       apply_block_dead(r, msg.arg);

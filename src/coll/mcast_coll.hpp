@@ -33,8 +33,8 @@
 // `kFetchRetryCap` attempts the rank fails over to the target's own left
 // neighbor (skipping the unresponsive rank — the chain still terminates at
 // the block root, which owns its block). Every choice of fetch target, the
-// first one at cutoff, failover, crash repair and slow-peer detours, is one
-// leftward walk (fetch_target_of). An op-level watchdog (a multiple of
+// first one at cutoff, failover and crash repair, is one leftward walk
+// (fetch_target_of). An op-level watchdog (a multiple of
 // the cutoff deadline) dumps protocol state and fails the op with a
 // structured OpResult error when no recovery path exists (e.g. a partitioned
 // fabric), instead of hanging the simulation.
@@ -58,23 +58,6 @@
 //    with the exact missing-block set) instead of hanging or failing whole.
 // Ranks that physically crashed are settled by OpBase::note_rank_crashed;
 // the watchdog remains the backstop for the undetectable cases.
-//
-// Performance-fault adaptation (third hardening pass, driven by the
-// communicator's HealthMonitor when enabled): a peer the monitor marks slow
-// for a rank (HealthMonitor::slow, read live) *lags* in that rank's view —
-// alive but slow. On a slow mark, a rank
-//  - detours its fetch chains around lagging targets (preferring the first
-//    non-lagging survivor to its left; the lagging rank stays the fallback),
-//  - reports a lagging block root to the block's coordinator once it holds
-//    the block in full (CtrlType::kSlowRoot); the coordinator re-roots the
-//    block's fetch responsibility at that holder via the ordinary kReRoot
-//    broadcast — no census quorum, since the root is alive and keeps
-//    multicasting; only the slow-path ownership moves,
-//  - and demotes lagging roots out of the chain token's critical path:
-//    on_subgroup_sent passes the token to each lagging successor *and*
-//    keeps walking to the first non-lagging one, overlapping the laggard's
-//    multicast window instead of serializing behind it.
-// All of it is inert (zero branches taken) when adaptation is disabled.
 #pragma once
 
 #include <array>
@@ -116,8 +99,6 @@ class McastCollective : public OpBase {
   bool verify() const override;
   void on_peer_confirmed_dead(std::size_t observer,
                               std::size_t peer) override;
-  void on_peer_slow(std::size_t observer, std::size_t peer,
-                    bool slow) override;
 
   std::uint64_t recvbuf_addr(std::size_t rank) const {
     return st_[rank].recvbuf;
@@ -155,13 +136,6 @@ class McastCollective : public OpBase {
                                 std::size_t src, bool holds_full) {
     on_block_report(r, block, src, holds_full);
   }
-  /// Feeds a slow-root report straight into the coordinator state machine —
-  /// a self-claimed full holding that the bitmaps contradict trips
-  /// "adapt.ownership_conservation".
-  void test_inject_slow_report(std::size_t r, std::size_t block,
-                               std::size_t src, bool holds_full) {
-    on_slow_root_report(r, block, src, holds_full);
-  }
   /// Moves rank `r` straight to phase `to` — an edge the table lacks trips
   /// "coll.phase_order".
   void test_enter(std::size_t r, Phase to) { enter(r, to); }
@@ -176,7 +150,6 @@ class McastCollective : public OpBase {
     std::size_t target = 0;    // rank currently being asked
     std::size_t attempts = 0;  // requests sent to the current target
     std::uint64_t gen = 0;     // invalidates in-flight retry timers
-    Time sent_at = 0;          // last request send (health latency samples)
     // RDMA Reads posted to the ACKing target and not yet completed. If the
     // target crashes, these never complete; the repair path discounts them
     // from pending_fetches and restarts the walk.
@@ -252,10 +225,6 @@ class McastCollective : public OpBase {
     std::vector<std::uint8_t> block_reports;
     std::vector<std::uint8_t> block_decision;  // 0 pending, 1 reroot, 2 dead
     std::vector<std::size_t> block_new_root;
-
-    // Performance-fault adaptation (slow marks come from peer_lagging()).
-    std::vector<char> slow_reported;  // per block: kSlowRoot report sent
-    std::vector<char> slow_decision;  // per block: coordinator latch
   };
 
   bool is_root(std::size_t r) const { return st_[r].root_index >= 0; }
@@ -277,9 +246,6 @@ class McastCollective : public OpBase {
   /// Whether `r`'s failure detector has confirmed `p` dead (crash-stop:
   /// final once true). False without a detector.
   bool peer_dead(std::size_t r, std::size_t p) const;
-  /// Whether `r`'s health monitor currently marks `p` slow. False without
-  /// a monitor.
-  bool peer_lagging(std::size_t r, std::size_t p) const;
   std::size_t left_of(std::size_t r) const {
     return (r + comm_.size() - 1) % comm_.size();
   }
@@ -351,29 +317,16 @@ class McastCollective : public OpBase {
                        bool holds_full);
   void maybe_decide_block(std::size_t r, std::size_t block);
   void send_decision_to(std::size_t r, std::size_t block, std::size_t peer);
-  /// `eager`: start the slow-path fetch immediately (root is dead, the
-  /// multicast will never deliver). Slow re-roots pass false — the displaced
-  /// root is alive and still multicasting, so only the fetch-chain terminus
-  /// moves and fetches already aimed at the laggard are re-aimed.
-  void apply_reroot(std::size_t r, std::size_t block, std::size_t new_root,
-                    bool eager = true);
+  /// The dead root's block now lives at `new_root`: an incomplete rank
+  /// enters recovery and fetches it from there (the multicast will never
+  /// deliver it).
+  void apply_reroot(std::size_t r, std::size_t block, std::size_t new_root);
   void apply_block_dead(std::size_t r, std::size_t block);
-
-  // Performance-fault adaptation (all inert when the communicator has no
-  // health monitor: peer_lagging is always false).
   /// The fetch walk: the first survivor left of `from` (never `r` itself),
   /// walking until `stop` — `r` for a first target or a crash repair, the
-  /// current target for a failover. Prefers the first *non-lagging*
-  /// survivor no farther away than the first survivor, falling back to the
-  /// first survivor when none qualifies; `detoured` reports whether a
-  /// lagging rank was skipped. Returns `r` when the walk finds nobody.
+  /// current target for a failover. Returns `r` when the walk finds nobody.
   std::size_t fetch_target_of(std::size_t r, std::size_t from,
-                              std::size_t stop, bool* detoured) const;
-  /// Counts and records a fetch of `block` detoured to `target`.
-  void note_detour(std::size_t r, std::size_t block, std::size_t target);
-  void report_slow_root(std::size_t r, std::size_t block);
-  void on_slow_root_report(std::size_t r, std::size_t block, std::size_t src,
-                           bool holds_full);
+                              std::size_t stop) const;
 
   // Watchdog (op-level hard deadline).
   Time cutoff_deadline(std::size_t r) const;

@@ -1,7 +1,7 @@
-// Health plane + adaptation layer tests (coll/health_monitor.hpp): EWMA
-// hysteresis and dwell, weighted ECMP, the fabric's peak-backlog register,
-// rail-pinned multicast trees, link deweight/restore end-to-end, slow-root
-// re-ownership, subgroup re-balancing, and seeded determinism. The
+// Health plane + adaptation layer tests (coll/health_monitor.hpp): weighted
+// ECMP, the fabric's peak-backlog register, rail-pinned multicast trees,
+// link deweight/restore end-to-end, subgroup re-balancing, predictive trend
+// scoring, and seeded determinism. The
 // adversarial A/B contract (adaptive p99 vs static) lives in
 // example_adapt_storm; these tests inject each signal precisely instead.
 #include <gtest/gtest.h>
@@ -44,46 +44,6 @@ std::size_t dir_between(const fabric::Topology& topo, fabric::NodeId from,
     if (p.peer == to) return p.dir_index;
   ADD_FAILURE() << "no port " << from << "->" << to;
   return 0;
-}
-
-// --- per-peer EWMA scoring ------------------------------------------------
-
-TEST(Health, EwmaHysteresisAndDwellMarkThenClear) {
-  // Constants: kEwmaAlpha 0.25, kSlowEnter 1.8 / kSlowExit 1.2, kDwell 2,
-  // kTimeoutSample 3.0, score starts at 1.0. Timeouts walk the score
-  // 1.5 -> 1.875 (dwell 1) -> 2.16 (dwell 2 => slow); zero-latency acks
-  // walk it back 1.62 -> 1.21 (> exit, dwell resets) -> 0.91 -> 0.68
-  // (dwell 2 => cleared).
-  World w(4, adapt_on());
-  HealthMonitor* hm = w.comm->health();
-  ASSERT_NE(hm, nullptr);
-  hm->note_fetch_timeout(0, 1);
-  hm->note_fetch_timeout(0, 1);
-  EXPECT_FALSE(hm->slow(0, 1));  // above enter, but dwell not yet met
-  hm->note_fetch_timeout(0, 1);
-  EXPECT_TRUE(hm->slow(0, 1));
-  EXPECT_EQ(hm->slow_marks(), 1u);
-
-  hm->note_fetch_ack(0, 1, 0);
-  hm->note_fetch_ack(0, 1, 0);
-  hm->note_fetch_ack(0, 1, 0);
-  EXPECT_TRUE(hm->slow(0, 1));  // second sample was 1.21 > exit: dwell reset
-  hm->note_fetch_ack(0, 1, 0);
-  EXPECT_FALSE(hm->slow(0, 1));
-  EXPECT_EQ(hm->slow_clears(), 1u);
-  // Scores are per (observer, peer): nobody else's view moved.
-  EXPECT_FALSE(hm->slow(1, 0));
-  EXPECT_DOUBLE_EQ(hm->score(2, 1), 1.0);
-}
-
-TEST(Health, SlowScoringIsPerObserver) {
-  World w(4, adapt_on());
-  HealthMonitor* hm = w.comm->health();
-  ASSERT_NE(hm, nullptr);
-  for (int i = 0; i < 3; ++i) hm->note_fetch_timeout(2, 3);
-  EXPECT_TRUE(hm->slow(2, 3));
-  EXPECT_FALSE(hm->slow(3, 2));
-  EXPECT_FALSE(hm->slow(0, 3));
 }
 
 // --- weighted ECMP --------------------------------------------------------
@@ -234,85 +194,6 @@ TEST(Health, DegradedTrunkIsDeweightedThenRestoredWithEvidence) {
   EXPECT_EQ(fab.dir_weight(up11), 1);
 }
 
-TEST(Health, IdleTimeBetweenOpsIsNotAHeartbeatGap) {
-  // Heartbeats flow only while ops are in flight. The first heartbeat of a
-  // new op must not turn the idle time since the previous op into one huge
-  // gap sample: a fault-free run with long pauses marks nobody slow and
-  // re-roots nothing.
-  World w(8, adapt_on());
-  HealthMonitor* hm = w.comm->health();
-  ASSERT_NE(hm, nullptr);
-  for (int op = 0; op < 4; ++op) {
-    const OpResult res = w.comm->allgather(256 * KiB, AllgatherAlgo::kMcast);
-    EXPECT_TRUE(res.data_verified) << "op " << op;
-    EXPECT_EQ(res.adapt_reroots, 0u) << "op " << op;
-    w.cluster->engine().schedule(5 * kMillisecond, [] {});
-    w.cluster->engine().run();
-  }
-  std::size_t slow_pairs = 0;
-  for (std::size_t o = 0; o < 8; ++o)
-    for (std::size_t p = 0; p < 8; ++p)
-      if (o != p && hm->slow(o, p)) ++slow_pairs;
-  EXPECT_EQ(slow_pairs, 0u);
-  EXPECT_EQ(hm->slow_marks(), 0u);
-}
-
-// --- slow-root re-ownership -----------------------------------------------
-
-TEST(Health, PreMarkedSlowRootIsRerootedAtAFullHolder) {
-  // Inject the per-peer signal precisely: every observer marks rank 1 slow
-  // before the op. The first ranks to assemble rank 1's block in full
-  // report to its coordinator, which re-roots slow-path ownership
-  // (kSlowRoot) — exactly once per block, and the op still verifies.
-  ClusterConfig kcfg;
-  std::unique_ptr<Cluster> cluster = std::make_unique<Cluster>(
-      fabric::make_fat_tree(2, 4, 2, 1, {}, {}), kcfg);
-  std::vector<fabric::NodeId> ids;
-  for (std::size_t h = 0; h < 8; ++h)
-    ids.push_back(static_cast<fabric::NodeId>(h));
-  Communicator comm(*cluster, ids, adapt_on());
-  HealthMonitor* hm = comm.health();
-  ASSERT_NE(hm, nullptr);
-  for (std::size_t r = 0; r < 8; ++r)
-    if (r != 1) hm->test_force_flap(r, 1, 1);  // one mark, no clear
-  ASSERT_TRUE(hm->slow(0, 1));
-
-  const OpResult res = comm.allgather(128 * KiB, AllgatherAlgo::kMcast);
-  EXPECT_TRUE(res.data_verified);
-  EXPECT_GE(res.adapt_reroots, 1u);
-  const telemetry::Snapshot snap =
-      cluster->telemetry().metrics.snapshot();
-  const auto it = snap.find("coll.adapt.slow_reroots");
-  ASSERT_NE(it, snap.end());
-  EXPECT_EQ(it->second.count, res.adapt_reroots);
-}
-
-TEST(Health, SlowMarkMidOpReachesTheRunningOp) {
-  // The monitor -> Communicator::notify_peer_slow -> op path while an op is
-  // in flight. 20 us into the allgather (~78 us long), with the chain still
-  // multicasting, every other rank marks chain root 5 slow. The running op
-  // must react (demote 5 from the chain token's critical path, detour
-  // fetches or re-root its block) and still verify.
-  ClusterConfig kcfg;
-  std::unique_ptr<Cluster> cluster = std::make_unique<Cluster>(
-      fabric::make_fat_tree(2, 4, 2, 1, {}, {}), kcfg);
-  std::vector<fabric::NodeId> ids;
-  for (std::size_t h = 0; h < 8; ++h)
-    ids.push_back(static_cast<fabric::NodeId>(h));
-  Communicator comm(*cluster, ids, adapt_on());
-  HealthMonitor* hm = comm.health();
-  ASSERT_NE(hm, nullptr);
-  OpBase& op = comm.start_allgather(128 * KiB, AllgatherAlgo::kMcast);
-  cluster->engine().schedule(20 * kMicrosecond, [hm] {
-    for (std::size_t r = 0; r < 8; ++r)
-      if (r != 5) hm->test_force_flap(r, 5, 1);  // one mark, no clear
-  });
-  const OpResult res = comm.finish(op);
-  EXPECT_TRUE(res.data_verified);
-  EXPECT_GE(res.chain_demotions + res.fetch_detours + res.adapt_reroots, 1u);
-  EXPECT_EQ(hm->slow_marks(), 7u);
-}
-
 // --- subgroup re-balancing ------------------------------------------------
 
 TEST(Health, SubgroupsRepinOffTheSickRail) {
@@ -355,8 +236,6 @@ TEST(Health, SubgroupsRepinOffTheSickRail) {
   ASSERT_NE(it, snap.end());
   EXPECT_EQ(it->second.count, w.comm->subgroup_repins());
 }
-
-// --- determinism ----------------------------------------------------------
 
 // --- predictive (trend) link scoring --------------------------------------
 
@@ -409,11 +288,13 @@ TEST(Health, PredictiveTrendIgnoresHighButFlatSeverity) {
   EXPECT_EQ(w.cluster->fabric().at_risk_dirs(), 0u);
 }
 
+// --- determinism ----------------------------------------------------------
+
 TEST(Health, AdaptiveTimelineReplaysIdentically) {
-  // The whole adaptation loop — sampler phase, EWMA updates, deweights,
-  // repins, detours — is driven by seeded sim-time events: two runs of the
-  // identical config must produce identical per-rank completion times and
-  // identical decision counters.
+  // The whole adaptation loop — sampler phase, trend EWMAs, deweights,
+  // restores, repins — is driven by seeded sim-time events: two runs of
+  // the identical config must produce identical per-rank completion times
+  // and identical decision counters.
   const auto run_once = [](std::vector<Time>* finishes, std::uint64_t* dw,
                            std::uint64_t* repins) {
     ClusterConfig kcfg;

@@ -301,22 +301,6 @@ TEST(Validate, CollCensusRegressionDetected) {
   EXPECT_TRUE(trap.tripped("coll.census_regression"));
 }
 
-TEST(Validate, SlowRootSelfClaimWithoutBlockDetected) {
-  SKIP_UNLESS_VALIDATE();
-  World w(5);
-  coll::OpBase& op =
-      w.comm->start_allgather(16 * 1024, coll::AllgatherAlgo::kMcast);
-  auto& mc = static_cast<coll::McastCollective&>(op);
-  debug::ViolationTrap trap;
-  // Before the engine runs, rank 0 holds none of block 1 (rooted at rank
-  // 1), so claiming slow-path ownership of it for itself is illegal.
-  mc.test_inject_slow_report(0, /*block=*/1, /*src=*/0, /*full=*/true);
-  EXPECT_TRUE(trap.tripped("adapt.ownership_conservation"));
-  // The bogus re-root only moves slow-path ownership; on a lossless fabric
-  // the multicast still delivers every block.
-  EXPECT_EQ(w.comm->finish(op).status, coll::OpStatus::kOk);
-}
-
 TEST(Validate, CollPhaseOrderDetected) {
   SKIP_UNLESS_VALIDATE();
   World w(5);
@@ -364,20 +348,21 @@ TEST(Validate, DetectorUnbackedNoticeDetected) {
 
 TEST(Validate, AdaptOscillationDetected) {
   SKIP_UNLESS_VALIDATE();
-  // The health monitor's hysteresis band is supposed to make slow-state
+  // The health monitor's dwell hysteresis is supposed to make link-health
   // flapping impossible; the adapt.oscillation validator catches the case
   // where it is misconfigured (or a policy feeds back into its own input).
+  // Deweights and restores both count.
   coll::CommConfig cfg;
   cfg.adapt.enabled = true;
   World w(4, cfg);
   coll::HealthMonitor* hm = w.comm->health();
   ASSERT_NE(hm, nullptr);
   debug::ViolationTrap trap;
-  // One flip under the bound: silent.
-  hm->test_force_flap(0, 1, coll::HealthMonitor::kMaxTransitions);
+  // Exactly at the bound (ending on a restore): silent.
+  hm->test_force_flips(/*dir=*/0, coll::HealthMonitor::kMaxTransitions);
   EXPECT_FALSE(trap.tripped("adapt.oscillation"));
-  // Past the bound: structured violation.
-  hm->test_force_flap(0, 1, 2);
+  // One past the bound: structured violation.
+  hm->test_force_flips(/*dir=*/0, 1);
   EXPECT_TRUE(trap.tripped("adapt.oscillation"));
 }
 
