@@ -21,18 +21,12 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "src/common/stats.hpp"
 #include "src/sched/arrival.hpp"
 #include "src/sched/cluster_sched.hpp"
 
 namespace {
 using namespace mccl;
-
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  return v[std::min(v.size() - 1,
-                    static_cast<std::size_t>(p * static_cast<double>(v.size())))];
-}
 
 void BM_Tenancy(benchmark::State& state, sched::QosPolicy policy,
                 bool classes, bool chaos) {

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/coll/communicator.hpp"
+#include "src/common/stats.hpp"
 #include "src/debug/validate.hpp"
 
 using namespace mccl;
@@ -104,6 +105,8 @@ bool run_mode(std::uint64_t seed, bool adaptive, ModeStats* out) {
   // defaults assume multi-ms ops): a dropped packet must cost a re-send,
   // not an era. Identical in both modes — the A/B isolates adaptation.
   kcfg.nic.rc_rto = 20 * kMicrosecond;
+  kcfg.health.enabled = adaptive;
+  kcfg.health.seed = seed;
   coll::Cluster cluster(
       fabric::make_multi_rail_fat_tree(2, 2, 4, 1, 1, {}, {}), kcfg);
 
@@ -112,8 +115,6 @@ bool run_mode(std::uint64_t seed, bool adaptive, ModeStats* out) {
   cfg.subgroups = 4;  // rail-striped: even subgroups -> rail 0, odd -> rail 1
   cfg.cutoff_alpha = 30 * kMicrosecond;
   cfg.fetch_retry_timeout = 40 * kMicrosecond;
-  cfg.adapt.enabled = adaptive;
-  cfg.adapt.seed = seed;
   std::vector<fabric::NodeId> hosts;
   for (std::size_t h = 0; h < kRanks; ++h)
     hosts.push_back(static_cast<fabric::NodeId>(h));
@@ -198,15 +199,6 @@ bool run_mode(std::uint64_t seed, bool adaptive, ModeStats* out) {
   return true;
 }
 
-double percentile(std::vector<double> v, double p) {
-  MCCL_CHECK(!v.empty());
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = std::min(
-      v.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[idx];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -221,6 +213,7 @@ int main(int argc, char** argv) {
     for (const bool adaptive : {false, true})
       if (!run_mode(seed, adaptive, &stats[adaptive ? 1 : 0])) return 1;
 
+  for (const ModeStats& st : stats) MCCL_CHECK(!st.completions_us.empty());
   const double static_p99 = percentile(stats[0].completions_us, 0.99);
   const double adaptive_p99 = percentile(stats[1].completions_us, 0.99);
   const double static_p50 = percentile(stats[0].completions_us, 0.50);

@@ -228,13 +228,13 @@ int run_rail_case(bool adaptive) {
   kcfg.fabric.faults.events = {fabric::FaultEvent::degrade(
       10 * kMicrosecond, 8, 10, 0.08, 15 * kMicrosecond)};
   kcfg.nic.rc_rto = 20 * kMicrosecond;  // ops are ~100 us, not multi-ms
+  kcfg.health.enabled = adaptive;
   coll::Cluster cluster(
       fabric::make_multi_rail_fat_tree(2, 2, 4, 1, 1, {}, {}), kcfg);
   coll::CommConfig cfg;
   cfg.transport = coll::Transport::kUcMcast;
   cfg.subgroups = 4;  // rail-striped: even -> rail 0, odd -> rail 1
   cfg.cutoff_alpha = 30 * kMicrosecond;
-  cfg.adapt.enabled = adaptive;
   std::vector<fabric::NodeId> hosts;
   for (std::size_t h = 0; h < kRanks; ++h)
     hosts.push_back(static_cast<fabric::NodeId>(h));

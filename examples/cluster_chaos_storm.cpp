@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/stats.hpp"
 #include "src/debug/validate.hpp"
 #include "src/sched/arrival.hpp"
 #include "src/sched/cluster_sched.hpp"
@@ -89,9 +90,6 @@ sched::WorkloadConfig make_workload_config(std::uint64_t seed) {
   wl.inference_mean_gap = 10 * kMicrosecond;
   wl.high_priority_jobs = 2;
   wl.comm.cutoff_alpha = 100 * kMicrosecond;
-  // The health plane runs live in every tenant: reactive deweighting plus
-  // the predictive trend scorer feeding admission's at-risk gate.
-  wl.comm.adapt.enabled = true;
 
   // Per-class failure policies: training would rather lose a crashed
   // rank's block than the job (plus one trip back through admission if an
@@ -221,6 +219,10 @@ bool run_case(std::uint64_t seed, bool chaos, RunOut* out) {
     kcfg.fabric.seed = seed ^ 0xc4a05ull;
   }
   kcfg.nic.rc_rto = 20 * kMicrosecond;  // retry, don't wait an era
+  // The health plane runs live for every tenant: one cluster monitor's
+  // reactive deweighting plus the predictive trend scorer feeding
+  // admission's at-risk gate.
+  kcfg.health.enabled = true;
   coll::Cluster cluster(
       fabric::make_multi_rail_fat_tree(2, 4, 4, 4, 1, {}, {}), kcfg);
 
@@ -401,14 +403,6 @@ bool run_gated(std::uint64_t seed, bool chaos, RunOut* out) {
   return true;
 }
 
-double percentile(std::vector<double> v, double p) {
-  MCCL_CHECK(!v.empty());
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = std::min(
-      v.size() - 1, static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[idx];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -439,6 +433,7 @@ int main(int argc, char** argv) {
     rc = 1;
   }
 
+  MCCL_CHECK(!clean.hp_lat_us.empty() && !chaos.hp_lat_us.empty());
   const double clean_p99 = percentile(clean.hp_lat_us, 0.99);
   const double chaos_p99 = percentile(chaos.hp_lat_us, 0.99);
   const double inflation = clean_p99 > 0 ? chaos_p99 / clean_p99 : 0.0;

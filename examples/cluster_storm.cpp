@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/stats.hpp"
 #include "src/debug/validate.hpp"
 #include "src/sched/arrival.hpp"
 #include "src/sched/cluster_sched.hpp"
@@ -200,14 +201,6 @@ bool run_mode(std::uint64_t seed, Mode mode, ModeOut* out) {
   return true;
 }
 
-double percentile(std::vector<double> v, double p) {
-  MCCL_CHECK(!v.empty());
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = std::min(
-      v.size() - 1, static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[idx];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,8 +216,8 @@ int main(int argc, char** argv) {
       if (!run_mode(seed, mode, &outs[static_cast<std::size_t>(mode)]))
         return 1;
 
-  const double fifo_p99 =
-      percentile(outs[0].hp_lat_us, 0.99);
+  for (const ModeOut& out : outs) MCCL_CHECK(!out.hp_lat_us.empty());
+  const double fifo_p99 = percentile(outs[0].hp_lat_us, 0.99);
   const double qos_p99 = percentile(outs[1].hp_lat_us, 0.99);
   const double solo_p99 = percentile(outs[2].hp_lat_us, 0.99);
   const double improvement = fifo_p99 > 0 ? 1.0 - qos_p99 / fifo_p99 : 0.0;

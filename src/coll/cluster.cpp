@@ -50,6 +50,8 @@ Cluster::Cluster(fabric::Topology topology, ClusterConfig config)
         nics_[h]->set_crashed(crashed);
         for (const auto& [id, fn] : crash_listeners_) fn(host, crashed);
       });
+  if (config.health.enabled)
+    health_ = std::make_unique<HealthMonitor>(*this, config.health);
   // Cluster-owned state (fabric counters, NIC/QP totals, engine stats) is
   // mirrored into the registry at snapshot time; hot paths stay untouched.
   telemetry_.metrics.add_publisher(

@@ -1,7 +1,9 @@
 // Cluster: the simulated machine room.
 //
 // Owns the event engine, the fabric, one NIC per host, one host-CPU complex
-// per host and one DPA complex per host. Communicators are built over a
+// per host, one DPA complex per host and, when enabled, the link-health
+// monitor that watches the fabric for every communicator on the cluster
+// (health_monitor.hpp). Communicators are built over a
 // subset of hosts. The Cluster also hands out globally unique collective
 // ids and rkeys so that concurrent communicators never collide.
 #pragma once
@@ -13,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/coll/health_monitor.hpp"
 #include "src/exec/worker.hpp"
 #include "src/fabric/fabric.hpp"
 #include "src/inc/engine.hpp"
@@ -28,6 +31,10 @@ struct ClusterConfig {
   exec::Complex::Config cpu = exec::Complex::cpu_config();
   exec::Complex::Config dpa = exec::Complex::dpa_config();
   telemetry::TelemetryConfig telemetry;
+  /// Online link-health plane: per-link health drives weighted-ECMP
+  /// steering, multicast subgroup re-pinning and the scheduler's
+  /// predictive admission gate. Off by default (static baseline).
+  HealthConfig health;
 };
 
 class Cluster {
@@ -38,6 +45,9 @@ class Cluster {
   fabric::Fabric& fabric() { return *fabric_; }
   inc::Engine& inc() { return *inc_; }
   const ClusterConfig& config() const { return config_; }
+  /// The cluster's link-health monitor; null unless config().health is
+  /// enabled.
+  HealthMonitor* health() { return health_.get(); }
 
   std::size_t num_hosts() const { return nics_.size(); }
   rdma::Nic& nic(std::size_t host) { return *nics_[host]; }
@@ -100,6 +110,7 @@ class Cluster {
   std::vector<std::unique_ptr<rdma::Nic>> nics_;
   std::vector<std::unique_ptr<exec::Complex>> cpus_;
   std::vector<std::unique_ptr<exec::Complex>> dpas_;
+  std::unique_ptr<HealthMonitor> health_;
   std::uint16_t next_op_id_ = 1;
   std::uint32_t next_rkey_ = 1 << 20;  // above per-NIC sequential keys
   std::vector<std::pair<std::uint64_t, CrashListener>> crash_listeners_;

@@ -175,8 +175,6 @@ Communicator::Communicator(Cluster& cluster,
       [this](fabric::NodeId host, bool crashed) {
         on_host_crash(host, crashed);
       });
-  if (config_.adapt.enabled)
-    health_ = std::make_unique<HealthMonitor>(*this, config_.adapt);
   if (config_.detector.enabled)
     detector_ = std::make_unique<FailureDetector>(*this, config_.detector);
 }
@@ -242,16 +240,17 @@ std::uint64_t Communicator::rnr_drops() const {
 
 void Communicator::note_op_started() {
   if (detector_) detector_->note_op_started();
-  if (health_) health_->note_op_started();
+  if (HealthMonitor* hm = cluster_.health()) hm->note_op_started();
 }
 
 void Communicator::note_op_finished() {
   if (detector_) detector_->note_op_finished();
-  if (health_) health_->note_op_finished();
+  if (HealthMonitor* hm = cluster_.health()) hm->note_op_finished();
 }
 
 void Communicator::rebalance_subgroups() {
-  if (!health_) return;
+  const HealthMonitor* hm = cluster_.health();
+  if (hm == nullptr) return;
   const int rails = cluster_.fabric().topology().num_rails();
   if (rails <= 1) return;
   for (const auto& op : ops_)
@@ -260,16 +259,16 @@ void Communicator::rebalance_subgroups() {
   for (std::size_t s = 0; s < groups_.size(); ++s) {
     const int cur = fab.mcast_group_rail(groups_[s]);
     if (cur < 0) continue;  // unpinned group: nothing to re-balance
-    const std::size_t cur_bad = health_->unhealthy_dirs_on_rail(cur);
+    const std::size_t cur_bad = hm->unhealthy_dirs_on_rail(cur);
     if (cur_bad == 0) continue;
     // Healthiest rail, lowest id on ties; move only on a strict win so two
     // equally sick rails never trade subgroups back and forth.
     int best = cur;
     std::size_t best_bad = cur_bad;
     for (int rl = 0; rl < rails; ++rl)
-      if (health_->unhealthy_dirs_on_rail(rl) < best_bad) {
+      if (hm->unhealthy_dirs_on_rail(rl) < best_bad) {
         best = rl;
-        best_bad = health_->unhealthy_dirs_on_rail(rl);
+        best_bad = hm->unhealthy_dirs_on_rail(rl);
       }
     if (best == cur) continue;
     fab.set_mcast_group_rail(groups_[s], best);

@@ -26,7 +26,6 @@
 #include "src/coll/cluster.hpp"
 #include "src/coll/ctrl.hpp"
 #include "src/coll/failure_detector.hpp"
-#include "src/coll/health_monitor.hpp"
 #include "src/exec/cost_model.hpp"
 
 namespace mccl::coll {
@@ -76,12 +75,6 @@ struct CommConfig {
   /// block is abandoned (OpResult::kPartial). Disable to get the PR-1
   /// behavior: a crash mid-op ends in a watchdog failure.
   DetectorConfig detector;
-
-  // --- performance-fault adaptation ------------------------------------------
-  /// Online health plane (health_monitor.hpp): per-link health drives
-  /// weighted-ECMP steering and multicast subgroup re-pinning. Off by
-  /// default (static baseline).
-  HealthConfig adapt;
 
   std::optional<exec::DatapathCosts> costs_override;  // else by engine kind
 
@@ -399,13 +392,11 @@ class Communicator {
   // --- crash tolerance -------------------------------------------------------
   /// The lease-based failure detector; null when disabled in the config.
   FailureDetector* detector() { return detector_.get(); }
-  /// The performance-fault health monitor; null unless config().adapt is
-  /// enabled.
-  HealthMonitor* health() { return health_.get(); }
   /// Multicast subgroup re-balancing: between ops, re-pins every rail-pinned
   /// subgroup whose rail plane has unhealthy links onto the healthiest rail
-  /// (strictly fewer unhealthy dirs). No-op while any op is in flight, on
-  /// single-rail fabrics, or without the health monitor. Called on every
+  /// (strictly fewer unhealthy dirs). No-op while any of this
+  /// communicator's ops is in flight, on single-rail fabrics, or without
+  /// the cluster's health monitor (Cluster::health()). Called on every
   /// collective start; public so chaos drivers can force a decision point.
   void rebalance_subgroups();
   std::uint64_t subgroup_repins() const { return subgroup_repins_; }
@@ -430,7 +421,8 @@ class Communicator {
            (detector_ && detector_->confirmed_by_any(rank));
   }
   std::size_t presumed_alive() const;
-  /// Op-lifecycle hooks (detector activation refcount).
+  /// Op-lifecycle hooks (detector and cluster health-monitor activation
+  /// refcounts).
   void note_op_started();
   void note_op_finished();
   /// Detector notice: `observer` confirmed `peer` dead. Forwards to every
@@ -506,7 +498,6 @@ class Communicator {
   // ... and by the 8-bit fast-path tag (0 never claimed).
   std::array<McastCollective*, 256> op_by_tag_{};
   std::unique_ptr<FailureDetector> detector_;
-  std::unique_ptr<HealthMonitor> health_;
   std::uint64_t subgroup_repins_ = 0;
   std::uint64_t crash_listener_id_ = 0;
   std::uint8_t next_tag_ = 1;

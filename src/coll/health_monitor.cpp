@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/coll/communicator.hpp"
+#include "src/coll/cluster.hpp"
 #include "src/common/rng.hpp"
 #include "src/debug/validate.hpp"
 
@@ -19,15 +19,15 @@ static_assert(HealthMonitor::kTrendAlpha > 0.0 &&
               HealthMonitor::kTrendAlpha <= 1.0);
 static_assert(HealthMonitor::kRiskEnter > HealthMonitor::kRiskExit);
 
-HealthMonitor::HealthMonitor(Communicator& comm, HealthConfig cfg)
-    : comm_(comm), cfg_(cfg) {
-  links_.assign(comm_.cluster().fabric().topology().num_dirs(), LinkHealth{});
+HealthMonitor::HealthMonitor(Cluster& cluster, HealthConfig cfg)
+    : cluster_(cluster), cfg_(cfg) {
+  links_.assign(cluster_.fabric().topology().num_dirs(), LinkHealth{});
   // Sampler phase: decorrelated from the detector ticks and the fabric's
   // fault RNG, drawn once for deterministic replay.
   Rng rng(cfg_.seed ^ 0x4ea17bffull);
   sample_phase_ = static_cast<Time>(
       rng.below(static_cast<std::uint64_t>(kSampleInterval)));
-  telemetry::MetricsRegistry& reg = comm_.cluster().telemetry().metrics;
+  telemetry::MetricsRegistry& reg = cluster_.telemetry().metrics;
   ctr_link_deweights_ = &reg.counter("coll.adapt.link_deweights");
   ctr_link_restores_ = &reg.counter("coll.adapt.link_restores");
   ctr_predict_marks_ = &reg.counter("coll.adapt.predict_marks");
@@ -48,7 +48,7 @@ void HealthMonitor::note_op_finished() {
 }
 
 void HealthMonitor::schedule_sample(std::uint64_t gen) {
-  sim::Engine& eng = comm_.cluster().engine();
+  sim::Engine& eng = cluster_.engine();
   eng.schedule(kSampleInterval + sample_phase_, [this, gen] {
     if (gen != generation_ || active_ops_ == 0) return;
     sample_links();
@@ -58,7 +58,7 @@ void HealthMonitor::schedule_sample(std::uint64_t gen) {
 }
 
 void HealthMonitor::sample_links() {
-  fabric::Fabric& fab = comm_.cluster().fabric();
+  fabric::Fabric& fab = cluster_.fabric();
   for (std::size_t dir = 0; dir < links_.size(); ++dir) {
     LinkHealth& lh = links_[dir];
     const fabric::Fabric::DirCounters& c = fab.dir_counters(dir);
@@ -130,15 +130,9 @@ void HealthMonitor::set_unhealthy(std::size_t dir, bool unhealthy,
   MCCL_VALIDATE_THAT(lh.transitions <= kMaxTransitions, "adapt.oscillation",
                      "link dir %zu flipped health %u times (bound %u)", dir,
                      lh.transitions, kMaxTransitions);
-  if (unhealthy) {
-    ++link_deweights_;
-    ctr_link_deweights_->add(1);
-  } else {
-    ++link_restores_;
-    ctr_link_restores_->add(1);
-  }
-  comm_.cluster().telemetry().recorder.record(
-      comm_.cluster().engine().now(), -1, telemetry::EventCat::kAdapt,
+  (unhealthy ? ctr_link_deweights_ : ctr_link_restores_)->add(1);
+  cluster_.telemetry().recorder.record(
+      cluster_.engine().now(), -1, telemetry::EventCat::kAdapt,
       unhealthy ? "link_deweight" : "link_restore", dir,
       static_cast<std::uint64_t>(backlog));
   reweight_node_of(dir);
@@ -169,22 +163,21 @@ void HealthMonitor::score_trend(std::size_t dir, double severity) {
   }
   if (want == lh.at_risk) return;
   lh.at_risk = want;
-  comm_.cluster().fabric().set_dir_at_risk(dir, want);
-  if (want) {
-    ++predict_marks_;
-    ctr_predict_marks_->add(1);
-  } else {
-    ++predict_clears_;
-    ctr_predict_clears_->add(1);
-  }
-  comm_.cluster().telemetry().recorder.record(
-      comm_.cluster().engine().now(), -1, telemetry::EventCat::kAdapt,
+  (want ? ctr_predict_marks_ : ctr_predict_clears_)->add(1);
+  cluster_.telemetry().recorder.record(
+      cluster_.engine().now(), -1, telemetry::EventCat::kAdapt,
       want ? "link_at_risk" : "link_risk_clear", dir,
       static_cast<std::uint64_t>(std::max(0.0, projected) * 100.0));
 }
 
+std::size_t HealthMonitor::at_risk_dirs() const {
+  std::size_t n = 0;
+  for (const LinkHealth& lh : links_) n += lh.at_risk ? 1 : 0;
+  return n;
+}
+
 std::size_t HealthMonitor::unhealthy_dirs_on_rail(int rail) const {
-  const fabric::Topology& topo = comm_.cluster().fabric().topology();
+  const fabric::Topology& topo = cluster_.fabric().topology();
   std::size_t n = 0;
   for (std::size_t d = 0; d < links_.size(); ++d) {
     if (!links_[d].unhealthy) continue;
@@ -196,7 +189,7 @@ std::size_t HealthMonitor::unhealthy_dirs_on_rail(int rail) const {
 }
 
 void HealthMonitor::reweight_host_rails() {
-  fabric::Fabric& fab = comm_.cluster().fabric();
+  fabric::Fabric& fab = cluster_.fabric();
   const fabric::Topology& topo = fab.topology();
   const int rails = topo.num_rails();
   if (rails <= 1) return;
@@ -207,8 +200,7 @@ void HealthMonitor::reweight_host_rails() {
     rail_bad[static_cast<std::size_t>(rl)] = unhealthy_dirs_on_rail(rl) > 0;
     any_bad |= rail_bad[static_cast<std::size_t>(rl)];
   }
-  for (fabric::NodeId h = 0; h < topo.num_nodes(); ++h) {
-    if (!topo.is_host(h)) continue;
+  for (const fabric::NodeId h : topo.hosts()) {
     for (const fabric::Port& p : topo.ports(h)) {
       const int rl = topo.rail_of(p.peer);
       const bool bad = links_[p.dir_index].unhealthy ||
@@ -222,7 +214,7 @@ void HealthMonitor::reweight_host_rails() {
 }
 
 void HealthMonitor::reweight_node_of(std::size_t dir) {
-  fabric::Fabric& fab = comm_.cluster().fabric();
+  fabric::Fabric& fab = cluster_.fabric();
   const fabric::Topology& topo = fab.topology();
   const fabric::NodeId from = topo.dirs()[dir].from;
   // Weighted ECMP splits flows among a node's candidate egresses in

@@ -6,6 +6,13 @@
 // a lossy-but-alive link that throttles the whole bandwidth-optimal
 // collective to the speed of its slowest path.
 //
+// The monitor belongs to the Cluster, which owns the fabric it watches: a
+// cluster has at most one (ClusterConfig::health), and every communicator
+// on it reports its op lifecycle to that one monitor. So the fabric has one
+// sampler, one reader of its read-and-reset backlog register and one writer
+// of its ECMP weights, and the sampler runs while any op on the cluster is
+// in flight.
+//
 // The monitor scores link directions, not peers: a periodic (seeded-phase)
 // sampler over the fabric's DirCounters and serializer backlogs. A
 // direction whose windowed drop fraction or serializer backlog stays bad
@@ -14,10 +21,10 @@
 // `kHealthyWeight`, the bad direction `kLossyWeight`, steering unicast
 // flows (fetch reads, control) around lossy-but-alive paths the binary
 // viability table would keep using. Restoration is symmetric and needs
-// evidence (clean traffic actually crossing the link). The communicator
-// re-pins multicast subgroups off a rail with unhealthy directions, and a
-// predictive trend scorer flags directions about to go sick for the
-// cluster scheduler's admission controller.
+// evidence (clean traffic actually crossing the link). Each communicator
+// re-pins its multicast subgroups off a rail with unhealthy directions, and
+// a predictive trend scorer flags directions about to go sick for the
+// cluster scheduler's admission controller (at_risk_dirs()).
 //
 // Everything is driven by engine events at simulated times with
 // deterministic inputs, so identical seeds replay bit-identically. The
@@ -26,21 +33,19 @@
 // misconfigured or a feedback loop).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/common/units.hpp"
-
-namespace mccl::telemetry {
-class Counter;
-}  // namespace mccl::telemetry
+#include "src/telemetry/metrics.hpp"
 
 namespace mccl::coll {
 
-class Communicator;
+class Cluster;
 
 struct HealthConfig {
-  /// Master switch: when false the communicator builds no monitor and all
+  /// Master switch: when false the cluster builds no monitor and all
   /// adaptation policies are inert (the static baseline).
   bool enabled = false;
   /// Per-link sampling windows with fewer packets than this carry no drop
@@ -52,7 +57,7 @@ struct HealthConfig {
 
 class HealthMonitor {
  public:
-  HealthMonitor(Communicator& comm, HealthConfig cfg);
+  HealthMonitor(Cluster& cluster, HealthConfig cfg);
 
   // --- per-link-direction health -------------------------------------------
   /// Sampling period of the fabric sweep (runs only while ops are in
@@ -85,10 +90,10 @@ class HealthMonitor {
   /// direction sits to its unhealthy thresholds, 1.0 = at threshold) feeds
   /// a level EWMA and a slope EWMA, and a direction whose projected
   /// severity `level + kRiskHorizon * slope` crosses `kRiskEnter` while
-  /// still trending up is flagged *at risk* in the fabric
-  /// (Fabric::set_dir_at_risk). The flag is advisory: routing never
-  /// changes, but the cluster scheduler's admission controller defers new
-  /// placements while too many directions are about to go sick. Cleared
+  /// still trending up is flagged *at risk* (dir_at_risk()). The flag is
+  /// advisory: routing never changes, but the cluster scheduler's
+  /// admission controller reads at_risk_dirs() and defers new placements
+  /// while too many directions are about to go sick. Cleared
   /// when the projection falls back through `kRiskExit`, or the moment the
   /// reactive plane takes over (unhealthy implies deweighted, which
   /// admission already gates on).
@@ -107,7 +112,8 @@ class HealthMonitor {
   /// MCCL_VALIDATE builds.
   static constexpr std::uint32_t kMaxTransitions = 8;
 
-  /// Op lifecycle: the link sampler runs only while ops are in flight.
+  /// Op lifecycle, reported by every communicator on the cluster: the link
+  /// sampler runs only while some op is in flight.
   void note_op_started();
   void note_op_finished();
   bool active() const { return active_ops_ > 0; }
@@ -115,15 +121,18 @@ class HealthMonitor {
   // --- health queries ------------------------------------------------------
   bool dir_unhealthy(std::size_t dir) const { return links_[dir].unhealthy; }
   bool dir_at_risk(std::size_t dir) const { return links_[dir].at_risk; }
+  /// Directions currently flagged at risk: the admission controller's
+  /// predictive signal. Counted on demand (admission is a cold path).
+  std::size_t at_risk_dirs() const;
   /// Unhealthy link directions on `rail`'s plane (host links count toward
   /// their switch endpoint's rail). Drives multicast subgroup re-balancing.
   std::size_t unhealthy_dirs_on_rail(int rail) const;
 
-  // --- decision counters (coll.adapt.* metrics) ----------------------------
-  std::uint64_t link_deweights() const { return link_deweights_; }
-  std::uint64_t link_restores() const { return link_restores_; }
-  std::uint64_t predict_marks() const { return predict_marks_; }
-  std::uint64_t predict_clears() const { return predict_clears_; }
+  // --- decision counters (the cluster's coll.adapt.* metrics) --------------
+  std::uint64_t link_deweights() const { return ctr_link_deweights_->value(); }
+  std::uint64_t link_restores() const { return ctr_link_restores_->value(); }
+  std::uint64_t predict_marks() const { return ctr_predict_marks_->value(); }
+  std::uint64_t predict_clears() const { return ctr_predict_clears_->value(); }
 
   /// Validate-build fault-injection hook: forces `n` health flips on
   /// direction `dir` (deweight, restore, ...), tripping "adapt.oscillation"
@@ -168,18 +177,15 @@ class HealthMonitor {
   /// every host.
   void reweight_host_rails();
 
-  Communicator& comm_;
+  Cluster& cluster_;
   HealthConfig cfg_;
   std::vector<LinkHealth> links_;  // per fabric link direction
   std::size_t active_ops_ = 0;
   std::uint64_t generation_ = 0;  // invalidates samplers across idle windows
   Time sample_phase_ = 0;         // deterministic first-sample offset
 
-  std::uint64_t link_deweights_ = 0;
-  std::uint64_t link_restores_ = 0;
-  std::uint64_t predict_marks_ = 0;
-  std::uint64_t predict_clears_ = 0;
-  // Registry references resolved once at wiring time.
+  // Registry references resolved once at wiring time; the registry is the
+  // one ledger of the monitor's decisions.
   telemetry::Counter* ctr_link_deweights_ = nullptr;
   telemetry::Counter* ctr_link_restores_ = nullptr;
   telemetry::Counter* ctr_predict_marks_ = nullptr;

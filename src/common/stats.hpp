@@ -80,6 +80,15 @@ class Stats {
   mutable bool sorted_ = false;
 };
 
+/// Nearest-rank percentile, p in [0, 1]: the sample at rank
+/// min(n - 1, floor(p * n)) of the sorted copy; 0 for no samples.
+inline double percentile(std::vector<double> v, double p) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  return v[std::min(v.size() - 1,
+                    static_cast<std::size_t>(p * static_cast<double>(v.size())))];
+}
+
 /// O(1)-memory streaming statistics: exact count/sum/mean/variance/min/max,
 /// reservoir-sampled quantiles (exact while count <= reservoir capacity).
 class StreamingStats {

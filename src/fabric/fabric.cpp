@@ -21,7 +21,6 @@ Fabric::Fabric(sim::Engine& engine, Topology topology, Config config)
   counters_.resize(topo_.num_dirs());
   lanes_.resize(topo_.num_dirs());
   dir_weight_.assign(topo_.num_dirs(), 1);
-  dir_at_risk_.assign(topo_.num_dirs(), 0);
   faults_.arm();
   quiet_ = faults_.passthrough();
   // Re-arm the quiet fast path once the fault timeline has fired its last

@@ -134,11 +134,11 @@ class Fabric {
   }
   /// Number of weight transitions applied (coll.adapt cross-checks).
   std::uint64_t ecmp_reweights() const { return ecmp_reweights_; }
-  /// Link directions currently deweighted (weight != 1) by the health
-  /// plane — the admission controller's fabric-degradation signal: every
-  /// deweighted rail means some communicator's monitor judged it lossy or
-  /// slow, so new tenants should queue rather than pile on. Cold path
-  /// (admission decisions, not per packet).
+  /// Link directions currently deweighted (weight != 1) by the cluster's
+  /// one health monitor — the admission controller's fabric-degradation
+  /// signal: every deweighted direction means the monitor judged a link
+  /// (or the rail behind it) lossy or slow, so new tenants should queue
+  /// rather than pile on. Cold path (admission decisions, not per packet).
   std::size_t deweighted_dirs() const {
     std::size_t n = 0;
     for (const std::uint16_t w : dir_weight_)
@@ -146,30 +146,12 @@ class Fabric {
     return n;
   }
 
-  // --- Predictive at-risk register (health-plane trend scoring) ------------
-  /// A direction the health plane's trend scorer projects to cross its
-  /// unhealthy threshold within the risk horizon — degrading, but not yet
-  /// deweighted. Advisory only: at-risk never changes routing (ECMP
-  /// weights stay untouched), it feeds forward into admission so new
-  /// tenants are deferred off a link *about* to go sick instead of being
-  /// placed onto it and then rescued. Cold path; monitors write at
-  /// sampling cadence, the scheduler reads per admission decision.
-  void set_dir_at_risk(std::size_t dir_index, bool at_risk) {
-    if (dir_at_risk_[dir_index] == static_cast<char>(at_risk)) return;
-    dir_at_risk_[dir_index] = static_cast<char>(at_risk);
-    at_risk_dirs_ += at_risk ? 1 : -1;
-  }
-  bool dir_at_risk(std::size_t dir_index) const {
-    return dir_at_risk_[dir_index] != 0;
-  }
-  /// Directions currently flagged at-risk across all monitors.
-  std::size_t at_risk_dirs() const { return at_risk_dirs_; }
-
   /// Peak backlog booked on this direction since the last call: wire time
   /// booked past `now` plus the drain time of its virtual lanes
   /// (read-and-reset, like a switch's max-queue-depth register). It is the
-  /// queue-depth/ECN analog the health monitor samples to spot degraded
-  /// (slow but not dropping) links. A periodic point sample of the backlog
+  /// queue-depth/ECN analog the cluster's health monitor samples to spot
+  /// degraded (slow but not dropping) links. The monitor is its one
+  /// reader: a second reader would split each window's peak. A periodic point sample of the backlog
   /// aliases over short bursts — a degraded trunk can book tens of µs and
   /// drain entirely between two sampler ticks; the peak-hold register
   /// cannot miss it.
@@ -280,8 +262,6 @@ class Fabric {
   // "any weight differs from 1" so the unweighted hot path stays a single
   // predictable branch.
   std::vector<std::uint16_t> dir_weight_;
-  std::vector<char> dir_at_risk_;  // predictive advisory flags, per dir
-  std::size_t at_risk_dirs_ = 0;
   bool weighted_ = false;
   std::uint64_t ecmp_reweights_ = 0;
   /// Cached FaultPlane::passthrough(): when set, every per-packet fault

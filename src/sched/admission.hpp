@@ -29,12 +29,12 @@ struct AdmissionConfig {
   /// outright — a bounded queue, not an unbounded backlog.
   std::size_t max_queued_jobs = 64;
   /// Health gate: while the fabric reports more than this many deweighted
-  /// link directions (Fabric::deweighted_dirs(), written by the health
-  /// plane), new jobs queue instead of admitting — don't pile tenants onto
-  /// a degraded fabric. ~0 disables the gate.
+  /// link directions (Fabric::deweighted_dirs(), written by the cluster's
+  /// health monitor), new jobs queue instead of admitting — don't pile
+  /// tenants onto a degraded fabric. ~0 disables the gate.
   std::size_t max_deweighted_dirs = ~std::size_t{0};
   /// Predictive gate: while the health plane's trend scorer flags more
-  /// than this many directions *at risk* (Fabric::at_risk_dirs() —
+  /// than this many directions *at risk* (HealthMonitor::at_risk_dirs() —
   /// projected to cross their unhealthy thresholds within the risk
   /// horizon, but not yet deweighted), defer new placements. This is the
   /// forward-looking sibling of the deweight gate: it holds tenants off a

@@ -3,23 +3,10 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/common/stats.hpp"
 #include "src/debug/validate.hpp"
 
 namespace mccl::sched {
-
-namespace {
-
-// Nearest-rank percentile over a copy (cold path; samples stay unsorted in
-// the ledger so per-op order is preserved for debugging).
-double percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = std::min(
-      v.size() - 1, static_cast<std::size_t>(p * static_cast<double>(v.size())));
-  return v[idx];
-}
-
-}  // namespace
 
 ClusterScheduler::ClusterScheduler(coll::Cluster& cluster, SchedulerConfig cfg)
     : cluster_(cluster), cfg_(cfg), admission_(cfg.admission) {
@@ -142,11 +129,9 @@ void ClusterScheduler::build_comm(std::size_t id,
     ccfg.qos_class = 0;
     ccfg.qos_weight = 1;
   }
-  // Decorrelate the per-communicator RNG phases (detector heartbeat ticks,
-  // health-sampler offset) across tenants: N communicators seeded alike
-  // would probe the fabric in lockstep.
+  // Decorrelate the detector heartbeat phases across tenants: N
+  // communicators seeded alike would probe the fabric in lockstep.
   ccfg.detector.seed ^= 0x9e3779b97f4a7c15ull * rec.spec.tenant;
-  ccfg.adapt.seed ^= 0x9e3779b97f4a7c15ull * rec.spec.tenant;
   rec.launch_hosts = std::move(hosts);
   rec.comm = std::make_unique<coll::Communicator>(cluster_, rec.launch_hosts,
                                                   ccfg);
@@ -185,6 +170,15 @@ void ClusterScheduler::admit(std::size_t id) {
 void ClusterScheduler::issue_next(std::size_t id) {
   JobRecord& rec = jobs_[id];
   ++ops_issued_;
+  // Ranks may die after the last survivor check (during a gap, or a retry
+  // backoff): with fewer than two presumed alive there is no collective to
+  // run, so the attempt fails and climbs the policy like any failed op.
+  if (rec.comm->presumed_alive() < 2) {
+    coll::OpResult res;
+    res.status = coll::OpStatus::kFailed;
+    on_op_failure(id, res);
+    return;
+  }
   coll::OpBase& op =
       rec.spec.coll == CollKind::kAllgather
           ? rec.comm->start_allgather(rec.spec.bytes, rec.spec.ag_algo)
@@ -359,7 +353,8 @@ FabricView ClusterScheduler::view() const {
   v.running_jobs = running_;
   v.queued_jobs = queue_.size();
   v.deweighted_dirs = cluster_.fabric().deweighted_dirs();
-  v.at_risk_dirs = cluster_.fabric().at_risk_dirs();
+  const coll::HealthMonitor* hm = cluster_.health();
+  v.at_risk_dirs = hm != nullptr ? hm->at_risk_dirs() : 0;
   const fabric::PacketPool& pool = cluster_.fabric().pool();
   for (std::uint16_t t = 1; t < pool.num_tenants(); ++t) {
     const std::uint64_t quota = pool.tenant_quota(t);

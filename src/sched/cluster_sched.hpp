@@ -161,6 +161,8 @@ class ClusterScheduler {
   /// spec.hosts minus ranks currently presumed dead (host crashed, or —
   /// given a prior communicator — confirmed by its failure detector).
   std::vector<fabric::NodeId> surviving_hosts(const JobRecord& rec) const;
+  /// Starts the job's next op; with fewer than two ranks presumed alive
+  /// the attempt fails on the spot instead (on_op_failure).
   void issue_next(std::size_t id);
   void on_op_done(std::size_t id, const coll::OpResult& res);
   /// Escalation ladder for a failed op attempt: accept-partial was already

@@ -57,25 +57,6 @@ TEST(Fabric, InjectReturnsWireDeparture) {
   e.run();
 }
 
-TEST(Fabric, AtRiskRegisterIsIdempotentPerDirection) {
-  // The predictive health plane's advisory flags: setting a direction
-  // at-risk twice counts it once, clearing is symmetric, and the flags
-  // never touch routing state (they only feed admission's FabricView).
-  sim::Engine e;
-  Fabric f(e, make_back_to_back({100.0, 0}), {});
-  EXPECT_EQ(f.at_risk_dirs(), 0u);
-  f.set_dir_at_risk(0, true);
-  f.set_dir_at_risk(0, true);  // idempotent: still one flagged direction
-  EXPECT_TRUE(f.dir_at_risk(0));
-  EXPECT_EQ(f.at_risk_dirs(), 1u);
-  f.set_dir_at_risk(1, true);
-  EXPECT_EQ(f.at_risk_dirs(), 2u);
-  f.set_dir_at_risk(0, false);
-  f.set_dir_at_risk(0, false);
-  EXPECT_FALSE(f.dir_at_risk(0));
-  EXPECT_EQ(f.at_risk_dirs(), 1u);
-}
-
 TEST(Fabric, StarForwardsThroughSwitch) {
   sim::Engine e;
   Fabric::Config cfg;

@@ -1,7 +1,8 @@
 // Health plane + adaptation layer tests (coll/health_monitor.hpp): weighted
 // ECMP, the fabric's peak-backlog register, rail-pinned multicast trees,
-// link deweight/restore end-to-end, subgroup re-balancing, predictive trend
-// scoring, and seeded determinism. The
+// link deweight/restore end-to-end, one cluster monitor shared by every
+// communicator, subgroup re-balancing, predictive trend scoring, and seeded
+// determinism. The
 // adversarial A/B contract (adaptive p99 vs static) lives in
 // example_adapt_storm; these tests inject each signal precisely instead.
 #include <gtest/gtest.h>
@@ -16,9 +17,9 @@ namespace {
 
 using testing::World;
 
-CommConfig adapt_on(CommConfig cfg = {}) {
-  cfg.adapt.enabled = true;
-  return cfg;
+ClusterConfig health_on(ClusterConfig kcfg = {}) {
+  kcfg.health.enabled = true;
+  return kcfg;
 }
 
 // Multi-rail world: make_multi_rail_fat_tree(2, 2, 4, 1, 1) — hosts 0-7,
@@ -158,16 +159,16 @@ TEST(Health, DegradedTrunkIsDeweightedThenRestoredWithEvidence) {
       fabric::FaultEvent::degrade(10 * kMicrosecond, 8, 10, 0.05,
                                   10 * kMicrosecond),
       fabric::FaultEvent::restore(400 * kMicrosecond, 8, 10)};
-  CommConfig ccfg = adapt_on();
-  ccfg.adapt.min_window_packets = 1;
+  kcfg.health.min_window_packets = 1;
+  CommConfig ccfg;
   ccfg.cutoff_alpha = 50 * kMicrosecond;
   std::unique_ptr<Cluster> cluster = std::make_unique<Cluster>(
-      fabric::make_fat_tree(2, 4, 2, 1, {}, {}), kcfg);
+      fabric::make_fat_tree(2, 4, 2, 1, {}, {}), health_on(kcfg));
   std::vector<fabric::NodeId> ids;
   for (std::size_t h = 0; h < 8; ++h)
     ids.push_back(static_cast<fabric::NodeId>(h));
   Communicator comm(*cluster, ids, ccfg);
-  HealthMonitor* hm = comm.health();
+  HealthMonitor* hm = cluster->health();
   ASSERT_NE(hm, nullptr);
   const fabric::Fabric& fab = cluster->fabric();
   const std::size_t up10 = dir_between(fab.topology(), 8, 10);
@@ -194,6 +195,59 @@ TEST(Health, DegradedTrunkIsDeweightedThenRestoredWithEvidence) {
   EXPECT_EQ(fab.dir_weight(up11), 1);
 }
 
+TEST(Health, OneMonitorServesEveryCommunicator) {
+  // Two communicators share one health-enabled cluster whose trunk 8->10
+  // is persistently degraded. The cluster's one monitor samples while
+  // either has an op in flight, deweights each sick direction exactly once
+  // (one writer of the ECMP weights), books every decision in the
+  // cluster's registry, and stops once both are idle so the engine drains.
+  ClusterConfig kcfg;
+  kcfg.fabric.faults.events = {fabric::FaultEvent::degrade(
+      10 * kMicrosecond, 8, 10, 0.08, 15 * kMicrosecond)};
+  Cluster cluster(fabric::make_fat_tree(2, 4, 2, 1, {}, {}),
+                  health_on(kcfg));
+  HealthMonitor* hm = cluster.health();
+  ASSERT_NE(hm, nullptr);
+  CommConfig ccfg;
+  ccfg.cutoff_alpha = 50 * kMicrosecond;
+  // a stays inside leaf 8; b spans both leaves, so only b crosses the
+  // sick trunk and a's short ops always finish first.
+  Communicator a(cluster, {0, 1}, ccfg);
+  Communicator b(cluster, {2, 3, 4, 5, 6, 7}, ccfg);
+  sim::Engine& eng = cluster.engine();
+  for (int round = 0; round < 4; ++round) {
+    EXPECT_FALSE(hm->active());
+    OpBase& short_op = a.start_allgather(16 * KiB, AllgatherAlgo::kMcast);
+    EXPECT_TRUE(hm->active());
+    OpBase& long_op = b.start_allgather(128 * KiB, AllgatherAlgo::kMcast);
+    cluster.run_until_done([&] { return short_op.done(); });
+    ASSERT_TRUE(short_op.result().data_verified) << "round " << round;
+    ASSERT_FALSE(long_op.done()) << "round " << round;
+    EXPECT_TRUE(hm->active());  // b's op alone keeps the sampler running
+    cluster.run_until_done([&] { return long_op.done(); });
+    ASSERT_TRUE(long_op.result().data_verified) << "round " << round;
+    EXPECT_FALSE(hm->active());
+  }
+  const std::size_t up10 = dir_between(cluster.fabric().topology(), 8, 10);
+  EXPECT_TRUE(hm->dir_unhealthy(up10));
+  std::size_t unhealthy = 0;
+  for (std::size_t d = 0; d < cluster.fabric().topology().num_dirs(); ++d)
+    unhealthy += hm->dir_unhealthy(d) ? 1 : 0;
+  EXPECT_EQ(hm->link_restores(), 0u);
+  EXPECT_EQ(hm->link_deweights(), unhealthy);  // each sick dir once
+  const telemetry::Snapshot snap = cluster.telemetry().metrics.snapshot();
+  EXPECT_EQ(snap.at("coll.adapt.link_deweights").count,
+            hm->link_deweights());
+  // b's op lifecycle alone drives the same monitor.
+  b.note_op_started();
+  EXPECT_TRUE(hm->active());
+  b.note_op_finished();
+  EXPECT_FALSE(hm->active());
+  // Both idle: no sampler re-arms, and the engine drains.
+  eng.run_until(eng.now() + 10 * kMillisecond);
+  EXPECT_TRUE(eng.empty());
+}
+
 // --- subgroup re-balancing ------------------------------------------------
 
 TEST(Health, SubgroupsRepinOffTheSickRail) {
@@ -206,12 +260,12 @@ TEST(Health, SubgroupsRepinOffTheSickRail) {
   kcfg.fabric.faults.events = {fabric::FaultEvent::degrade(
       10 * kMicrosecond, 8, 10, 0.08, 15 * kMicrosecond)};
   kcfg.nic.rc_rto = 20 * kMicrosecond;
-  CommConfig ccfg = adapt_on();
+  CommConfig ccfg;
   ccfg.transport = Transport::kUcMcast;
   ccfg.subgroups = 4;
   ccfg.cutoff_alpha = 30 * kMicrosecond;
-  RailWorld w(ccfg, kcfg);
-  HealthMonitor* hm = w.comm->health();
+  RailWorld w(ccfg, health_on(kcfg));
+  HealthMonitor* hm = w.cluster->health();
   ASSERT_NE(hm, nullptr);
 
   for (int op = 0; op < 3; ++op) {
@@ -247,25 +301,23 @@ TEST(Health, PredictiveTrendMarksRisingLinkThenClears) {
   // (which needs the direction actually *over* its thresholds for
   // kLinkDwell windows) has not fired. One clean window collapses the
   // projection to 0.15 and clears the mark.
-  World w(4, adapt_on());
-  HealthMonitor* hm = w.comm->health();
+  World w(4, {}, health_on());
+  HealthMonitor* hm = w.cluster->health();
   ASSERT_NE(hm, nullptr);
-  fabric::Fabric& fab = w.cluster->fabric();
   const std::size_t dir = 0;
   hm->test_observe_link(dir, 0.3);
   hm->test_observe_link(dir, 0.6);
   EXPECT_FALSE(hm->dir_at_risk(dir));
-  EXPECT_EQ(fab.at_risk_dirs(), 0u);
+  EXPECT_EQ(hm->at_risk_dirs(), 0u);
   hm->test_observe_link(dir, 0.9);
   EXPECT_TRUE(hm->dir_at_risk(dir));
-  EXPECT_TRUE(fab.dir_at_risk(dir));
-  EXPECT_EQ(fab.at_risk_dirs(), 1u);
+  EXPECT_EQ(hm->at_risk_dirs(), 1u);
   EXPECT_EQ(hm->predict_marks(), 1u);
   EXPECT_FALSE(hm->dir_unhealthy(dir));  // advisory only: no deweight
+  EXPECT_EQ(w.cluster->fabric().deweighted_dirs(), 0u);
   hm->test_observe_link(dir, 0.0);
   EXPECT_FALSE(hm->dir_at_risk(dir));
-  EXPECT_FALSE(fab.dir_at_risk(dir));
-  EXPECT_EQ(fab.at_risk_dirs(), 0u);
+  EXPECT_EQ(hm->at_risk_dirs(), 0u);
   EXPECT_EQ(hm->predict_clears(), 1u);
   const telemetry::Snapshot snap =
       w.cluster->telemetry().metrics.snapshot();
@@ -278,14 +330,14 @@ TEST(Health, PredictiveTrendIgnoresHighButFlatSeverity) {
   // EWMA toward 0.4 with a vanishing slope: the projection peaks at 0.6
   // and decays, so the forecast never fires — a flat state is the
   // reactive thresholds' call, not the trend scorer's.
-  World w(4, adapt_on());
-  HealthMonitor* hm = w.comm->health();
+  World w(4, {}, health_on());
+  HealthMonitor* hm = w.cluster->health();
   ASSERT_NE(hm, nullptr);
   const std::size_t dir = 0;
   for (int i = 0; i < 10; ++i) hm->test_observe_link(dir, 0.4);
   EXPECT_FALSE(hm->dir_at_risk(dir));
   EXPECT_EQ(hm->predict_marks(), 0u);
-  EXPECT_EQ(w.cluster->fabric().at_risk_dirs(), 0u);
+  EXPECT_EQ(hm->at_risk_dirs(), 0u);
 }
 
 // --- determinism ----------------------------------------------------------
@@ -305,19 +357,19 @@ TEST(Health, AdaptiveTimelineReplaysIdentically) {
     kcfg.fabric.faults.burst.drop_bad = 0.25;
     kcfg.fabric.seed = 99;
     kcfg.nic.rc_rto = 20 * kMicrosecond;
-    CommConfig ccfg = adapt_on();
+    kcfg.health.seed = 7;
+    CommConfig ccfg;
     ccfg.transport = Transport::kUcMcast;
     ccfg.subgroups = 4;
     ccfg.cutoff_alpha = 30 * kMicrosecond;
-    ccfg.adapt.seed = 7;
-    RailWorld w(ccfg, kcfg);
+    RailWorld w(ccfg, health_on(kcfg));
     for (int op = 0; op < 3; ++op) {
       const OpResult res =
           w.comm->allgather(128 * KiB, AllgatherAlgo::kMcast);
       ASSERT_TRUE(res.data_verified);
       for (const Time t : res.rank_finish) finishes->push_back(t);
     }
-    *dw = w.comm->health()->link_deweights();
+    *dw = w.cluster->health()->link_deweights();
     *repins = w.comm->subgroup_repins();
   };
   std::vector<Time> a, b;

@@ -676,6 +676,29 @@ TEST(FaultTolerance, UnplaceableJobIsRejected) {
   EXPECT_EQ(metric_count(cluster, "sched.jobs_rejected"), 1u);
 }
 
+TEST(ClusterSched, OpWithoutTwoSurvivorsIsAFailedAttempt) {
+  // Both hosts crash during the think time between the job's two ops. The
+  // second op has no collective left to run: issuing it is a failed
+  // attempt that climbs the (default, fail-fast) policy, so the job
+  // settles kFailed with both ledgers balanced instead of aborting.
+  coll::Cluster cluster =
+      faulty_cluster({fabric::FaultEvent::node_crash(200 * kMicrosecond, 0),
+                      fabric::FaultEvent::node_crash(200 * kMicrosecond, 1)});
+  ClusterScheduler sched(cluster);
+  JobSpec s = make_job(1, {0, 1}, CollKind::kAllgather, 64 * KiB, 2);
+  s.gap = 1 * kMillisecond;
+  const std::size_t id = sched.submit(std::move(s));
+  sched.run();
+  const JobRecord& rec = sched.job(id);
+  EXPECT_EQ(rec.state, JobState::kFailed);
+  EXPECT_EQ(rec.ops_done, 1u);
+  EXPECT_EQ(rec.ops_failed, 1u);
+  EXPECT_GE(rec.finish_time, 1 * kMillisecond);
+  EXPECT_TRUE(sched.conservation_ok());
+  EXPECT_TRUE(sched.retry_ledger_ok());
+  EXPECT_EQ(metric_count(cluster, "sched.jobs_failed"), 1u);
+}
+
 TEST(Admission, PredictiveGateDefersOnAtRiskDirs) {
   AdmissionConfig cfg;
   cfg.max_at_risk_dirs = 0;
@@ -700,17 +723,25 @@ TEST(Admission, PredictiveGateDisabledByDefault) {
 }
 
 TEST(ClusterSched, PredictiveGateHoldsJobsUntilRiskClears) {
-  // A direction flagged at-risk by the trend scorer defers placement just
-  // like a deweighted one; the flag clearing (here at 100us) reopens the
-  // door on the next queue tick.
-  coll::Cluster cluster = one_leaf_cluster();
+  // A direction the cluster monitor's trend scorer flags at-risk defers
+  // placement just like a deweighted one; the flag clearing (here at
+  // 100us) reopens the door on the next queue tick. A 0.3/0.6/0.9
+  // severity ramp marks the direction, one clean window clears it (the
+  // Health.PredictiveTrend* tests walk the arithmetic).
+  coll::ClusterConfig kcfg;
+  kcfg.health.enabled = true;
+  coll::Cluster cluster(fabric::make_fat_tree(1, 4, 1, 1, {}, {}), kcfg);
+  coll::HealthMonitor* hm = cluster.health();
+  ASSERT_NE(hm, nullptr);
   SchedulerConfig scfg;
   scfg.admission.max_at_risk_dirs = 0;
   scfg.requeue_tick = 10 * kMicrosecond;
   ClusterScheduler sched(cluster, scfg);
-  cluster.fabric().set_dir_at_risk(0, true);
-  cluster.engine().schedule_at(100 * kMicrosecond, [&cluster] {
-    cluster.fabric().set_dir_at_risk(0, false);
+  for (const double severity : {0.3, 0.6, 0.9})
+    hm->test_observe_link(0, severity);
+  ASSERT_EQ(hm->at_risk_dirs(), 1u);
+  cluster.engine().schedule_at(100 * kMicrosecond, [hm] {
+    hm->test_observe_link(0, 0.0);
   });
   const std::size_t id =
       sched.submit(make_job(1, {0, 1}, CollKind::kAllgather, 64 * KiB, 1));

@@ -352,10 +352,10 @@ TEST(Validate, AdaptOscillationDetected) {
   // flapping impossible; the adapt.oscillation validator catches the case
   // where it is misconfigured (or a policy feeds back into its own input).
   // Deweights and restores both count.
-  coll::CommConfig cfg;
-  cfg.adapt.enabled = true;
-  World w(4, cfg);
-  coll::HealthMonitor* hm = w.comm->health();
+  coll::ClusterConfig kcfg;
+  kcfg.health.enabled = true;
+  World w(4, {}, kcfg);
+  coll::HealthMonitor* hm = w.cluster->health();
   ASSERT_NE(hm, nullptr);
   debug::ViolationTrap trap;
   // Exactly at the bound (ending on a restore): silent.
