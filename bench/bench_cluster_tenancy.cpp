@@ -3,15 +3,14 @@
 // One k=8 multi-rail fat tree carries the seeded mixed workload from
 // sched/arrival.hpp (three wide training allgather tenants + a Poisson
 // burst of narrow inference broadcast tenants, two of them high
-// priority). The sweep runs the identical workload under fifo (no QoS),
-// strict bands, and weighted-fair injection, and reports the two numbers
-// a cluster operator trades off: the high-priority tenants' p99 op
-// latency and the training class's aggregate goodput. Expect: strict
-// slashes hp p99 at near-zero training cost (training is
-// bandwidth-bound, hp bursts are small); wfq lands between fifo and
-// strict on both axes.
+// priority). The sweep runs the identical workload under fifo (no QoS)
+// and strict priority bands, and reports the two numbers a cluster
+// operator trades off: the high-priority tenants' p99 op latency and the
+// training class's aggregate goodput. Expect: strict slashes hp p99 at
+// near-zero training cost (training is bandwidth-bound, hp bursts are
+// small).
 //
-// A fourth row (strict_chaos) reruns strict with a degraded trunk and a
+// A third row (strict_chaos) reruns strict with a degraded trunk and a
 // mid-storm host crash under per-class failure policies, so the
 // robustness counters in every --mccl_json row (jobs by terminal state,
 // retries, requeues, degraded ops, shrunk ranks) have a non-zero
@@ -129,10 +128,6 @@ void register_all() {
                                sched::QosPolicy::kStrict, true, false)
       ->UseManualTime()
       ->Iterations(1);
-  benchmark::RegisterBenchmark("Tenancy/wfq", BM_Tenancy,
-                               sched::QosPolicy::kWfq, true, false)
-      ->UseManualTime()
-      ->Iterations(1);
   benchmark::RegisterBenchmark("Tenancy/strict_chaos", BM_Tenancy,
                                sched::QosPolicy::kStrict, true, true)
       ->UseManualTime()
@@ -144,7 +139,7 @@ void register_all() {
 int main(int argc, char** argv) {
   bench::banner("Cluster tenancy: QoS policy sweep on one shared fat tree",
                 "Expect: strict slashes high-priority p99 vs fifo at "
-                "near-zero training goodput cost; wfq lands in between.");
+                "near-zero training goodput cost.");
   register_all();
   return bench::run_main(argc, argv);
 }

@@ -84,11 +84,10 @@ struct CommConfig {
   std::uint16_t tenant = 0;
   /// Tenant QoS class, 0 = highest priority: selects the data virtual lane
   /// at switch egress and the priority band at NIC injection. Only matters
-  /// once a NIC QoS policy (Nic::set_qos_policy) and/or virtual lanes are
-  /// active; with the defaults everything rides kBulkLane as before.
+  /// once NIC strict priority (Nic::set_strict_priority) and/or virtual
+  /// lanes are active; with the defaults everything rides kBulkLane as
+  /// before.
   std::uint8_t qos_class = 0;
-  /// Weighted-fair share at NIC injection (QosPolicy::kWfq).
-  std::uint16_t qos_weight = 1;
 };
 
 /// Per-rank protocol phase timestamps (durations), the Fig 10 breakdown.
@@ -466,7 +465,7 @@ class Communicator {
   /// arbitrate at band 0 regardless of tenant class — any tenant's tokens
   /// beat any tenant's bulk, mirroring the fabric's strict control lane.
   void tag_qp(rdma::Qp& qp, bool ctrl) const {
-    qp.set_qos(config_.tenant, config_.qos_class, config_.qos_weight, ctrl);
+    qp.set_qos(config_.tenant, config_.qos_class, ctrl);
   }
 
  private:

@@ -23,10 +23,9 @@ IncReduceScatter::IncReduceScatter(Communicator& comm,
   chunks_per_block_ = static_cast<std::size_t>(
       (bytes_ + chunk_bytes_ - 1) / chunk_bytes_);
 
-  inc::SessionConfig scfg;
-  for (std::size_t r = 0; r < P; ++r)
-    scfg.hosts.push_back(comm_.ep(r).host());
-  session_ = comm_.cluster().inc().create_session(scfg);
+  std::vector<fabric::NodeId> hosts;
+  for (std::size_t r = 0; r < P; ++r) hosts.push_back(comm_.ep(r).host());
+  session_ = comm_.cluster().inc().create_session(std::move(hosts));
 
   st_.resize(P);
   const bool fill = comm_.data_mode();

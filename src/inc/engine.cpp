@@ -24,10 +24,10 @@ Engine::Engine(fabric::Fabric& fabric) : fabric_(fabric) {
       fabric::TransportOp::kIncContribution);
 }
 
-SessionId Engine::create_session(SessionConfig config) {
-  MCCL_CHECK(config.hosts.size() >= 2);
+SessionId Engine::create_session(std::vector<fabric::NodeId> hosts) {
+  MCCL_CHECK(hosts.size() >= 2);
   sessions_.push_back(std::make_unique<Session>());
-  sessions_.back()->config = std::move(config);
+  sessions_.back()->hosts = std::move(hosts);
   return static_cast<SessionId>(sessions_.size() - 1);
 }
 
@@ -61,7 +61,7 @@ const Engine::Tree& Engine::tree_for(Session& s, fabric::NodeId owner) {
   // paths to the owner. Each child edge yields exactly one packet — either
   // a member host's leaf contribution or a downstream switch's merge.
   std::unordered_map<fabric::NodeId, std::vector<fabric::NodeId>> child_from;
-  for (const fabric::NodeId m : s.config.hosts) {
+  for (const fabric::NodeId m : s.hosts) {
     if (m == owner) continue;
     MCCL_CHECK_MSG(visited[static_cast<size_t>(m)],
                    "INC member unreachable from owner");
@@ -184,7 +184,7 @@ bool Engine::intercept(fabric::NodeId sw, int /*in_port*/,
   const std::uint32_t chunk = packet->th.imm;
   const int out_port = tree.parent_port[static_cast<size_t>(sw)];
   fabric_.engine().schedule(
-      s.config.switch_compute_latency,
+      kSwitchComputeLatency,
       [this, id, sw, owner, chunk, out_port, done = std::move(done)] {
         auto merged = make_merged(id, sw, owner, chunk, done);
         fabric_.send_from_switch(sw, out_port, merged);
@@ -202,7 +202,7 @@ void Engine::on_host_packet(fabric::NodeId host,
   ChunkAcc& acc = pending[packet->th.imm];
   accumulate(acc, packet);
   const std::uint32_t needed =
-      static_cast<std::uint32_t>(s.config.hosts.size()) - 1;
+      static_cast<std::uint32_t>(s.hosts.size()) - 1;
   MCCL_CHECK(acc.weight <= needed);
   if (acc.weight < needed) return;
 

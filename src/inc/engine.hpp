@@ -29,17 +29,16 @@ namespace mccl::inc {
 
 using SessionId = std::uint16_t;
 
-struct SessionConfig {
-  std::vector<fabric::NodeId> hosts;   // members (contributors and owners)
-  Time switch_compute_latency = 200 * kNanosecond;  // per merged chunk
-};
-
 class Engine {
  public:
+  /// Switch ALU latency paid per merged chunk.
+  static constexpr Time kSwitchComputeLatency = 200 * kNanosecond;
+
   explicit Engine(fabric::Fabric& fabric);
 
-  /// Creates a reduction session over a set of member hosts.
-  SessionId create_session(SessionConfig config);
+  /// Creates a reduction session over its member hosts (contributors and
+  /// owners).
+  SessionId create_session(std::vector<fabric::NodeId> hosts);
 
   /// Posts host `src`'s contribution for `chunk` of the block owned by
   /// `owner`. `payload` may be empty in synthetic (timing-only) mode.
@@ -81,7 +80,7 @@ class Engine {
   };
 
   struct Session {
-    SessionConfig config;
+    std::vector<fabric::NodeId> hosts;
     // trees keyed by owner host.
     std::unordered_map<fabric::NodeId, Tree> trees;
     // switch-side accumulators keyed by (owner, switch, chunk).

@@ -4,6 +4,23 @@
 #include <utility>
 
 namespace mccl::rdma {
+namespace {
+
+/// First set bit of `ready` at or after slot `start`, cyclic over `nslots`
+/// slots. `ready` must have a set bit.
+std::size_t first_ready(const std::vector<std::uint64_t>& ready,
+                        std::size_t nslots, std::size_t start) {
+  if (start >= nslots) start -= nslots;  // the cursor is at most nslots
+  std::size_t w = start >> 6;
+  std::uint64_t bits = (ready[w] >> (start & 63)) << (start & 63);
+  while (bits == 0) {
+    if (++w == ready.size()) w = 0;
+    bits = ready[w];  // back at start's word: only bits below start remain
+  }
+  return (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
+}
+
+}  // namespace
 
 Nic::Nic(sim::Engine& engine, fabric::Fabric& fabric, fabric::NodeId host,
          NicConfig config)
@@ -67,8 +84,11 @@ void Nic::set_crashed(bool crashed) {
   crashed_ = crashed;
   if (crashed_) {
     // Discard everything queued for egress: a dead host transmits nothing.
-    for (auto& q : tx_queues_) q.clear();
-    std::fill(tx_ready_.begin(), tx_ready_.end(), 0);
+    for (TxQueue& q : tx_queues_) q.items.clear();
+    for (TxBand& band : tx_bands_) {
+      std::fill(band.ready.begin(), band.ready.end(), 0);
+      band.count = 0;
+    }
   }
   // Close (or reopen) every CQ's crash gate: a crashed NIC must never
   // surface new completions, and the validator flags any push that tries.
@@ -83,8 +103,16 @@ void Nic::set_crashed(bool crashed) {
 std::size_t Nic::add_tx_queue() {
   const std::size_t slot = tx_queues_.size();
   tx_queues_.emplace_back();
-  if ((slot >> 6) >= tx_ready_.size()) tx_ready_.push_back(0);
+  if ((slot >> 6) >= tx_bands_[0].ready.size())
+    for (TxBand& band : tx_bands_) band.ready.push_back(0);
   return slot;
+}
+
+std::uint8_t Nic::tx_band(std::uint32_t queue) {
+  // The INC transport has no QP; its aggregation traffic ranks as control.
+  if (!strict_priority_ || queue == kIncTxQueue) return 0;
+  const Qp* qp = find_qp(queue);
+  return qp != nullptr ? qp->qos_band() : 1;
 }
 
 void Nic::transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
@@ -100,40 +128,50 @@ void Nic::transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
       tx_slot_of_[queue] = static_cast<std::int32_t>(add_tx_queue());
     slot = static_cast<std::size_t>(tx_slot_of_[queue]);
   }
-  auto& q = tx_queues_[slot];
-  if (q.empty()) {
-    tx_ready_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    // Refresh the slot's arbitration attributes from the owning QP as the
-    // queue turns ready — cheap (once per busy period, not per packet) and
-    // picks up set_qos calls made after the QP's first send. The INC
-    // transport has no QP; its aggregation traffic arbitrates like control.
-    if (qos_enabled_) {
-      if (queue == kIncTxQueue) {
-        qos_arbiter_.set_queue(slot, 0, 1);
-      } else if (Qp* qp = find_qp(queue)) {
-        qos_arbiter_.set_queue(slot, qp->qos_band(), qp->qos_weight());
-      }
+  TxQueue& q = tx_queues_[slot];
+  if (q.items.empty()) {
+    // Filed once per busy period, so a set_qos made after the QP's first
+    // send takes effect on its next one.
+    const std::uint8_t b = tx_band(queue);
+    if (b >= tx_bands_.size()) {
+      const std::size_t words = tx_bands_[0].ready.size();
+      tx_bands_.resize(std::size_t{b} + 1);
+      for (TxBand& band : tx_bands_) band.ready.resize(words, 0);
     }
+    TxBand& band = tx_bands_[b];
+    band.ready[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    ++band.count;
+    q.band = b;
   }
-  q.push(TxItem{packet, std::move(done)});
+  q.items.push(TxItem{packet, std::move(done)});
   pump_tx();
 }
 
 // mccl-lint: begin-hot nic-egress
+std::size_t Nic::pick_tx_slot() {
+  // Lowest band with a ready queue; round-robin from the shared cursor
+  // inside it. A round-robin NIC stops at band 0.
+  for (const TxBand& band : tx_bands_) {
+    if (band.count == 0) continue;
+    const std::size_t slot =
+        first_ready(band.ready, tx_queues_.size(), tx_rr_);
+    tx_rr_ = slot + 1;
+    return slot;
+  }
+  return kNoTxQueue;
+}
+
 void Nic::pump_tx() {
-  static_assert(sched::QosArbiter::kNone == kNoTxQueue,
-                "arbiter sentinel must match the NIC's");
   if (tx_active_) return;
-  // The arbiter picks across non-empty TX queues and advances the cursor:
-  // cyclic round-robin under kFifo, by band/weight under a QoS policy.
-  const std::size_t picked = qos_arbiter_.pick(
-      tx_ready_.data(), tx_ready_.size(), tx_queues_.size(), tx_rr_);
+  const std::size_t picked = pick_tx_slot();
   if (picked == kNoTxQueue) return;
-  auto& queue = tx_queues_[picked];
-  TxItem item = queue.pop();
-  if (queue.empty())
-    tx_ready_[picked >> 6] &= ~(std::uint64_t{1} << (picked & 63));
-  if (qos_enabled_) qos_arbiter_.on_dequeue(picked, item.packet->wire_size);
+  TxQueue& queue = tx_queues_[picked];
+  TxItem item = queue.items.pop();
+  if (queue.items.empty()) {
+    TxBand& band = tx_bands_[queue.band];
+    band.ready[picked >> 6] &= ~(std::uint64_t{1} << (picked & 63));
+    --band.count;
+  }
   tx_active_ = true;
   const Time departure = fabric_.inject(item.packet);
   if (item.done) item.done(departure);

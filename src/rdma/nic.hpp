@@ -17,7 +17,6 @@
 #include "src/rdma/cq.hpp"
 #include "src/rdma/memory.hpp"
 #include "src/rdma/qp.hpp"
-#include "src/sched/qos_arbiter.hpp"
 #include "src/sim/engine.hpp"
 #include "src/sim/resource.hpp"
 
@@ -103,20 +102,19 @@ class Nic {
   /// the host link and services TX queues round-robin (the per-QP WQE
   /// arbitration of a real HCA) so one bulk flow cannot head-of-line-block
   /// other QPs — e.g. a Reduce-Scatter burst must not starve concurrent
-  /// Allgather multicast or control tokens. With a non-FIFO QoS policy the
-  /// pick is delegated to the sched::QosArbiter instead (strict priority or
-  /// weighted-fair over the per-QP bands set via Qp::set_qos).
+  /// Allgather multicast or control tokens. Each queue is filed under a
+  /// priority band when it turns non-empty; the pick serves the lowest
+  /// band with a ready queue, round-robin from one shared cursor inside it.
   void transmit(std::uint32_t queue, const fabric::PacketPtr& packet,
                 TxCallback done = {});
 
-  /// Egress QoS policy. kFifo (the default) keeps the original round-robin
-  /// pick — bit-identical to the pre-QoS NIC; kStrict/kWfq arbitrate by the
-  /// per-QP band/weight attributes. Cluster-scheduler plane; set before
-  /// traffic for reproducible runs.
-  void set_qos_policy(sched::QosPolicy policy) {
-    qos_arbiter_.set_policy(policy);
-    qos_enabled_ = policy != sched::QosPolicy::kFifo;
-  }
+  /// Egress strict priority (cluster-scheduler plane). Off (the default):
+  /// every queue is in band 0, a plain round-robin. On: a QP's queue is
+  /// filed under Qp::qos_band() — control QPs and the INC transport in
+  /// band 0, tenant data in 1 + class, a queue with no QP in band 1. The
+  /// band is read each time a queue turns non-empty, so set this before
+  /// traffic.
+  void set_strict_priority(bool on) { strict_priority_ = on; }
 
   /// Capture budget of a post_local_copy completion: the engine cell also
   /// holds the NIC's own 32-byte capture (this, src, dst, len).
@@ -188,6 +186,10 @@ class Nic {
                          std::uint64_t len);
   void pump_tx();
   std::size_t add_tx_queue();
+  /// Band a queue is filed under when it turns non-empty.
+  std::uint8_t tx_band(std::uint32_t queue);
+  /// Next queue to serve (advancing the cursor), or kNoTxQueue.
+  std::size_t pick_tx_slot();
 
   static constexpr std::size_t kNoTxQueue = ~std::size_t{0};
 
@@ -210,17 +212,23 @@ class Nic {
   // the kIncTxQueue sentinel, so the id->slot map is a flat vector, and the
   // round-robin scan reads a non-empty bitmap (one ctz per word) instead of
   // probing every queue — with hundreds of QPs per NIC the linear probe was
-  // one of the hottest loops in the simulator.
+  // one of the hottest loops in the simulator. One bitmap per band; a
+  // round-robin NIC only ever uses band 0.
+  struct TxQueue {
+    Ring<TxItem> items;
+    std::uint8_t band = 0;  // band it is filed under while non-empty
+  };
+  struct TxBand {
+    std::vector<std::uint64_t> ready;  // bit per slot: non-empty, filed here
+    std::size_t count = 0;             // bits set in `ready`
+  };
   std::vector<std::int32_t> tx_slot_of_;    // queue id -> slot, -1 = none
   std::size_t inc_tx_slot_ = kNoTxQueue;    // slot for kIncTxQueue
-  std::vector<Ring<TxItem>> tx_queues_;
-  std::vector<std::uint64_t> tx_ready_;     // bit per slot: queue non-empty
+  std::vector<TxQueue> tx_queues_;
+  std::vector<TxBand> tx_bands_ = std::vector<TxBand>(1);
   std::size_t tx_rr_ = 0;
   bool tx_active_ = false;
-  sched::QosArbiter qos_arbiter_;
-  // True iff policy != kFifo: only then does the arbiter need per-slot
-  // band/weight attributes and per-dequeue deficit accounting.
-  bool qos_enabled_ = false;
+  bool strict_priority_ = false;
   telemetry::Telemetry* telem_ = nullptr;
   bool crashed_ = false;
   bool crc_enabled_ = false;

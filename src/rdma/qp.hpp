@@ -91,22 +91,19 @@ class Qp {
 
   /// Tenant/QoS attributes (cluster scheduler plane). Every packet this QP
   /// builds is charged to `tenant`'s pool sub-pool and rides the data
-  /// virtual lane of `cls` (0 = highest priority); the NIC egress arbiter
-  /// sees priority band 1 + cls for data QPs, band 0 for control QPs
-  /// (`ctrl` = true — their tokens must never queue behind any tenant's
-  /// bulk). `weight` is the WFQ share at injection. Defaults (tenant 0,
-  /// class 0, weight 1) reproduce the pre-QoS datapath bit-for-bit. Set
-  /// before the first send; mid-stream changes only affect new packets.
-  void set_qos(std::uint16_t tenant, std::uint8_t cls, std::uint16_t weight,
-               bool ctrl) {
+  /// virtual lane of `cls` (0 = highest priority); under strict priority
+  /// the NIC egress arbiter files the QP's queue under band 1 + cls for
+  /// data QPs, band 0 for control QPs (`ctrl` = true — their tokens must
+  /// never queue behind any tenant's bulk). Defaults (tenant 0, class 0)
+  /// reproduce the pre-QoS datapath bit-for-bit. A change takes effect on
+  /// new packets and on the QP's next busy period at the NIC.
+  void set_qos(std::uint16_t tenant, std::uint8_t cls, bool ctrl) {
     tenant_ = tenant;
     data_vl_ = ctrl ? fabric::kCtrlLane : fabric::data_lane_for_class(cls);
     qos_band_ = ctrl ? 0 : static_cast<std::uint8_t>(1 + cls);
-    qos_weight_ = weight == 0 ? 1 : weight;
   }
   std::uint16_t tenant() const { return tenant_; }
   std::uint8_t qos_band() const { return qos_band_; }
-  std::uint16_t qos_weight() const { return qos_weight_; }
 
  protected:
   bool rq_empty() const { return recv_queue_depth() == 0; }
@@ -148,7 +145,6 @@ class Qp {
   std::uint16_t tenant_ = 0;
   std::uint8_t data_vl_ = fabric::kBulkLane;
   std::uint8_t qos_band_ = 1;   // NIC arbiter priority (0 = control)
-  std::uint16_t qos_weight_ = 1;
 };
 
 // --------------------------------------------------------------------------

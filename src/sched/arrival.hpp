@@ -61,7 +61,7 @@ struct WorkloadConfig {
   Time inference_mean_gap = 15 * kMicrosecond;  // Poisson inter-arrival
 
   /// The first `high_priority_jobs` inference tenants are the SLO class:
-  /// class 0 (highest lane/band) with a heavy WFQ weight.
+  /// class 0 (highest lane/band) with the largest packet-pool weight.
   std::size_t high_priority_jobs = 2;
 
   // --- per-class failure handling ------------------------------------------
@@ -87,7 +87,8 @@ struct WorkloadConfig {
 };
 
 // Per-class QoS stamps of the mixed workload: tenant QoS class (0 = highest
-// priority) and WFQ weight at NIC injection.
+// priority) and the weight that scales the tenant's packet-pool quota
+// (SchedulerConfig::pool_quota_per_weight).
 inline constexpr std::uint8_t kTrainingClass = 2;
 inline constexpr std::uint16_t kTrainingWeight = 1;
 inline constexpr std::uint8_t kInferenceClass = 1;

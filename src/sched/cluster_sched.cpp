@@ -11,7 +11,7 @@ namespace mccl::sched {
 ClusterScheduler::ClusterScheduler(coll::Cluster& cluster, SchedulerConfig cfg)
     : cluster_(cluster), cfg_(cfg), admission_(cfg.admission) {
   for (std::size_t h = 0; h < cluster_.num_hosts(); ++h)
-    cluster_.nic(h).set_qos_policy(cfg_.policy);
+    cluster_.nic(h).set_strict_priority(cfg_.policy == QosPolicy::kStrict);
   publisher_id_ = cluster_.telemetry().metrics.add_publisher(
       [this](telemetry::MetricsRegistry& reg) { publish(reg); });
 }
@@ -122,13 +122,7 @@ void ClusterScheduler::build_comm(std::size_t id,
   if (rec.comm) rec.retired_comms.push_back(std::move(rec.comm));
   coll::CommConfig ccfg = rec.spec.comm;
   ccfg.tenant = rec.spec.tenant;
-  if (cfg_.apply_classes) {
-    ccfg.qos_class = rec.spec.qos_class;
-    ccfg.qos_weight = rec.spec.qos_weight;
-  } else {
-    ccfg.qos_class = 0;
-    ccfg.qos_weight = 1;
-  }
+  ccfg.qos_class = cfg_.apply_classes ? rec.spec.qos_class : 0;
   // Decorrelate the detector heartbeat phases across tenants: N
   // communicators seeded alike would probe the fabric in lockstep.
   ccfg.detector.seed ^= 0x9e3779b97f4a7c15ull * rec.spec.tenant;

@@ -7,7 +7,7 @@
 // stamped onto every QP, and run their collectives back-to-back via
 // OpBase::set_on_done — no outer run loop per op, one cluster-wide
 // run_until_done for the whole workload. QoS enforcement itself lives in
-// the datapath (sched::QosArbiter at NIC injection, virtual lanes at
+// the datapath (strict priority bands at NIC injection, virtual lanes at
 // switch egress, per-tenant packet sub-pools); the scheduler's job is to
 // wire identities, meter admission, and account per-tenant SLOs.
 //
@@ -29,18 +29,21 @@
 #include "src/common/units.hpp"
 #include "src/sched/admission.hpp"
 #include "src/sched/job.hpp"
-#include "src/sched/qos_arbiter.hpp"
 
 namespace mccl::sched {
+
+/// NIC injection arbitration: kFifo is plain round-robin across TX queues,
+/// kStrict serves the lowest priority band first (Nic::set_strict_priority).
+enum class QosPolicy : std::uint8_t { kFifo, kStrict };
 
 struct SchedulerConfig {
   /// NIC injection arbitration policy, armed on every host's NIC at
   /// construction. kFifo leaves the NICs byte-identical to the
   /// pre-scheduler datapath.
   QosPolicy policy = QosPolicy::kFifo;
-  /// Apply each job's qos_class/qos_weight to its QPs. When false every
-  /// job runs class 0 / weight 1 — all data on one lane, no band skew —
-  /// which is the FIFO baseline for A/B comparisons.
+  /// Apply each job's qos_class to its QPs. When false every job runs
+  /// class 0 — all data on one lane, no band skew — which is the FIFO
+  /// baseline for A/B comparisons.
   bool apply_classes = true;
   AdmissionConfig admission;
   /// Per-tenant packet-pool soft quota, in packets, per unit of

@@ -3,8 +3,8 @@
 // A JobSpec is one tenant's collective workload: a communicator-shaped
 // host set, a collective kind + algorithm, a per-op payload, how many ops
 // to run back-to-back, and the tenant's QoS identity (class -> virtual
-// lane + NIC priority band, weight -> WFQ share, tenant id -> packet-pool
-// sub-pool). Specs are plain data so arrival generators (arrival.hpp) can
+// lane + NIC priority band, tenant id -> packet-pool sub-pool, weight ->
+// that sub-pool's quota). Specs are plain data so arrival generators (arrival.hpp) can
 // build whole workloads up front and the scheduler can replay them
 // deterministically from one seed.
 #pragma once
@@ -119,7 +119,9 @@ struct JobSpec {
   /// QoS class, 0 = highest priority. Selects the data virtual lane at
   /// switch egress and the NIC injection band (see CommConfig).
   std::uint8_t qos_class = 2;
-  std::uint16_t qos_weight = 1;  // WFQ share at NIC injection
+  /// Multiplies SchedulerConfig::pool_quota_per_weight into the tenant's
+  /// packet-pool quota.
+  std::uint16_t qos_weight = 1;
   std::vector<fabric::NodeId> hosts;  // the job's ranks; >= 2
   Time arrival = 0;  // engine time the job shows up at the scheduler
   CollKind coll = CollKind::kAllgather;
@@ -132,8 +134,8 @@ struct JobSpec {
   /// What to do when an op settles kPartial or kFailed (default: fail).
   FailurePolicy on_failure;
   /// Transport configuration for the job's communicator. The scheduler
-  /// overwrites the tenant/qos_class/qos_weight fields from this spec at
-  /// admission time (or zeroes them in the FIFO baseline). The embedded
+  /// overwrites the tenant/qos_class fields from this spec at admission
+  /// time (or zeroes the class in the FIFO baseline). The embedded
   /// detector config is per-job: arrival generators give bursty inference
   /// tenants tighter heartbeat/lease windows than bulk training tenants.
   coll::CommConfig comm;

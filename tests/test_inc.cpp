@@ -44,7 +44,7 @@ struct IncWorld {
   std::uint32_t len(fabric::NodeId h, std::uint32_t c) { return lens[{h, c}]; }
 
   SessionId session(std::vector<fabric::NodeId> hosts) {
-    const SessionId id = inc.create_session({std::move(hosts)});
+    const SessionId id = inc.create_session(std::move(hosts));
     for (const fabric::NodeId h : fab.topology().hosts()) {
       inc.set_result_sink(
           id, h,
@@ -153,7 +153,7 @@ TEST(IncEngine, SessionsAreIsolated) {
   IncWorld w(fabric::make_star(3, {}));
   const SessionId a = w.session({0, 1, 2});
   std::vector<float> b_result;
-  const SessionId b = w.inc.create_session({{0, 1, 2}});
+  const SessionId b = w.inc.create_session({0, 1, 2});
   w.inc.set_result_sink(b, 0,
                         [&](std::uint32_t, std::uint32_t,
                             const fabric::Payload& p) {

@@ -1,8 +1,7 @@
-// Cluster-scheduler tests: QoS arbiter policies (FIFO equivalence, strict
-// bands, WFQ shares and starvation freedom), per-tenant packet sub-pool
-// accounting, admission-control gating (capacity, bounded queue, timeout,
-// health plane), multi-communicator isolation, and double-run determinism
-// of the whole scheduling plane.
+// Cluster-scheduler tests: per-tenant packet sub-pool accounting, strict
+// priority protecting a latency tenant, admission-control gating
+// (capacity, bounded queue, timeout, health plane), multi-communicator
+// isolation, and double-run determinism of the whole scheduling plane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,120 +15,6 @@
 
 namespace mccl::sched {
 namespace {
-
-// --- QosArbiter unit tests (no NIC needed: the arbiter is a pure function
-// of the ready bitmap, the cursor, and the slot attributes) ---------------
-
-struct Ready {
-  explicit Ready(std::size_t nslots)
-      : n(nslots), bits((nslots + 63) / 64, 0) {}
-  void set(std::size_t s, bool on = true) {
-    if (on)
-      bits[s >> 6] |= std::uint64_t{1} << (s & 63);
-    else
-      bits[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
-  }
-  std::size_t pick(QosArbiter& arb, std::size_t& rr) const {
-    return arb.pick(bits.data(), bits.size(), n, rr);
-  }
-  std::size_t n;
-  std::vector<std::uint64_t> bits;
-};
-
-TEST(QosArbiter, FifoMatchesCyclicScan) {
-  QosArbiter arb;
-  arb.set_policy(QosPolicy::kFifo);
-  Ready r(70);  // cross the word boundary
-  r.set(3);
-  r.set(65);
-  std::size_t rr = 0;
-  EXPECT_EQ(r.pick(arb, rr), 3u);
-  EXPECT_EQ(rr, 4u);  // cursor advances past the pick, like the NIC's scan
-  EXPECT_EQ(r.pick(arb, rr), 65u);
-  EXPECT_EQ(r.pick(arb, rr), 3u);  // wraps
-  r.set(3, false);
-  r.set(65, false);
-  EXPECT_EQ(r.pick(arb, rr), QosArbiter::kNone);
-}
-
-TEST(QosArbiter, StrictServesLowestBandFirst) {
-  QosArbiter arb;
-  arb.set_policy(QosPolicy::kStrict);
-  arb.set_queue(0, /*band=*/1, 1);
-  arb.set_queue(1, /*band=*/3, 1);
-  arb.set_queue(2, /*band=*/1, 1);
-  Ready r(3);
-  r.set(0);
-  r.set(1);
-  r.set(2);
-  std::size_t rr = 0;
-  // Band 1 wins over band 3, round-robin within the band.
-  EXPECT_EQ(r.pick(arb, rr), 0u);
-  EXPECT_EQ(r.pick(arb, rr), 2u);
-  EXPECT_EQ(r.pick(arb, rr), 0u);
-  // Only once band 1 drains does band 3 get the link.
-  r.set(0, false);
-  r.set(2, false);
-  EXPECT_EQ(r.pick(arb, rr), 1u);
-}
-
-TEST(QosArbiter, StrictDefaultsUnregisteredSlotsToDataBand) {
-  QosArbiter arb;
-  arb.set_policy(QosPolicy::kStrict);
-  arb.set_queue(1, /*band=*/0, 1);  // a ctrl queue
-  Ready r(4);
-  r.set(1);
-  r.set(3);  // never registered -> band 1
-  std::size_t rr = 0;
-  EXPECT_EQ(r.pick(arb, rr), 1u);
-  r.set(1, false);
-  EXPECT_EQ(r.pick(arb, rr), 3u);
-}
-
-TEST(QosArbiter, WfqSharesFollowWeights) {
-  QosArbiter arb;
-  arb.set_policy(QosPolicy::kWfq);
-  arb.set_queue(0, 1, /*weight=*/3);
-  arb.set_queue(1, 1, /*weight=*/1);
-  Ready r(2);
-  r.set(0);
-  r.set(1);
-  std::size_t rr = 0;
-  std::size_t served[2] = {0, 0};
-  for (int i = 0; i < 1800; ++i) {
-    const std::size_t s = r.pick(arb, rr);
-    ASSERT_LT(s, 2u);
-    ++served[s];
-    arb.on_dequeue(s, 1000);  // every packet the same wire size
-  }
-  const double ratio =
-      static_cast<double>(served[0]) / static_cast<double>(served[1]);
-  // Deficit round robin with quantum 4096 and 1000-byte packets serves
-  // 13:5 per replenish round for weights 3:1 — well inside [2, 3.5].
-  EXPECT_GT(ratio, 2.0);
-  EXPECT_LT(ratio, 3.5);
-  EXPECT_GT(arb.wfq_rounds(), 0u);
-}
-
-TEST(QosArbiter, WfqNeverStarvesLightQueues) {
-  QosArbiter arb;
-  arb.set_policy(QosPolicy::kWfq);
-  arb.set_queue(0, 1, /*weight=*/100);
-  arb.set_queue(1, 1, /*weight=*/1);
-  Ready r(2);
-  r.set(0);
-  r.set(1);
-  std::size_t rr = 0;
-  std::size_t light = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t s = r.pick(arb, rr);
-    light += s == 1;
-    arb.on_dequeue(s, 1500);
-  }
-  // Weight 1 against weight 100: a trickle, but never zero — every
-  // replenish round hands the light queue one quantum of credit.
-  EXPECT_GT(light, 0u);
-}
 
 // --- Per-tenant packet sub-pool accounting -------------------------------
 
@@ -294,27 +179,6 @@ TEST(ClusterSched, StrictArbitrationProtectsLatencyTenant) {
   const double fifo = contended_hp_mean(QosPolicy::kFifo, false);
   const double strict = contended_hp_mean(QosPolicy::kStrict, true);
   EXPECT_LT(strict, fifo);
-}
-
-TEST(ClusterSched, WfqWeightSpeedsUpHeavyTenant) {
-  // Two identical bulk tenants, same class, weights 3 vs 1, one shared
-  // injection host: the heavy tenant must finish its work first.
-  coll::Cluster cluster = one_leaf_cluster();
-  SchedulerConfig scfg;
-  scfg.policy = QosPolicy::kWfq;
-  ClusterScheduler sched(cluster, scfg);
-  JobSpec heavy = make_job(1, {0, 1}, CollKind::kBroadcast, 256 * KiB, 3);
-  heavy.qos_class = 1;
-  heavy.qos_weight = 3;
-  JobSpec light = make_job(2, {0, 2}, CollKind::kBroadcast, 256 * KiB, 3);
-  light.qos_class = 1;
-  light.qos_weight = 1;
-  const std::size_t hv = sched.submit(std::move(heavy));
-  const std::size_t lt = sched.submit(std::move(light));
-  sched.run();
-  ASSERT_EQ(sched.job(hv).state, JobState::kCompleted);
-  ASSERT_EQ(sched.job(lt).state, JobState::kCompleted);
-  EXPECT_LT(sched.job(hv).finish_time, sched.job(lt).finish_time);
 }
 
 TEST(ClusterSched, ConcurrencyCapQueuesFifoAndAdmitsOnCompletion) {

@@ -40,6 +40,10 @@ Two layers:
                      schedule_at stay within the 64-byte inline-callback
                      budget (<= 8 captured entities at ~8 bytes each);
                      larger captures silently fall back to heap allocation.
+  layer-order        A file under src/<layer>/ includes only its own layer
+                     or lower ones, in the order of LAYERS (common < debug
+                     < telemetry < sim < fabric < rdma < exec < inc < model
+                     < coll < sched): a lower layer never reaches up.
 
 `verify` group — protocol-usage correctness (PARCOACH-style, PR 10). The
 paper's bandwidth-optimal guarantee holds only when every rank issues
@@ -155,6 +159,9 @@ HOT_ALLOC_RE = re.compile(
     r"|\b(?:malloc|calloc|realloc)\s*\(|std::function\s*<")
 SCHEDULE_RE = re.compile(r"\bschedule(_at)?\s*\(")
 DEQUE_RE = re.compile(r"\bstd::deque\s*<")
+LAYERS = ("common", "debug", "telemetry", "sim", "fabric", "rdma", "exec",
+          "inc", "model", "coll", "sched")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"src/(\w+)/')
 
 CAPTURE_BUDGET = 8  # entities * 8 bytes = the 64-byte inline budget
 
@@ -296,6 +303,22 @@ def check_datapath_deque(ctx, violations):
         if DEQUE_RE.search(line):
             emit(violations, ctx, idx, "no-datapath-deque",
                  "std::deque in a datapath layer (use common/ring.hpp Ring)")
+
+
+def check_layer_order(ctx, violations):
+    parts = ctx.path.replace(os.sep, "/").split("/")
+    if len(parts) < 3 or parts[1] not in LAYERS:
+        return
+    own = LAYERS.index(parts[1])
+    for idx, line in enumerate(ctx.raw_lines, start=1):
+        # The stripped line keeps the directive only outside comments.
+        if not ctx.code_lines[idx - 1].lstrip().startswith("#"):
+            continue
+        m = INCLUDE_RE.match(line)
+        if m and m.group(1) in LAYERS and LAYERS.index(m.group(1)) > own:
+            emit(violations, ctx, idx, "layer-order",
+                 "src/%s includes the higher layer src/%s" %
+                 (parts[1], m.group(1)))
 
 
 def check_capture_budget(ctx, violations):
@@ -551,6 +574,7 @@ RULES = [
     ("no-hot-alloc", "lint", ALL_SRC, check_hot_alloc),
     ("no-datapath-deque", "lint", DATAPATH_DIRS, check_datapath_deque),
     ("capture-budget", "lint", CORE_DIRS, check_capture_budget),
+    ("layer-order", "lint", ALL_SRC, check_layer_order),
     ("coll-matching", "verify", VERIFY_DIRS, check_coll_matching),
     ("comm-lifecycle", "verify", VERIFY_DIRS, check_comm_lifecycle),
     ("unchecked-result", "verify", VERIFY_DIRS, check_unchecked_result),
@@ -569,6 +593,8 @@ RULE_DOCS = {
                          "src/fabric; FIFOs are common/ring.hpp Rings",
     "capture-budget": "Engine-schedule lambda captures stay within the "
                       "64-byte inline budget",
+    "layer-order": "A src/<layer>/ file includes only its own or lower "
+                   "layers",
     "coll-matching": "Every started collective has a reachable wait; no "
                      "rank-divergent collective sequences",
     "comm-lifecycle": "Communicator create/start/wait/retire state machine "
@@ -735,6 +761,9 @@ SELF_TESTS = [
      "  engine.schedule(5, [this, a, b, c, d, e, g, h, i, j] {\n"
      "    use(a); });\n"
      "}\n"),
+    ("layer-order", "src/rdma/bad_layer.hpp",
+     "#include \"src/rdma/qp.hpp\"\n"
+     "#include \"src/sched/cluster_sched.hpp\"\n"),
     # --- verify group seeds -------------------------------------------------
     ("coll-matching", "examples/bad_wait.cpp",
      "void f(coll::Communicator& comm) {\n"
@@ -809,6 +838,14 @@ CLEAN_TESTS = [
      "std::deque<int> waiting_;  // std::deque<int> in a comment is fine\n"),
     ("src/sim/ok2.cpp",
      "void warm() { auto* p = new int(7); (void)p; }  // not in a hot region\n"),
+    # Same or lower layers, and a commented-out include, are fine.
+    ("src/sched/ok_layer.cpp",
+     "#include \"src/sched/job.hpp\"\n"
+     "#include \"src/rdma/nic.hpp\"\n"
+     "#include \"src/common/units.hpp\"\n"),
+    ("src/rdma/ok_layer.hpp",
+     "// #include \"src/sched/cluster_sched.hpp\" would invert the layers\n"
+     "#include \"src/fabric/fabric.hpp\"\n"),
     # The canonical correct protocol usage: start, wait, status-check the
     # OpBase; blocking call with a status-checked OpResult.
     ("examples/ok_verify.cpp",
